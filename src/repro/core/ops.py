@@ -37,9 +37,12 @@ replaying an arbitrary consistent cut of the persist DAG
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, Iterator, List, Tuple
+from itertools import compress, repeat
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 CACHE_LINE = 64
 
@@ -211,6 +214,105 @@ class ThreadTrace:
         self.ops.append(op)
         return op
 
+    def addressed_lines(self) -> Iterable[int]:
+        """Cache line of every op that addresses memory."""
+        return (op.addr // CACHE_LINE for op in self.ops if op.kind in ADDRESSED_KINDS)
+
+
+#: OpKind member by int value.
+_KINDS = tuple(OpKind)
+#: kind byte -> 1 if the kind addresses memory (a bytes.translate table).
+_ADDRESSED_BYTES = bytes(k in ADDRESSED_KINDS for k in range(256))
+
+#: fields of one op in :attr:`ColumnTrace.record`, in :class:`Op` order.
+RECORD_FIELDS = ("addr", "size", "data", "gseq", "region", "label")
+_REC = len(RECORD_FIELDS)
+_GSEQ = RECORD_FIELDS.index("gseq")
+
+
+class ColumnTrace(ThreadTrace):
+    """A thread trace held as replay columns; :class:`Op` objects are built
+    only when ``.ops`` is read.
+
+    ``kinds``/``lines``/``cycles``/``lock_ids`` are the C-ready arrays the
+    native replay core consumes (``lines`` is ``addr // CACHE_LINE`` of
+    every op).  ``len(trace)`` and replay never build an op.
+
+    A trace comes about in one of two ways:
+
+    * **emitted** by a :class:`ColumnCursor`: ``record`` holds, flat, the
+      :data:`RECORD_FIELDS` of every op that the columns lack (``tid`` is
+      the trace's, ``seq`` the index).  ``.ops`` extends the built list
+      up to the current length on every read, so it is correct while the
+      trace is still being emitted.
+    * **derived** from another trace (:mod:`repro.lang.specialize`):
+      ``build()`` returns the whole op list on first read.
+    """
+
+    def __init__(
+        self,
+        tid: int,
+        columns: Optional[tuple] = None,
+        build: Optional[Callable[[], List[Op]]] = None,
+    ) -> None:
+        self.tid = tid
+        if columns is None:
+            columns = (array("i"), array("q"), array("i"), array("i"))
+        self.kinds, self.lines, self.cycles, self.lock_ids = columns
+        self.record: list = []
+        #: ``(index, label)`` of every marker-dialect placeholder fence
+        #: (see :mod:`repro.lang.specialize`); empty for concrete dialects.
+        self.marker_sites: List[Tuple[int, str]] = []
+        self._build = build
+        self._ops: List[Op] = []
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    @property
+    def ops(self) -> List[Op]:  # type: ignore[override]
+        ops = self._ops
+        if len(ops) < len(self.kinds):
+            if self._build is None:
+                ops.extend(self._from_record(len(ops)))
+            else:
+                ops.extend(self._build())
+                self._build = None  # drop the source trace it holds
+        return ops
+
+    def _from_record(self, start: int) -> Iterator[Op]:
+        stop = len(self.kinds)
+        rec = self.record[_REC * start : _REC * stop]
+        return map(
+            Op,
+            map(_KINDS.__getitem__, self.kinds[start:stop]),
+            rec[0::_REC], rec[1::_REC], rec[2::_REC],
+            self.lock_ids[start:stop], self.cycles[start:stop],
+            repeat(self.tid, stop - start), range(start, stop),
+            rec[3::_REC], rec[4::_REC], rec[5::_REC],
+        )
+
+    def gseq(self, index: int) -> int:
+        """Global visibility slot of op ``index`` of an emitted trace."""
+        return self.record[_REC * index + _GSEQ]
+
+    def append(self, op: Op, gseq: int) -> Op:
+        raise TypeError("column traces are written by a ColumnCursor")
+
+    def kind_bytes(self) -> bytes:
+        """Op kinds one byte each (every kind is < 256), so they can be
+        counted and masked at C speed."""
+        width = self.kinds.itemsize
+        low = 0 if sys.byteorder == "little" else width - 1
+        return self.kinds.tobytes()[low::width]
+
+    def addressed_lines(self) -> Iterable[int]:
+        return compress(self.lines, self.kind_bytes().translate(_ADDRESSED_BYTES))
+
+    def __getstate__(self):
+        self.ops  # a derived trace's builder is a closure, which does not pickle
+        return self.__dict__
+
 
 class Program:
     """A multi-threaded micro-op program with a fixed visibility order.
@@ -221,14 +323,20 @@ class Program:
     used by the formal model: it is a legal TSO execution because each
     thread's ops appear in program order and conflicting accesses are
     serialised.
+
+    ``trace`` makes each thread's trace: an op list (:class:`ThreadTrace`)
+    for hand-built programs, :class:`ColumnTrace` for generated ones.
     """
 
-    def __init__(self, n_threads: int) -> None:
-        self.threads: List[ThreadTrace] = [ThreadTrace(t) for t in range(n_threads)]
+    def __init__(
+        self, n_threads: int, trace: Callable[[int], ThreadTrace] = ThreadTrace
+    ) -> None:
+        self.threads: List[ThreadTrace] = [trace(t) for t in range(n_threads)]
         self._next_gseq = 0
         #: FIFO acquisition order per lock, fixed at generation time and
         #: replayed by the timing simulator.
         self.lock_order: Dict[int, List[int]] = {}
+        self._touched_lines: Optional[array] = None
 
     @property
     def n_threads(self) -> int:
@@ -252,6 +360,17 @@ class Program:
         """All persistent stores in visibility order."""
         return [op for op in self.all_ops() if op.kind is OpKind.STORE]
 
+    def touched_lines(self) -> array:
+        """Sorted cache lines that any addressed op touches, as
+        ``array("q")``; computed once (programs are immutable once
+        generated) for the replay engines' cache warm-up."""
+        if self._touched_lines is None:
+            touched = set()
+            for trace in self.threads:
+                touched.update(trace.addressed_lines())
+            self._touched_lines = array("q", sorted(touched))
+        return self._touched_lines
+
     def counts(self) -> Dict[str, int]:
         """Histogram of op kinds across all threads (for reporting)."""
         out: Dict[str, int] = {}
@@ -263,7 +382,9 @@ class Program:
 
 @dataclass
 class TraceCursor:
-    """Mutable emission helper bound to one thread of a :class:`Program`."""
+    """Mutable emission helper bound to one thread of a hand-built
+    :class:`Program`; returns every :class:`Op` it emits.  Generated
+    programs are written through :class:`ColumnCursor` instead."""
 
     program: Program
     tid: int
@@ -300,6 +421,11 @@ class TraceCursor:
         * ``"allow"`` — emit the straddling store as-is (used to seed
           torn-write hazards for the static analyzer and chaos tests).
         """
+        if on_line_cross not in ("split", "raise", "allow"):
+            raise ValueError(
+                f"on_line_cross must be 'split', 'raise' or 'allow', "
+                f"not {on_line_cross!r}"
+            )
         pieces = split_at_lines(addr, data)
         if len(pieces) > 1:
             if on_line_cross == "raise":
@@ -313,11 +439,6 @@ class TraceCursor:
                     for a, d in pieces
                 ]
                 return ops[0]
-            if on_line_cross != "allow":
-                raise ValueError(
-                    f"on_line_cross must be 'split', 'raise' or 'allow', "
-                    f"not {on_line_cross!r}"
-                )
         return self._emit(Op(OpKind.STORE, addr=addr, size=len(data), data=data, label=label))
 
     def load(self, addr: int, size: int, label: str = "") -> Op:
@@ -358,3 +479,101 @@ class TraceCursor:
 
     def compute(self, cycles: int) -> Op:
         return self._emit(Op(OpKind.COMPUTE, cycles=cycles))
+
+
+# Plain-int kinds for the emission hot path (an enum member costs an
+# attribute lookup and an __index__ call per op).
+(_STORE, _LOAD, _CLWB, _SFENCE, _PB, _NS, _JS, _OFENCE, _DFENCE,
+ _LOCK_ACQ, _LOCK_REL, _COMPUTE, _VSTORE, _VLOAD) = map(int, OpKind)
+
+
+class ColumnCursor:
+    """Emission helper writing one thread of a generated program straight
+    into its :class:`ColumnTrace` — no :class:`Op` is built.
+
+    The runtime (:mod:`repro.lang.runtime`) emits through this; it mirrors
+    :class:`TraceCursor`, which builds ops for hand-written programs, and
+    produces op-for-op the same trace.  Methods return nothing.
+    """
+
+    __slots__ = ("program", "tid", "trace", "region")
+
+    def __init__(self, program: Program, tid: int) -> None:
+        self.program = program
+        self.tid = tid
+        self.trace: ColumnTrace = program.threads[tid]
+        self.region = -1
+
+    def _emit(
+        self, kind: int, addr: int, size: int, data: bytes, lock_id: int,
+        cycles: int, label: str, region: int,
+    ) -> None:
+        trace = self.trace
+        program = self.program
+        gseq = program._next_gseq
+        program._next_gseq = gseq + 1
+        trace.kinds.append(kind)
+        trace.lines.append(addr // CACHE_LINE)
+        trace.cycles.append(cycles)
+        trace.lock_ids.append(lock_id)
+        trace.record.extend((addr, size, data, gseq, region, label))
+
+    def store_and_flush(
+        self, addr: int, data: bytes, label: str = "", region: Optional[int] = None
+    ) -> None:
+        """Emit a PM store, split at cache-line boundaries exactly as
+        :meth:`TraceCursor.store` splits it, then one CLWB per touched
+        line.  ``region`` (default: the cursor's) tags the STORE pieces
+        only; the CLWBs carry the cursor's region."""
+        own = self.region
+        if region is None:
+            region = own
+        emit = self._emit
+        size = len(data)
+        offset = addr % CACHE_LINE
+        if offset + size <= CACHE_LINE:  # one piece, at most one line
+            emit(_STORE, addr, size, data, -1, 0, label, region)
+            if size:
+                emit(_CLWB, addr - offset, CACHE_LINE, b"", -1, 0, label, own)
+            return
+        for a, d in split_at_lines(addr, data):
+            emit(_STORE, a, len(d), d, -1, 0, label, region)
+        for line in lines_of(addr, size):
+            emit(_CLWB, line * CACHE_LINE, CACHE_LINE, b"", -1, 0, label, own)
+
+    def load(self, addr: int, size: int, label: str = "") -> None:
+        self._emit(_LOAD, addr, size, b"", -1, 0, label, self.region)
+
+    def vstore(self, addr: int, size: int, label: str = "") -> None:
+        self._emit(_VSTORE, addr, size, b"", -1, 0, label, self.region)
+
+    def vload(self, addr: int, size: int, label: str = "") -> None:
+        self._emit(_VLOAD, addr, size, b"", -1, 0, label, self.region)
+
+    def sfence(self, label: str = "") -> None:
+        self._emit(_SFENCE, 0, 0, b"", -1, 0, label, self.region)
+
+    def persist_barrier(self) -> None:
+        self._emit(_PB, 0, 0, b"", -1, 0, "", self.region)
+
+    def new_strand(self) -> None:
+        self._emit(_NS, 0, 0, b"", -1, 0, "", self.region)
+
+    def join_strand(self) -> None:
+        self._emit(_JS, 0, 0, b"", -1, 0, "", self.region)
+
+    def ofence(self) -> None:
+        self._emit(_OFENCE, 0, 0, b"", -1, 0, "", self.region)
+
+    def dfence(self) -> None:
+        self._emit(_DFENCE, 0, 0, b"", -1, 0, "", self.region)
+
+    def lock(self, lock_id: int) -> None:
+        self.program.lock_order.setdefault(lock_id, []).append(self.tid)
+        self._emit(_LOCK_ACQ, 0, 0, b"", lock_id, 0, "", self.region)
+
+    def unlock(self, lock_id: int) -> None:
+        self._emit(_LOCK_REL, 0, 0, b"", lock_id, 0, "", self.region)
+
+    def compute(self, cycles: int) -> None:
+        self._emit(_COMPUTE, 0, 0, b"", -1, cycles, "", self.region)

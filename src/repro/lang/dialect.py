@@ -21,7 +21,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, Type
 
-from repro.core.ops import TraceCursor
+from repro.core.ops import ColumnCursor
 
 
 class IsaDialect(ABC):
@@ -32,25 +32,25 @@ class IsaDialect(ABC):
     designs = ()
 
     @abstractmethod
-    def pair_barrier(self, cur: TraceCursor) -> None:
+    def pair_barrier(self, cur: ColumnCursor) -> None:
         """Order a log persist before its in-place update (Fig. 5)."""
 
     @abstractmethod
-    def pair_separator(self, cur: TraceCursor) -> None:
+    def pair_separator(self, cur: ColumnCursor) -> None:
         """Separate independent log/update pairs (Fig. 5's NewStrand)."""
 
     @abstractmethod
-    def region_drain(self, cur: TraceCursor) -> None:
+    def region_drain(self, cur: ColumnCursor) -> None:
         """Make every prior persist of the region durable (commit gate)."""
 
     @abstractmethod
-    def commit_barrier(self, cur: TraceCursor) -> None:
+    def commit_barrier(self, cur: ColumnCursor) -> None:
         """Order the commit marker before log invalidations (Fig. 6)."""
 
-    def region_begin(self, cur: TraceCursor) -> None:
+    def region_begin(self, cur: ColumnCursor) -> None:
         """Entering a failure-atomic region (default: nothing)."""
 
-    def region_end(self, cur: TraceCursor) -> None:
+    def region_end(self, cur: ColumnCursor) -> None:
         """Leaving a failure-atomic region (default: nothing)."""
 
 
@@ -61,19 +61,19 @@ class StrandDialect(IsaDialect):
     name = "strand"
     designs = ("strandweaver", "no-persist-queue")
 
-    def pair_barrier(self, cur: TraceCursor) -> None:
+    def pair_barrier(self, cur: ColumnCursor) -> None:
         cur.persist_barrier()
 
-    def pair_separator(self, cur: TraceCursor) -> None:
+    def pair_separator(self, cur: ColumnCursor) -> None:
         cur.new_strand()
 
-    def region_drain(self, cur: TraceCursor) -> None:
+    def region_drain(self, cur: ColumnCursor) -> None:
         cur.join_strand()
 
-    def commit_barrier(self, cur: TraceCursor) -> None:
+    def commit_barrier(self, cur: ColumnCursor) -> None:
         cur.persist_barrier()
 
-    def region_end(self, cur: TraceCursor) -> None:
+    def region_end(self, cur: ColumnCursor) -> None:
         cur.join_strand()
 
 
@@ -83,19 +83,19 @@ class X86Dialect(IsaDialect):
     name = "x86"
     designs = ("intel-x86",)
 
-    def pair_barrier(self, cur: TraceCursor) -> None:
+    def pair_barrier(self, cur: ColumnCursor) -> None:
         cur.sfence()
 
-    def pair_separator(self, cur: TraceCursor) -> None:
+    def pair_separator(self, cur: ColumnCursor) -> None:
         cur.sfence()
 
-    def region_drain(self, cur: TraceCursor) -> None:
+    def region_drain(self, cur: ColumnCursor) -> None:
         cur.sfence()
 
-    def commit_barrier(self, cur: TraceCursor) -> None:
+    def commit_barrier(self, cur: ColumnCursor) -> None:
         cur.sfence()
 
-    def region_end(self, cur: TraceCursor) -> None:
+    def region_end(self, cur: ColumnCursor) -> None:
         cur.sfence()
 
 
@@ -105,19 +105,19 @@ class HopsDialect(IsaDialect):
     name = "hops"
     designs = ("hops",)
 
-    def pair_barrier(self, cur: TraceCursor) -> None:
+    def pair_barrier(self, cur: ColumnCursor) -> None:
         cur.ofence()
 
-    def pair_separator(self, cur: TraceCursor) -> None:
+    def pair_separator(self, cur: ColumnCursor) -> None:
         cur.ofence()
 
-    def region_drain(self, cur: TraceCursor) -> None:
+    def region_drain(self, cur: ColumnCursor) -> None:
         cur.dfence()
 
-    def commit_barrier(self, cur: TraceCursor) -> None:
+    def commit_barrier(self, cur: ColumnCursor) -> None:
         cur.ofence()
 
-    def region_end(self, cur: TraceCursor) -> None:
+    def region_end(self, cur: ColumnCursor) -> None:
         # One dfence per region (before the commit marker) is enough:
         # epoch ordering already orders the commit before the next
         # region's persists, so leaving the region needs no drain [19].
@@ -130,16 +130,16 @@ class NonAtomicDialect(IsaDialect):
     name = "non-atomic"
     designs = ("non-atomic",)
 
-    def pair_barrier(self, cur: TraceCursor) -> None:
+    def pair_barrier(self, cur: ColumnCursor) -> None:
         pass
 
-    def pair_separator(self, cur: TraceCursor) -> None:
+    def pair_separator(self, cur: ColumnCursor) -> None:
         pass
 
-    def region_drain(self, cur: TraceCursor) -> None:
+    def region_drain(self, cur: ColumnCursor) -> None:
         pass
 
-    def commit_barrier(self, cur: TraceCursor) -> None:
+    def commit_barrier(self, cur: ColumnCursor) -> None:
         pass
 
 

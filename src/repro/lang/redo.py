@@ -108,8 +108,10 @@ class RedoTxnModel(PersistencyModel):
         # 2. Commit marker on the group's last TX_END entry.
         terminator = state.pending[-1].terminator_slot
         marker_addr = rt.layout.entry_addr(tid, terminator) + 2
-        marker = rt._plain_store(tid, marker_addr, b"\x01", label=COMMIT_MARKER_LABEL)
-        marker.region = state.pending[-1].region_id
+        rt._plain_store(
+            tid, marker_addr, b"\x01", label=COMMIT_MARKER_LABEL,
+            region=state.pending[-1].region_id,
+        )
         # 3. Marker persists before any in-place update.
         rt.dialect.commit_barrier(cur)
         # 4. Apply the group's deferred updates (concurrent sub-epoch).

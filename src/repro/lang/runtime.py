@@ -33,9 +33,9 @@ import struct
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.ops import CACHE_LINE, Op, Program, TraceCursor, lines_of
+from repro.core.ops import ColumnCursor, ColumnTrace, Program
 from repro.lang import logbuf
 from repro.lang.logbuf import LogError, LogLayout
 from repro.pmem.space import PersistentMemory
@@ -58,7 +58,7 @@ class _Region:
 
 @dataclass
 class _ThreadState:
-    cursor: TraceCursor
+    cursor: ColumnCursor
     tail: int = 0
     live_entries: int = 0
     region_open: bool = False
@@ -120,9 +120,9 @@ class PmRuntime:
         self.layout = layout
         self.dialect = dialect
         self.model = model
-        self.program = Program(n_threads)
+        self.program = Program(n_threads, trace=ColumnTrace)
         self._threads = [
-            _ThreadState(cursor=TraceCursor(self.program, tid)) for tid in range(n_threads)
+            _ThreadState(cursor=ColumnCursor(self.program, tid)) for tid in range(n_threads)
         ]
         self._next_seq = 1
         self._next_region = 0
@@ -263,10 +263,10 @@ class PmRuntime:
         # anchor check 1 on it even for deferred commits, where the
         # cursor's region id has already been reset.
         marker_addr = self.layout.entry_addr(tid, terminator) + 2
-        marker = self._plain_store(
-            tid, marker_addr, b"\x01", label=COMMIT_MARKER_LABEL
+        self._plain_store(
+            tid, marker_addr, b"\x01", label=COMMIT_MARKER_LABEL,
+            region=state.pending[-1].region_id,
         )
-        marker.region = state.pending[-1].region_id
         # 3. Marker persists before the entries are invalidated and before
         # the head pointer advances.
         self.dialect.commit_barrier(cur)
@@ -317,14 +317,15 @@ class PmRuntime:
             state.region_slots.append(slot)
         return slot
 
-    def _plain_store(self, tid: int, addr: int, data: bytes, label: str = "") -> Op:
-        """Unlogged PM store + CLWB of every touched line."""
-        cur = self._threads[tid].cursor
+    def _plain_store(
+        self, tid: int, addr: int, data: bytes, label: str = "",
+        region: Optional[int] = None,
+    ) -> None:
+        """Unlogged PM store + CLWB of every touched line; ``region``
+        overrides the cursor's region on the store (see
+        :meth:`ColumnCursor.store_and_flush`)."""
         self.space.write(addr, data)
-        op = cur.store(addr, data, label=label)
-        for line in lines_of(addr, len(data)):
-            cur.clwb(line * CACHE_LINE, label=label)
-        return op
+        self._threads[tid].cursor.store_and_flush(addr, data, label, region)
 
 
 # ----------------------------------------------------------------------

@@ -15,19 +15,26 @@ each ordering point with a tagged placeholder fence — and then
 
 * **strand / x86 / hops** replace each marker with the dialect's fence
   in place.  Every marker expands to exactly one op, so per-thread
-  ``seq`` and global ``gseq`` numbering are unchanged and every
-  non-marker :class:`~repro.core.ops.Op` object is *shared* between the
-  canonical and specialized programs (ops are never mutated after
-  generation; each specialized program still gets its own
-  :class:`~repro.core.ops.ThreadTrace` objects, so per-trace compiled
-  caches stay per-program).
-* **non-atomic** drops the markers, which shifts numbering, so it gets
-  a full copy with ``seq``/``gseq`` renumbered exactly as direct
+  ``seq`` and global ``gseq`` numbering are unchanged: only the kinds
+  column is copied and patched, the other replay columns are shared,
+  and if ops are ever built every non-marker
+  :class:`~repro.core.ops.Op` object is shared with the canonical
+  program (ops are never mutated after generation).
+* **non-atomic** drops the markers, which shifts numbering: its columns
+  are the canonical ones with the marker slots cut out, and its ops (if
+  built) are copies with ``seq``/``gseq`` renumbered exactly as direct
   generation would number them.
+
+Generated traces are born as replay columns
+(:class:`~repro.core.ops.ColumnTrace`), and :class:`MarkerDialect`
+records every marker's position as it emits it, so specializing never
+walks the ops; a specialized trace builds its ops only when ``.ops`` is
+read (the native replay core never reads it).
 
 ``tests/sim/test_fastcore_identity.py`` pins that a specialized program
 is op-for-op identical (all fields) to one generated directly with the
-real dialect.
+real dialect, and ``tests/sim/test_op_stream_pins.py`` pins both, and
+the marker program, against recorded per-thread digests.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from array import array
 from bisect import bisect_left
 from typing import Dict, Optional
 
-from repro.core.ops import ADDRESSED_KINDS, Op, OpKind, Program, ThreadTrace, TraceCursor
+from repro.core.ops import ColumnCursor, ColumnTrace, Op, OpKind, Program
 from repro.lang.dialect import IsaDialect
 
 #: label prefix carried by canonical placeholder fences.
@@ -54,27 +61,35 @@ class MarkerDialect(IsaDialect):
 
     The op kind of a marker is irrelevant (markers never reach a
     simulator); SFENCE is used so marker programs still satisfy trace
-    invariants if inspected.  ``region_begin`` stays the inherited no-op
-    because every concrete dialect also emits nothing there.
+    invariants if inspected.  Each marker's ``(index, label)`` goes into
+    its trace's ``marker_sites`` as it is emitted.  ``region_begin``
+    stays the inherited no-op because every concrete dialect also emits
+    nothing there.
     """
 
     name = "marker"
     designs = ()
 
-    def pair_barrier(self, cur: TraceCursor) -> None:
-        cur.sfence().label = _PAIR
+    @staticmethod
+    def _mark(cur: ColumnCursor, label: str) -> None:
+        trace = cur.trace
+        trace.marker_sites.append((len(trace.kinds), label))
+        cur.sfence(label)
 
-    def pair_separator(self, cur: TraceCursor) -> None:
-        cur.sfence().label = _SEP
+    def pair_barrier(self, cur: ColumnCursor) -> None:
+        self._mark(cur, _PAIR)
 
-    def region_drain(self, cur: TraceCursor) -> None:
-        cur.sfence().label = _DRAIN
+    def pair_separator(self, cur: ColumnCursor) -> None:
+        self._mark(cur, _SEP)
 
-    def commit_barrier(self, cur: TraceCursor) -> None:
-        cur.sfence().label = _COMMIT
+    def region_drain(self, cur: ColumnCursor) -> None:
+        self._mark(cur, _DRAIN)
 
-    def region_end(self, cur: TraceCursor) -> None:
-        cur.sfence().label = _REGION_END
+    def commit_barrier(self, cur: ColumnCursor) -> None:
+        self._mark(cur, _COMMIT)
+
+    def region_end(self, cur: ColumnCursor) -> None:
+        self._mark(cur, _REGION_END)
 
 
 #: dialect name -> ordering-point label -> concrete fence kind (None: drop).
@@ -115,16 +130,8 @@ def specialize(program: Program, dialect_name: str) -> Program:
     """Rewrite a canonical marker program for one concrete dialect.
 
     Returns a new :class:`Program`; the canonical program is untouched
-    and can be specialized again for other dialects.
-
-    Specialized programs inherit the canonical program's compiled
-    replay streams and touched-line set wherever they are provably
-    unchanged: addressed ops are dialect-independent (fences carry no
-    address), so ``_touched_lines`` is shared outright, and the
-    per-trace compiled arrays consumed by the native replay core
-    (:mod:`repro.sim.cnative`) are derived by patching or slicing the
-    canonical arrays at the marker sites instead of rescanning every
-    op per dialect.
+    and can be specialized again for other dialects.  The touched-line
+    set is shared outright: fences carry no address.
     """
     try:
         table = SPECIALIZE_MAP[dialect_name]
@@ -134,206 +141,84 @@ def specialize(program: Program, dialect_name: str) -> Program:
             f"choose from {sorted(SPECIALIZE_MAP)}"
         ) from None
     if dialect_name == "non-atomic":
-        out = _specialize_dropping(program, table)
+        out = _specialize_dropping(program)
     else:
         out = _specialize_in_place(program, table)
-    out._touched_lines = _canon_touched(program)
-    out._touched_arr = program._touched_arr
+    out._touched_lines = program.touched_lines()
     return out
 
 
-def _canon_arrays(trace: ThreadTrace):
-    """Canonical trace compiled to C-ready parallel arrays, cached.
-
-    The list form comes from :func:`repro.sim.fastcore.compile_trace`
-    (and stays cached there for the Python fast path); the array form
-    is what per-dialect derivation slices and patches at C speed.
-    """
-    cached = getattr(trace, "_canon_arrays", None)
-    if cached is None:
-        from repro.sim.fastcore import compile_trace
-
-        kinds, lines, cycles, lock_ids, static = compile_trace(trace)
-        cached = (
-            array("i", kinds),
-            array("q", lines),
-            array("i", cycles),
-            array("i", lock_ids),
-            static,
-        )
-        trace._canon_arrays = cached
-    return cached
+def _specialize_in_place(program: Program, table) -> Program:
+    """One-op-per-marker dialects: numbering is unchanged, so the kinds
+    column is a memcpy plus one patch per marker and the lines/cycles/
+    lock columns are the canonical arrays themselves."""
+    out = Program(program.n_threads)
+    out._next_gseq = program._next_gseq
+    out.lock_order = {k: list(v) for k, v in program.lock_order.items()}
+    fence_of = {label: int(kind) for label, kind in table.items()}
+    threads = []
+    for src in program.threads:
+        kinds = array("i", src.kinds)
+        for i, label in src.marker_sites:
+            kinds[i] = fence_of[label]
+        columns = (kinds, src.lines, src.cycles, src.lock_ids)
+        threads.append(ColumnTrace(src.tid, columns, _in_place_builder(src, table)))
+    out.threads = threads
+    return out
 
 
-def _canon_touched(program: Program):
-    """Touched-line set of the canonical program, computed once and
-    shared with every specialization (fences never touch memory)."""
-    touched_sorted = getattr(program, "_touched_lines", None)
-    if touched_sorted is None:
-        addressed = frozenset(int(k) for k in ADDRESSED_KINDS)
-        touched = set()
-        for trace in program.threads:
-            ka, la, _, _, _ = _canon_arrays(trace)
-            for k, ln in zip(ka, la):
-                if k in addressed:
-                    touched.add(ln)
-        touched_sorted = sorted(touched)
-        program._touched_lines = touched_sorted
-    if getattr(program, "_touched_arr", None) is None:
-        program._touched_arr = array("q", touched_sorted)
-    return touched_sorted
-
-
-def _marker_sites(trace: ThreadTrace):
-    """Per-trace marker positions ``[(index, label), ...]``, cached on
-    the canonical trace so each dialect specialization is a C-speed list
-    copy plus point patches instead of a per-op Python scan."""
-    sites = getattr(trace, "_marker_sites", None)
-    if sites is None:
-        sites = [
-            (i, op.label)
-            for i, op in enumerate(trace.ops)
-            if op.label.startswith(MARK_PREFIX)
-        ]
-        trace._marker_sites = sites
-    return sites
-
-
-class _LazyTrace(ThreadTrace):
-    """A specialized thread trace whose op list is built on first use.
-
-    The native replay core consumes only the derived compiled arrays
-    (``_c_arrays``), the shared lock order, and the shared touched-line
-    set — so for simulation-only programs the per-op rewrite never
-    runs.  Consumers that need real :class:`Op` objects (the Python
-    engines, the formal model, crash-image checks) trigger it
-    transparently on first ``.ops`` access.
-    """
-
-    def __init__(self, tid: int, build) -> None:
-        self.tid = tid
-        self._build = build
-
-    def __getattr__(self, name: str):
-        if name == "ops":
-            ops = self._build()
-            self.ops = ops
-            del self._build
-            return ops
-        raise AttributeError(name)
-
-    def __getstate__(self):
-        self.ops  # materialize: closures don't pickle
-        state = dict(self.__dict__)
-        state.pop("_build", None)
-        return state
-
-
-def _in_place_builder(src: ThreadTrace, table):
+def _in_place_builder(src: ColumnTrace, table):
     """Deferred op-list rewrite for one-op-per-marker dialects: share
     every non-marker op, rebuild each marker as the dialect's fence with
     identical numbering."""
 
     def build():
         ops = list(src.ops)
-        for i, label in _marker_sites(src):
+        for i, label in src.marker_sites:
             op = ops[i]
-            fence = Op(table[label])
-            fence.tid = op.tid
-            fence.seq = op.seq
-            fence.gseq = op.gseq
-            fence.region = op.region
-            ops[i] = fence
+            ops[i] = Op(
+                table[label], tid=op.tid, seq=op.seq, gseq=op.gseq, region=op.region
+            )
         return ops
 
     return build
 
 
-def _specialize_in_place(program: Program, table) -> Program:
-    """One-op-per-marker dialects: numbering is unchanged, so non-marker
-    ops are shared and only the markers are rebuilt (lazily — see
-    :class:`_LazyTrace`).
-
-    Compiled replay arrays are derived eagerly per trace: ``lines``/
-    ``cycles``/``lock_ids`` are *shared* with the canonical arrays (a
-    fence has no address, no cycles, no lock), ``kinds`` is a memcpy
-    plus point patches, and the static op-mix counters shift only by
-    the strand marks the patched fences introduce.
-    """
-    out = Program(program.n_threads)
-    out._next_gseq = program._next_gseq
-    out.lock_order = {k: list(v) for k, v in program.lock_order.items()}
-    pb, ns = int(OpKind.PERSIST_BARRIER), int(OpKind.NEW_STRAND)
-    threads = []
-    for src in program.threads:
-        ka0, la0, ca0, lka0, st0 = _canon_arrays(src)
-        ka = array("i", ka0)
-        marks = 0
-        for i, label in _marker_sites(src):
-            k2 = int(table[label])
-            ka[i] = k2
-            if k2 == pb or k2 == ns:
-                marks += 1
-        static = dict(st0)
-        static["strand_marks"] = st0["strand_marks"] + marks
-        dst = _LazyTrace(src.tid, _in_place_builder(src, table))
-        dst._c_arrays = (ka, la0, ca0, lka0, static)
-        dst._marker_sites = []  # specialized traces carry no markers
-        threads.append(dst)
-    out.threads = threads
-    return out
-
-
-def _specialize_dropping(program: Program, table) -> Program:
-    """Marker-dropping dialects (non-atomic): every op is copied with
-    ``seq``/``gseq`` renumbered to the contiguous values direct
-    generation would assign.
+def _specialize_dropping(program: Program) -> Program:
+    """Marker-dropping dialects (non-atomic): the replay columns are the
+    canonical ones with the marker slots cut out.
 
     Renumbering needs no global merge: direct generation assigns gseq
     in the canonical emission order restricted to the kept ops, so the
     new gseq is the old one minus the number of dropped markers that
     preceded it.  Lock order is unchanged (lock ops are never markers
-    and their relative order is preserved).  Compiled replay arrays are
-    the canonical arrays with the marker slots sliced out.
+    and their relative order is preserved).
     """
-    if any(v is not None for v in table.values()):  # pragma: no cover
-        return _specialize_dropping_generic(program, table)
     out = Program(program.n_threads)
     out.lock_order = {k: list(v) for k, v in program.lock_order.items()}
     dropped = sorted(
-        trace.ops[i].gseq
-        for trace in program.threads
-        for i, _label in _marker_sites(trace)
+        src.gseq(i) for src in program.threads for i, _label in src.marker_sites
     )
-    kept_total = 0
     threads = []
     for src in program.threads:
-        sites = [i for i, _label in _marker_sites(src)]
-        kept_total += len(src.ops) - len(sites)
-        ka0, la0, ca0, lka0, st0 = _canon_arrays(src)
-        ka = array("i")
-        la = array("q")
-        ca = array("i")
-        lka = array("i")
-        prev = 0
-        for i in sites + [len(src.ops)]:
-            ka.extend(ka0[prev:i])
-            la.extend(la0[prev:i])
-            ca.extend(ca0[prev:i])
-            lka.extend(lka0[prev:i])
-            prev = i + 1
-        static = dict(st0)
-        static["fences"] = st0["fences"] - len(sites)
-        dst = _LazyTrace(src.tid, _dropping_builder(src, set(sites), dropped))
-        dst._c_arrays = (ka, la, ca, lka, static)
-        dst._marker_sites = []
-        threads.append(dst)
+        sites = [i for i, _label in src.marker_sites]
+        columns = []
+        for column in (src.kinds, src.lines, src.cycles, src.lock_ids):
+            kept = array(column.typecode)
+            prev = 0
+            for i in sites + [len(src)]:
+                kept.extend(column[prev:i])
+                prev = i + 1
+            columns.append(kept)
+        threads.append(
+            ColumnTrace(src.tid, tuple(columns), _dropping_builder(src, set(sites), dropped))
+        )
     out.threads = threads
-    out._next_gseq = kept_total
+    out._next_gseq = program._next_gseq - len(dropped)
     return out
 
 
-def _dropping_builder(src: ThreadTrace, site_set, dropped):
+def _dropping_builder(src: ColumnTrace, site_set, dropped):
     """Deferred op-list rewrite for marker-dropping dialects: copy each
     kept op with ``seq``/``gseq`` renumbered to the contiguous values
     direct generation would assign (see :func:`_specialize_dropping`)."""
@@ -358,30 +243,3 @@ def _dropping_builder(src: ThreadTrace, site_set, dropped):
         return ops
 
     return build
-
-
-def _specialize_dropping_generic(program: Program, table) -> Program:
-    """Reference emission-based rewrite, kept for marker tables that map
-    some ordering points to real fences while dropping others."""
-    out = Program(program.n_threads)
-    emit = out.emit
-    for op in program.all_ops():
-        label = op.label
-        if label and label.startswith(MARK_PREFIX):
-            if table[label] is not None:
-                emit(op.tid, Op(table[label], region=op.region))
-            continue
-        emit(
-            op.tid,
-            Op(
-                op.kind,
-                addr=op.addr,
-                size=op.size,
-                data=op.data,
-                lock_id=op.lock_id,
-                cycles=op.cycles,
-                region=op.region,
-                label=label,
-            ),
-        )
-    return out

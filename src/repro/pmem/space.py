@@ -54,6 +54,7 @@ class PersistentMemory:
     # -- typed access ---------------------------------------------------
 
     def read_u64(self, addr: int) -> int:
+        self._check(addr, 8)
         return _U64.unpack_from(self._bytes, addr)[0]
 
     def write_u64(self, addr: int, value: int) -> None:
@@ -61,6 +62,7 @@ class PersistentMemory:
         _U64.pack_into(self._bytes, addr, value & 0xFFFFFFFFFFFFFFFF)
 
     def read_u32(self, addr: int) -> int:
+        self._check(addr, 4)
         return _U32.unpack_from(self._bytes, addr)[0]
 
     def write_u32(self, addr: int, value: int) -> None:

@@ -34,7 +34,7 @@ import tempfile
 from array import array
 from typing import List, Optional
 
-from repro.core.ops import Program
+from repro.core.ops import ColumnTrace, OpKind, Program, ThreadTrace
 from repro.sim.config import MachineConfig
 from repro.sim.stats import CoreStats
 
@@ -152,14 +152,57 @@ def _ptr(arr, ctype):
     return ctypes.cast(addr, ctypes.POINTER(ctype))
 
 
+def _op_mix(trace: ColumnTrace) -> dict:
+    """Replay-invariant op-mix totals of one thread, counted at C speed
+    (every op executes exactly once, so the core needs no per-op
+    counters); equal to the ``static`` of
+    :func:`repro.sim.fastcore.compile_trace`."""
+    count = trace.kind_bytes().count
+    return {
+        "stores": count(OpKind.STORE) + count(OpKind.VSTORE),
+        "loads": count(OpKind.LOAD) + count(OpKind.VLOAD),
+        "clwbs": count(OpKind.CLWB),
+        "fences": sum(count(k) for k in range(OpKind.SFENCE, OpKind.DFENCE + 1)),
+        "strand_marks": count(OpKind.PERSIST_BARRIER) + count(OpKind.NEW_STRAND),
+        "compute_cycles": sum(trace.cycles),  # only COMPUTE ops carry cycles
+    }
+
+
+def trace_columns(trace: ThreadTrace):
+    """C-ready ``(kinds, lines, cycles, lock_ids, static)`` of one thread,
+    cached on the trace (traces are immutable once replayed).
+
+    A generated :class:`ColumnTrace` is replayed from the columns it was
+    born as, without building an op; a hand-built op list is compiled
+    once by :func:`repro.sim.fastcore.compile_trace`.
+    """
+    cached = getattr(trace, "_replay_columns", None)
+    if cached is None:
+        if isinstance(trace, ColumnTrace):
+            cached = (
+                trace.kinds, trace.lines, trace.cycles, trace.lock_ids, _op_mix(trace)
+            )
+        else:
+            from repro.sim.fastcore import compile_trace
+
+            kinds, lines, cycles, lock_ids, static = compile_trace(trace)
+            cached = (
+                array("i", kinds),
+                array("q", lines),
+                array("i", cycles),
+                array("i", lock_ids),
+                static,
+            )
+        trace._replay_columns = cached
+    return cached
+
+
 def _program_streams(program: Program):
     """Concatenated per-thread op streams as C-ready buffers, cached on
     the program (programs are immutable once generated)."""
     cached = getattr(program, "_c_streams", None)
     if cached is not None:
         return cached
-    from repro.sim.fastcore import compile_trace
-
     ks = array("i")
     ls = array("q")
     cs = array("i")
@@ -167,20 +210,7 @@ def _program_streams(program: Program):
     offs = array("q", [0])
     statics = []
     for trace in program.threads:
-        arrs = getattr(trace, "_c_arrays", None)
-        if arrs is None:
-            # Not a specialized trace: compile the list form once and
-            # keep the array form for later replays of this program.
-            kinds, lines, cycles, lock_ids, static = compile_trace(trace)
-            arrs = (
-                array("i", kinds),
-                array("q", lines),
-                array("i", cycles),
-                array("i", lock_ids),
-                static,
-            )
-            trace._c_arrays = arrs
-        ka, la, ca, lka, static = arrs
+        ka, la, ca, lka, static = trace_columns(trace)
         ks.extend(ka)
         ls.extend(la)
         cs.extend(ca)
@@ -197,28 +227,6 @@ def _program_streams(program: Program):
     streams = (ks, ls, cs, lk, offs, statics, lkeys, loffs, ltids)
     program._c_streams = streams
     return streams
-
-
-def _touched_lines(program: Program):
-    """Sorted touched-line set, shared with the machine's warm path."""
-    touched_sorted = getattr(program, "_touched_lines", None)
-    if touched_sorted is None:
-        from repro.core.ops import OpKind
-
-        addressed = (OpKind.STORE, OpKind.LOAD, OpKind.CLWB,
-                     OpKind.VSTORE, OpKind.VLOAD)
-        touched = set()
-        for trace in program.threads:
-            for op in trace.ops:
-                if op.kind in addressed:
-                    touched.add(op.addr // 64)
-        touched_sorted = sorted(touched)
-        program._touched_lines = touched_sorted
-    arr = getattr(program, "_touched_arr", None)
-    if arr is None:
-        arr = array("q", touched_sorted)
-        program._touched_arr = arr
-    return arr
 
 
 def run_native(
@@ -250,7 +258,7 @@ def run_native(
     ks, ls, cs, lk, offs, statics, lkeys, loffs, ltids = (
         _program_streams(program)
     )
-    warm_arr = _touched_lines(program) if warm else array("q")
+    warm_arr = program.touched_lines() if warm else array("q")
 
     # Resource parameters are read off freshly constructed controller
     # objects so the C core always sees the reference's own arithmetic

@@ -57,6 +57,7 @@ from typing import Dict, List
 
 from repro.core.ops import Program
 from repro.sim.cache import CacheHierarchy
+from repro.sim.cnative import trace_columns
 from repro.sim.config import MachineConfig
 from repro.sim.cpu import CoreEngine, LockTable
 from repro.sim.memory import DRAMController, PMController
@@ -199,14 +200,14 @@ def run_fast(
     n = program.n_threads
 
     # ---- compiled per-core op streams -------------------------------
-    kinds_a: List[List[int]] = []
-    lines_a: List[List[int]] = []
-    cyc_a: List[List[int]] = []
-    lkid_a: List[List[int]] = []
+    kinds_a: list = []
+    lines_a: list = []
+    cyc_a: list = []
+    lkid_a: list = []
     static_a: List[dict] = []
     nops = []
     for trace in program.threads:
-        kinds, lines, cycles, lock_ids, static = compile_trace(trace)
+        kinds, lines, cycles, lock_ids, static = trace_columns(trace)
         kinds_a.append(kinds)
         lines_a.append(lines)
         cyc_a.append(cycles)

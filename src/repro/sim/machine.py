@@ -148,21 +148,7 @@ class Machine:
         hierarchy = CacheHierarchy(self.cfg, pm, dram)
         hierarchy.profiler = profiler
         if warm:
-            # The touched-line set is a pure function of the (immutable)
-            # program; cache it so replays of one program across designs
-            # and machine configs don't rescan every op.
-            touched_sorted = getattr(program, "_touched_lines", None)
-            if touched_sorted is None:
-                touched = set()
-                addressed = (OpKind.STORE, OpKind.LOAD, OpKind.CLWB,
-                             OpKind.VSTORE, OpKind.VLOAD)
-                for trace in program.threads:
-                    for op in trace.ops:
-                        if op.kind in addressed:
-                            touched.add(op.addr // 64)
-                touched_sorted = sorted(touched)
-                program._touched_lines = touched_sorted
-            hierarchy.warm(touched_sorted)
+            hierarchy.warm(program.touched_lines())
         locks = LockTable(program.lock_order)
         domain_cls = DESIGNS[self.design]
 

@@ -61,5 +61,14 @@ def test_bogus_policy_rejected():
     _, c = _cursor()
     with pytest.raises(ValueError, match="on_line_cross"):
         c.store(CACHE_LINE - 1, b"\x00\x01", on_line_cross="maybe")
-    # non-crossing stores never consult the policy
-    c.store(0, b"\x00", on_line_cross="maybe")
+
+
+def test_bogus_policy_rejected_even_when_the_store_fits_one_line():
+    """The policy is validated before the payload is split, so a bad value
+    cannot hide behind a store that happens not to cross a line."""
+    prog, c = _cursor()
+    with pytest.raises(ValueError, match="on_line_cross"):
+        c.store(0, b"x" * 8, on_line_cross="bogus")
+    with pytest.raises(ValueError, match="on_line_cross"):
+        c.store(0, b"\x00", on_line_cross="maybe")
+    assert len(prog.threads[0].ops) == 0

@@ -33,6 +33,32 @@ def test_out_of_range_rejected():
         pm.write(-1, b"x")
 
 
+@pytest.mark.parametrize("addr", [-8, -1, 57, 64, 1 << 20])
+def test_typed_u64_read_out_of_range_rejected(addr):
+    """A negative address must not wrap to the end of PM, and a read past
+    the end must raise PmError rather than struct.error."""
+    pm = PersistentMemory(64)
+    pm.write(56, b"\xff" * 8)
+    with pytest.raises(PmError):
+        pm.read_u64(addr)
+
+
+@pytest.mark.parametrize("addr", [-4, -1, 61, 64])
+def test_typed_u32_read_out_of_range_rejected(addr):
+    pm = PersistentMemory(64)
+    pm.write(60, b"\xff" * 4)
+    with pytest.raises(PmError):
+        pm.read_u32(addr)
+
+
+def test_typed_reads_at_the_last_word_succeed():
+    pm = PersistentMemory(64)
+    pm.write_u64(56, 7)
+    pm.write_u32(52, 9)
+    assert pm.read_u64(56) == 7
+    assert pm.read_u32(52) == 9
+
+
 def test_zero_size_rejected():
     with pytest.raises(PmError):
         PersistentMemory(0)

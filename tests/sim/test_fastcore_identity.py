@@ -8,8 +8,8 @@ pair must be bit-identical:
 * a specialized program is op-for-op identical — every field of every
   op, the lock order, the numbering — to one generated directly with
   the concrete dialect;
-* the specialized program's derived compiled arrays (what the native
-  core replays) equal a fresh compile of its materialized ops;
+* the specialized program's replay columns (what the native core
+  replays) equal a fresh compile of its built ops;
 * the fast engines reproduce the reference engine's ``MachineStats``
   exactly, per core and per field, across all five designs.
 
@@ -24,7 +24,6 @@ import pytest
 
 from repro.harness.experiment import default_config
 from repro.sim import cnative
-from repro.sim.fastcore import compile_trace
 from repro.sim.machine import DESIGNS, Machine
 from repro.workloads import WORKLOADS
 from repro.workloads.base import (
@@ -32,6 +31,7 @@ from repro.workloads.base import (
     generate_for_design,
     specialize_run,
 )
+from tests.sim.test_op_stream_pins import assert_columns_match_ops
 
 #: small but structurally rich: queue exercises locks + logs, rbtree
 #: recursion-heavy updates, nstore-wr write back-pressure.
@@ -69,20 +69,11 @@ def test_specialized_equals_direct_generation(canonical, workload, design):
 @pytest.mark.parametrize("workload", BENCHMARKS)
 @pytest.mark.parametrize("design", sorted(DESIGNS))
 def test_derived_arrays_equal_fresh_compile(canonical, workload, design):
-    """The compiled arrays attached by specialization (patched/sliced
-    from the canonical arrays) must equal compiling the materialized
-    specialized ops from scratch."""
+    """The replay columns of a specialized trace (patched/sliced from the
+    canonical columns) must equal compiling its built ops from scratch."""
     spec = specialize_run(canonical[workload], design)
     for trace in spec.program.threads:
-        ka, la, ca, lka, static = trace._c_arrays
-        kinds, lines, cycles, lock_ids, fresh_static = compile_trace(
-            type("T", (), {"ops": trace.ops, "_compiled": None})()
-        )
-        assert list(ka) == kinds
-        assert list(la) == lines
-        assert list(ca) == cycles
-        assert list(lka) == lock_ids
-        assert static == fresh_static
+        assert_columns_match_ops(trace)
 
 
 @pytest.mark.parametrize("workload", BENCHMARKS)
