@@ -29,6 +29,7 @@ Checks (diagnostic class in parentheses):
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -58,11 +59,21 @@ UNDO_LOG_LABEL = "log:store"
 UPDATE_LABEL = "update"
 
 
-def analyze(program: Program, design: str = "strandweaver") -> AnalysisReport:
-    """Statically lint ``program`` for persistency bugs on ``design``."""
+def analyze(
+    program: Program, design: str = "strandweaver", dag: Optional[PersistDag] = None
+) -> AnalysisReport:
+    """Statically lint ``program`` for persistency bugs on ``design``.
+
+    ``dag`` may pass in a persist DAG the caller already built over
+    ``program`` (the crash harness does).  It is used only when it was
+    built over this very program and the design honours every fence the
+    program issues, so that the projection is the program itself;
+    otherwise the DAG is rebuilt over the projection.
+    """
     sem = semantics_for(design)
     eff = effective_program(program, sem)
-    dag = PersistDag(eff)
+    if dag is None or dag.program is not program or eff.n_dropped:
+        dag = PersistDag(eff)
     report = AnalysisReport(
         design=design,
         n_ops=sum(len(t) for t in program.threads),
@@ -92,24 +103,34 @@ def _check_unflushed(
         if not stores:
             continue
         markers = [op for op in stores if op.label == COMMIT_MARKER_LABEL]
+        marker_seqs = [m.seq for m in markers]
         #: cache-line -> sorted seqs of CLWBs covering it on this thread.
         clwb_seqs: Dict[int, List[int]] = {}
         for op in ops:
             if op.kind is OpKind.CLWB:
                 for line in lines_of(op.addr, op.size):
                     clwb_seqs.setdefault(line, []).append(op.seq)
+        # Each store's anchor is the first commit marker after it.  A
+        # marker's ancestor walk need not go below the lowest node
+        # anchored on it: edges point to lower indices, so the walk
+        # restricted to that floor finds every anchored ancestor.
+        anchors = [bisect_right(marker_seqs, op.seq) for op in stores]
+        nodes = [dag.node_of.get((op.tid, op.seq)) for op in stores]
+        floors: Dict[int, int] = {}
+        for mi, node in zip(anchors, nodes):
+            if mi < len(markers) and node is not None:
+                floors[mi] = min(node, floors.get(mi, node))
         marker_ancestors: Dict[int, Set[int]] = {}
-        for m in markers:
-            node = dag.node_of.get((m.tid, m.seq))
-            if node is not None:
-                marker_ancestors[m.seq] = dag.downward_close([node])
-        for op in stores:
-            anchor = _next_marker(markers, op)
+        for mi, floor in floors.items():
+            m_node = dag.node_of.get((markers[mi].tid, markers[mi].seq))
+            if m_node is not None:
+                marker_ancestors[mi] = dag.downward_close([m_node], floor)
+        for op, mi, node in zip(stores, anchors, nodes):
+            anchor = markers[mi] if mi < len(markers) else None
             _check_flush_coverage(op, anchor, clwb_seqs, report)
             if anchor is None:
                 continue
-            node = dag.node_of.get((op.tid, op.seq))
-            if node is None or node not in marker_ancestors.get(anchor.seq, set()):
+            if node is None or node not in marker_ancestors.get(mi, ()):
                 vocab = (
                     ", ".join(sorted(k.name for k in sem.barrier_kinds | sem.drain_kinds))
                     or "none: this design provides no ordering primitives"
@@ -126,14 +147,6 @@ def _check_unflushed(
                         f"the commit without this update",
                     )
                 )
-
-
-def _next_marker(markers: Sequence[Op], op: Op) -> Optional[Op]:
-    """First commit marker strictly after ``op`` on its thread."""
-    for m in markers:
-        if m.seq > op.seq:
-            return m
-    return None
 
 
 def _check_flush_coverage(

@@ -114,11 +114,12 @@ class EffectiveProgram:
         self.source = program
         self.semantics = sem
         self.n_threads = program.n_threads
+        ops = program.all_ops()
         self._ops: List[Op] = [
-            op
-            for op in program.all_ops()
-            if op.kind not in FENCE_KINDS or op.kind in sem.honored
+            op for op in ops if op.kind not in FENCE_KINDS or op.kind in sem.honored
         ]
+        #: fences projected away; 0 means the projection is ``program``.
+        self.n_dropped = len(ops) - len(self._ops)
 
     def all_ops(self) -> List[Op]:
         return self._ops

@@ -105,7 +105,9 @@ class CrashHarness:
         # Static pre-flight: the linter's ERROR findings and the
         # differential oracle must agree — a correct design lints clean
         # and recovers; NON-ATOMIC lints dirty and violates invariants.
-        self.lint = analyze(self.run.program, design=design)
+        # The program is in the design's own dialect, so the linter can
+        # reuse the DAG instead of building the same one again.
+        self.lint = analyze(self.run.program, design=design, dag=self.dag)
         baseline = Machine(design, machine_cfg).run(self.run.program)
         #: clean-run cycle count: the horizon fractional schedules scale to.
         self.horizon = float(baseline.cycles)

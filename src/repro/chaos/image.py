@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.chaos.plan import FaultPlan
 from repro.core.model import PersistDag
@@ -88,7 +88,7 @@ def durable_cut(
     info = ImageInfo(
         n_durable=len(crash.durable), n_in_flight=len(crash.in_flight)
     )
-    node_of: Dict[int, int] = {n.op.gseq: n.idx for n in dag.store_nodes}
+    node_of = dag.node_of_gseq
 
     included: Set[int] = set()
     candidates: List[Tuple[int, str]] = []  # (node idx, "writeback"|"injected")
@@ -151,10 +151,7 @@ def _apply_drops(
     seeds = [idx for idx in sorted(included) if rng.random() < plan.drop_prob]
     if not seeds:
         return
-    succs: Dict[int, List[int]] = {}
-    for node in dag.nodes:
-        for pred in node.preds:
-            succs.setdefault(pred, []).append(node.idx)
+    succs = dag.successors
     dropped: Set[int] = set()
     frontier = list(seeds)
     while frontier:
@@ -162,7 +159,7 @@ def _apply_drops(
         if idx in dropped:
             continue
         dropped.add(idx)
-        frontier.extend(succs.get(idx, ()))
+        frontier.extend(succs[idx])
     info.n_dropped = len(dropped & included)
     included -= dropped
 

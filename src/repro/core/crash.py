@@ -18,7 +18,7 @@ exactly as the hardware model allows.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Callable, Iterable, Iterator, Set, Tuple
 
 from repro.core.model import PersistDag
 from repro.pmem.space import PersistentMemory
@@ -79,10 +79,7 @@ def frontier_cut(dag: PersistDag, rng: random.Random, drop: float = 0.3) -> Set[
     """
     n = len(dag)
     excluded: Set[int] = set()
-    succs: Dict[int, List[int]] = {i: [] for i in range(n)}
-    for node in dag.nodes:
-        for pred in node.preds:
-            succs[pred].append(node.idx)
+    succs = dag.successors
     for idx in range(n - 1, -1, -1):
         if idx in excluded:
             continue

@@ -43,10 +43,12 @@ validates every design in the evaluation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.ops import Op, OpKind, Program
+from repro.core.ops import CACHE_LINE, Op, OpKind, Program
 
 #: op kinds that synchronously drain all prior persists of the thread.
 SYNC_DRAIN_KINDS = frozenset({OpKind.JOIN_STRAND, OpKind.SFENCE, OpKind.DFENCE})
@@ -138,7 +140,18 @@ class _ThreadTracker:
 
 
 class PersistDag:
-    """Persist DAG of a program: stores + virtual sync nodes, edges = PMO."""
+    """Persist DAG of a program: stores + virtual sync nodes, edges = PMO.
+
+    **Forward-edge invariant.**  Nodes are numbered in visibility order
+    and every edge points to a lower index: ``p < n.idx`` for each ``p``
+    in ``n.preds``.  Consumers rely on it to stay linear —
+    :func:`repro.chaos.image._satisfaction` and
+    ``repro.analysis.modelcheck._store_ancestors`` settle each node in
+    one ascending pass, :meth:`downward_close` stops at an index floor,
+    and :meth:`ordered_before` never walks below its source node.  The
+    DAG is immutable once built, so its derived indexes
+    (:attr:`successors`, :attr:`node_of_gseq`) are computed once.
+    """
 
     def __init__(self, program: Program) -> None:
         self.program = program
@@ -160,7 +173,8 @@ class PersistDag:
 
     def _build(self) -> None:
         trackers = [_ThreadTracker(t) for t in range(self.program.n_threads)]
-        byte_owner: Dict[int, int] = {}
+        #: cache line -> last writer of each of its bytes (-1: none yet).
+        line_owner: Dict[int, List[int]] = {}
         #: lock id -> durable-drain node of the last releasing thread.
         lock_durable: Dict[int, Optional[int]] = {}
 
@@ -206,7 +220,7 @@ class PersistDag:
                 )
                 self._link_strand(tr, node)
                 self._link_js(tr, node)
-                self._link_spa(byte_owner, node)
+                self._link_spa(line_owner, node)
                 if tr.last_sync is not None:
                     node.preds.append(tr.last_sync)
                 tr.stores_since_drain.append(node.idx)
@@ -238,16 +252,25 @@ class PersistDag:
         node.preds.extend(tr.prev_js_nodes)
         tr.cur_js_nodes.append(node.idx)
 
-    def _link_spa(self, byte_owner: Dict[int, int], node: PersistNode) -> None:
-        """Eq. 3: previous writer of every byte this store touches."""
+    def _link_spa(self, line_owner: Dict[int, List[int]], node: PersistNode) -> None:
+        """Eq. 3: previous writer of every byte this store touches.
+
+        Owners are read and overwritten one slice per touched line.
+        """
         op = node.op
         assert op is not None
         hit: Set[int] = set()
-        for byte in range(op.addr, op.addr + op.size):
-            prev = byte_owner.get(byte)
-            if prev is not None:
-                hit.add(prev)
-            byte_owner[byte] = node.idx
+        addr, end = op.addr, op.addr + op.size
+        while addr < end:
+            line, lo = divmod(addr, CACHE_LINE)
+            hi = min(end - line * CACHE_LINE, CACHE_LINE)
+            owners = line_owner.get(line)
+            if owners is None:
+                owners = line_owner[line] = [-1] * CACHE_LINE
+            hit.update(owners[lo:hi])
+            owners[lo:hi] = [node.idx] * (hi - lo)
+            addr += hi - lo
+        hit.discard(-1)
         node.preds.extend(hit)
 
     # -- queries -------------------------------------------------------------
@@ -266,6 +289,20 @@ class PersistDag:
         """All direct-predecessor edges as ``(pred, succ)`` pairs."""
         return [(p, n.idx) for n in self.nodes for p in n.preds]
 
+    @cached_property
+    def successors(self) -> List[List[int]]:
+        """Direct successors of every node, ascending (edges reversed)."""
+        succs: List[List[int]] = [[] for _ in self.nodes]
+        for node in self.nodes:
+            for pred in node.preds:
+                succs[pred].append(node.idx)
+        return succs
+
+    @cached_property
+    def node_of_gseq(self) -> Dict[int, int]:
+        """Global visibility sequence of each store op -> its node index."""
+        return {n.op.gseq: n.idx for n in self.nodes if n.is_store and n.op is not None}
+
     def node_for_op(self, op: Op) -> Optional[PersistNode]:
         """The store node of ``op``, or ``None`` for non-store ops."""
         idx = self.node_of.get((op.tid, op.seq))
@@ -279,8 +316,12 @@ class PersistDag:
         return self.ordered_before(na, nb)
 
     def ordered_before(self, a: int, b: int) -> bool:
-        """True when node ``a`` is (transitively) PMO-before node ``b``."""
-        if a == b:
+        """True when node ``a`` is (transitively) PMO-before node ``b``.
+
+        Edges point to lower indices, so a path from ``b`` down to ``a``
+        only visits nodes numbered above ``a``; the walk skips the rest.
+        """
+        if a >= b:
             return False
         seen: Set[int] = set()
         frontier = [b]
@@ -289,7 +330,7 @@ class PersistDag:
             for pred in self.nodes[cur].preds:
                 if pred == a:
                     return True
-                if pred not in seen:
+                if pred > a and pred not in seen:
                     seen.add(pred)
                     frontier.append(pred)
         return False
@@ -302,16 +343,23 @@ class PersistDag:
                 return False
         return True
 
-    def downward_close(self, seed) -> Set[int]:
-        """Smallest consistent cut containing ``seed``."""
+    def downward_close(self, seed, floor: int = 0) -> Set[int]:
+        """Smallest consistent cut containing ``seed``, restricted to the
+        nodes numbered ``floor`` or above.
+
+        Exact for any floor: edges point to lower indices, so every path
+        from a seed to a node at or above ``floor`` stays there, and the
+        walk never needs to descend below it.
+        """
         closed: Set[int] = set()
-        frontier = list(seed)
+        frontier = [idx for idx in seed if idx >= floor]
         while frontier:
             idx = frontier.pop()
             if idx in closed:
                 continue
             closed.add(idx)
-            frontier.extend(self.nodes[idx].preds)
+            preds = self.nodes[idx].preds  # ascending
+            frontier.extend(preds[bisect_left(preds, floor) :])
         return closed
 
     def find(self, label: str) -> PersistNode:

@@ -60,6 +60,8 @@ TYPE_NAMES = {
 _HEAD = struct.Struct("<QQQ")
 _META = struct.Struct("<BBBBIQ")  # type, valid, commit, size, tid, addr
 _STATE = struct.Struct("<Q")
+#: the three fields that tell a written slot from a never-written one.
+_SLOT_KEY = struct.Struct("<BB54xQ")  # type, valid, seq
 
 #: recovery-progress phases persisted in the recovery-state word (bytes
 #: 24..32 of thread 0's header line — spare space, so the layout
@@ -196,10 +198,16 @@ class LogLayout:
         return decode_entry(raw, slot)
 
     def scan(self, space: PersistentMemory, tid: int) -> List[LogEntry]:
-        """Decode every written slot of a thread's log region."""
-        out = []
-        for slot in range(self.capacity):
-            entry = self.read_entry(space, tid, slot)
-            if entry.type != FREE or entry.valid or entry.seq:
-                out.append(entry)
-        return out
+        """Decode every written slot of a thread's log region.
+
+        A slot counts as written when its type, valid flag or sequence is
+        non-zero.  The region is read once and only written slots are
+        decoded: a recovery pass touches every slot of every thread, and
+        most of a log is free.
+        """
+        raw = space.read(self.region_base(tid) + HEADER_SIZE, self.capacity * ENTRY_SIZE)
+        return [
+            decode_entry(raw[slot * ENTRY_SIZE : (slot + 1) * ENTRY_SIZE], slot)
+            for slot, (type_, valid, seq) in enumerate(_SLOT_KEY.iter_unpack(raw))
+            if type_ or valid or seq
+        ]

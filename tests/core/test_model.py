@@ -1,9 +1,13 @@
 """Unit tests for the formal strand persistency model (Eqs. 1-4)."""
 
+import random
+
 import pytest
 
+from repro.chaos.harness import CHAOS_CFG
 from repro.core.model import PersistDag, annotate_thread
-from repro.core.ops import Op, OpKind, Program, TraceCursor
+from repro.core.ops import Op, Program, TraceCursor
+from repro.workloads import WORKLOADS, generate_for_design
 
 
 def build(emit):
@@ -239,3 +243,89 @@ def test_edges_point_to_lower_indices():
     dag = PersistDag(prog)
     for node in dag.nodes:
         assert all(p < node.idx for p in node.preds)
+
+
+# -- index-bounded queries and derived indexes --------------------------------
+
+#: (benchmark, design) programs the index-bound checks run on.
+WORKLOAD_CELLS = (
+    ("queue", "strandweaver"),
+    ("tpcc", "intel-x86"),
+    ("rbtree", "hops"),
+    ("hashmap", "non-atomic"),
+)
+
+
+@pytest.fixture(scope="module", params=WORKLOAD_CELLS, ids="/".join)
+def workload_dag(request):
+    bench, design = request.param
+    run = generate_for_design(
+        WORKLOADS[bench], CHAOS_CFG, design, "txn", durable_commit=True
+    )
+    return PersistDag(run.program)
+
+
+def test_workload_edges_point_to_lower_indices(workload_dag):
+    for node in workload_dag.nodes:
+        assert node.preds == sorted(set(node.preds))
+        assert all(p < node.idx for p in node.preds)
+
+
+def test_downward_close_floor_is_the_restricted_closure(workload_dag):
+    rng = random.Random(3)
+    n = len(workload_dag)
+    for _ in range(60):
+        seed = rng.sample(range(n), rng.randrange(1, 4))
+        full = workload_dag.downward_close(seed)
+        for floor in (0, rng.randrange(n), min(seed), max(seed), max(seed) + 1, n):
+            want = {i for i in full if i >= floor}
+            assert workload_dag.downward_close(seed, floor) == want, (seed, floor)
+
+
+def test_ordered_before_matches_the_full_ancestor_closure(workload_dag):
+    rng = random.Random(5)
+    n = len(workload_dag)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(300)]
+    # Near pairs are where pruning and real ordering meet.
+    pairs += [(b - rng.randrange(1, 40), b) for b in rng.sample(range(40, n), 100)]
+    pairs += [(b, b) for b in rng.sample(range(n), 5)]
+    hits = 0
+    for a, b in pairs:
+        want = a != b and a in workload_dag.downward_close([b])
+        assert workload_dag.ordered_before(a, b) == want, (a, b)
+        hits += want
+    assert hits > 0
+
+
+def test_successors_and_gseq_index_are_built_once(workload_dag):
+    succs = workload_dag.successors
+    assert workload_dag.successors is succs
+    assert sorted(workload_dag.edges()) == sorted(
+        (n.idx, s) for n in workload_dag.nodes for s in succs[n.idx]
+    )
+    assert all(s == sorted(s) for s in succs)
+    by_gseq = workload_dag.node_of_gseq
+    assert workload_dag.node_of_gseq is by_gseq
+    assert by_gseq == {n.op.gseq: n.idx for n in workload_dag.store_nodes}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_spa_edges_match_a_byte_owner_oracle(seed):
+    """Barrier- and lock-free stores on two threads: every edge is an
+    Eq. 3 edge, so each node's preds are exactly the previous writers of
+    its bytes.  Sizes up to 150 bytes cross one or two line boundaries."""
+    rng = random.Random(seed)
+    prog = Program(2)
+    cursors = [TraceCursor(prog, 0), TraceCursor(prog, 1)]
+    for _ in range(120):
+        size = rng.choice((1, 8, 40, 64, rng.randrange(1, 151)))
+        addr = rng.randrange(0, 6 * 64)
+        rng.choice(cursors).store(addr, bytes(size), on_line_cross="allow")
+    dag = PersistDag(prog)
+    owner = {}
+    for node in dag.nodes:
+        op = node.op
+        want = {owner[b] for b in range(op.addr, op.addr + op.size) if b in owner}
+        assert node.preds == sorted(want)
+        for b in range(op.addr, op.addr + op.size):
+            owner[b] = node.idx

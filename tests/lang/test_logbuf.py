@@ -1,10 +1,16 @@
 """Log entry codec and layout tests."""
 
+import random
+
 import pytest
 
+from repro.chaos.harness import CrashHarness
+from repro.chaos.image import build_crash_image
+from repro.chaos.plan import sample_schedules
 from repro.lang import logbuf
 from repro.lang.logbuf import LogError, LogLayout, decode_entry, encode_entry
 from repro.pmem.space import PersistentMemory
+from repro.sim.machine import Machine
 
 
 def test_entry_roundtrip():
@@ -63,3 +69,94 @@ def test_scan_skips_untouched_slots():
     entries = layout.scan(pm, 0)
     assert len(entries) == 1
     assert entries[0].slot == 2
+
+
+# -- scan equivalence ---------------------------------------------------------
+
+
+def scan_by_slot(layout, space, tid):
+    """Oracle: the per-slot decode loop ``LogLayout.scan`` replaced."""
+    out = []
+    for slot in range(layout.capacity):
+        entry = layout.read_entry(space, tid, slot)
+        if entry.type != logbuf.FREE or entry.valid or entry.seq:
+            out.append(entry)
+    return out
+
+
+def _slot_bytes(rng, kind):
+    """64 bytes for one slot of a synthetic log image."""
+    full = encode_entry(
+        rng.choice([logbuf.STORE, logbuf.REDO, logbuf.TX_END, logbuf.ACQUIRE]),
+        rng.randrange(4),
+        rng.randrange(1 << 20),
+        bytes(rng.randrange(256) for _ in range(rng.randrange(41))),
+        rng.randrange(1, 1 << 32),
+        commit=rng.random() < 0.3,
+    )
+    zero = bytearray(logbuf.ENTRY_SIZE)
+    if kind == "entry":
+        return full
+    if kind == "torn":  # an 8-byte-aligned prefix over a stale entry or zeros
+        keep = 8 * rng.randrange(logbuf.ENTRY_SIZE // 8)
+        return full[:keep] + _slot_bytes(rng, rng.choice(("entry", "zero")))[keep:]
+    if kind == "invalidated":  # a swept entry: valid byte cleared
+        return full[:1] + b"\x00" + full[2:]
+    if kind == "only-type":
+        zero[0] = rng.randrange(1, 256)
+    elif kind == "only-valid":
+        zero[1] = rng.randrange(1, 256)
+    elif kind == "only-seq":
+        zero[56:] = rng.randrange(1, 1 << 64).to_bytes(8, "little")
+    elif kind == "free-payload":  # FREE, invalid, seq 0: still unwritten
+        zero[2:56] = bytes(rng.randrange(256) for _ in range(54))
+    elif kind == "garbage":
+        return bytes(rng.randrange(256) for _ in range(logbuf.ENTRY_SIZE))
+    return bytes(zero)
+
+
+SLOT_KINDS = (
+    "entry", "torn", "invalidated", "only-type", "only-valid", "only-seq",
+    "free-payload", "garbage", "zero",
+)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scan_matches_per_slot_decode_on_random_images(seed):
+    rng = random.Random(seed)
+    layout = LogLayout(base=64 * rng.randrange(1, 4), capacity=48, n_threads=3)
+    # The PM ends exactly where the last thread's region does.
+    pm = PersistentMemory(layout.end)
+    for tid in range(layout.n_threads):
+        layout.init_region(pm, tid)
+        for slot in range(layout.capacity):
+            kind = rng.choice(SLOT_KINDS)
+            pm.write(layout.entry_addr(tid, slot), _slot_bytes(rng, kind))
+    # Pin the edge slots and every special case on the last thread.
+    last = layout.n_threads - 1
+    for slot, kind in enumerate(SLOT_KINDS):
+        pm.write(layout.entry_addr(last, slot), _slot_bytes(rng, kind))
+    pm.write(layout.entry_addr(last, layout.capacity - 1), _slot_bytes(rng, "only-seq"))
+    for tid in range(layout.n_threads):
+        assert layout.scan(pm, tid) == scan_by_slot(layout, pm, tid)
+    slots = {e.slot for e in layout.scan(pm, last)}
+    # The torn slot (1) may be blank; every other kind is decided.
+    assert {0, 2, 3, 4, 5, 7, layout.capacity - 1} <= slots
+    assert 6 not in slots and 8 not in slots  # free-payload and zero slots
+
+
+def test_scan_matches_per_slot_decode_on_crash_images():
+    """Torn and untorn crash images of a real run, every thread's log."""
+    harness = CrashHarness("queue", "non-atomic")
+    layout = harness.run.layout
+    schedules = sample_schedules(4, 5) + sample_schedules(4, 9, torn=True)
+    written = 0
+    for schedule in schedules:
+        plan = schedule.concretise(harness.horizon, harness.total_ops)
+        crash = Machine("non-atomic").run(harness.run.program, fault_plan=plan).crash
+        image, _info = build_crash_image(harness.run, crash, plan, harness.dag)
+        for tid in range(layout.n_threads):
+            entries = layout.scan(image, tid)
+            assert entries == scan_by_slot(layout, image, tid)
+            written += len(entries)
+    assert written > 0
