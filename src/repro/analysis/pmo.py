@@ -47,6 +47,9 @@ RELATIONS = ("eq1", "eq2", "eq3", "sync")
 #: stable identity of one store: (tid, seq) in the source trace.
 StoreKey = Tuple[int, int]
 
+#: actions of the explicit stack in :meth:`DeclarativePmo.reachable_states`.
+_VISIT, _INCLUDE, _DROP = range(3)
+
 
 class StateSpaceExceeded(ValueError):
     """Reachable-state enumeration passed the configured budget."""
@@ -226,33 +229,41 @@ class DeclarativePmo:
     ) -> Iterator[FrozenSet[StoreKey]]:
         """Enumerate every reachable crash state (down-closed store set).
 
-        Walks stores in visibility order branching on include/exclude; a
-        store may be included only when all of its PMO ancestors are.
+        Walks stores in visibility order branching on exclude, then
+        include; a store may be included only when all of its PMO
+        ancestors are.  The walk keeps its own stack, so the program size
+        is bounded by ``limit``, not by the interpreter's recursion depth.
         Raises :class:`StateSpaceExceeded` past ``limit`` states, so the
         model checker can fall back to pairwise comparison on programs
         too large to enumerate.
         """
         n = self.n_stores
         produced = 0
-
-        def rec(idx: int, included: Set[int]) -> Iterator[FrozenSet[StoreKey]]:
-            nonlocal produced
-            if idx == n:
-                produced += 1
-                if produced > limit:
-                    raise StateSpaceExceeded(
-                        f"more than {limit} reachable crash states; "
-                        f"raise the budget or use pairwise checking"
-                    )
-                yield frozenset(self.key_of(i) for i in included)
-                return
-            yield from rec(idx + 1, included)
-            if self.ancestors[idx] <= included:
-                included.add(idx)
-                yield from rec(idx + 1, included)
+        included: Set[int] = set()
+        #: (action, store index): visit the store, try including it, or
+        #: drop it from ``included`` once its include branch is done.
+        stack: List[Tuple[int, int]] = [(_VISIT, 0)]
+        while stack:
+            action, idx = stack.pop()
+            if action == _VISIT:
+                if idx == n:
+                    produced += 1
+                    if produced > limit:
+                        raise StateSpaceExceeded(
+                            f"more than {limit} reachable crash states; "
+                            f"raise the budget or use pairwise checking"
+                        )
+                    yield frozenset(self.key_of(i) for i in included)
+                    continue
+                stack.append((_INCLUDE, idx))
+                stack.append((_VISIT, idx + 1))
+            elif action == _INCLUDE:
+                if self.ancestors[idx] <= included:
+                    included.add(idx)
+                    stack.append((_DROP, idx))
+                    stack.append((_VISIT, idx + 1))
+            else:
                 included.remove(idx)
-
-        yield from rec(0, set())
 
     def count_states(self, limit: int = DEFAULT_STATE_LIMIT) -> int:
         """Number of reachable crash states (bounded by ``limit``)."""

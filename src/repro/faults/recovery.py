@@ -50,13 +50,14 @@ class CrashingRecoveryWriter:
     """Crash a recovery pass after ``after_writes`` stores.
 
     The writer applies stores to the live image so the pass behaves
-    normally until the crash point; it also snapshots the image at every
-    fence and journals the current epoch's stores.  When the budget is
-    hit the pass dies with :class:`RecoveryCrashed`, and
-    :meth:`materialise_crash` rewinds the image to the last fence plus a
-    seeded subset of the unfenced tail — the states an unordered persist
-    pipeline admits.  ``drop_prob`` is the chance each unfenced store is
-    still in flight when power fails.
+    normally until the crash point; it journals the current epoch's
+    stores with the bytes each one overwrote, so a fence costs nothing
+    and a crash undoes only the epoch.  When the budget is hit the pass
+    dies with :class:`RecoveryCrashed`, and :meth:`materialise_crash`
+    rewinds the image to the last fence plus a seeded subset of the
+    unfenced tail — the states an unordered persist pipeline admits.
+    ``drop_prob`` is the chance each unfenced store is still in flight
+    when power fails.
     """
 
     def __init__(
@@ -72,8 +73,8 @@ class CrashingRecoveryWriter:
         self.after_writes = after_writes
         self.drop_prob = drop_prob
         self._rng = random.Random(seed)
-        self._fenced = image.snapshot()
-        self._epoch: List[Tuple[int, bytes]] = []
+        #: (addr, overwritten bytes, written bytes) of each unfenced store.
+        self._epoch: List[Tuple[int, bytes, bytes]] = []
         self.writes = 0
         self.crashed = False
 
@@ -85,11 +86,10 @@ class CrashingRecoveryWriter:
                 f"(budget {self.after_writes})"
             )
         self.writes += 1
-        self._epoch.append((addr, bytes(data)))
+        self._epoch.append((addr, self._image.read(addr, len(data)), bytes(data)))
         self._image.write(addr, data)
 
     def fence(self) -> None:
-        self._fenced = self._image.snapshot()
         self._epoch = []
 
     def materialise_crash(self) -> int:
@@ -97,9 +97,10 @@ class CrashingRecoveryWriter:
         unfenced stores survived."""
         if not self.crashed:
             raise RuntimeError("materialise_crash() before any crash")
-        self._image.restore(self._fenced)
+        for addr, old, _data in reversed(self._epoch):
+            self._image.write(addr, old)
         survived = 0
-        for addr, data in self._epoch:
+        for addr, _old, data in self._epoch:
             if self._rng.random() >= self.drop_prob:
                 self._image.write(addr, data)
                 survived += 1

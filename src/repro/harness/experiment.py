@@ -100,7 +100,9 @@ def default_config(ops_per_thread: int = 48, ops_per_region: int = 1) -> Workloa
     with the op count) but never shrinks below the historical 8 MiB
     floor, so every configuration that fit before is byte-identical.
     Allocation is bump-pointer from a fixed base, so a larger heap
-    changes no addresses — only how far the workloads may grow.
+    changes no addresses — only how far the workloads may grow.  Nor
+    does it cost memory: the PM image holds only the pages a run
+    writes (:mod:`repro.pmem.space`), whatever ``pm_size`` is.
     """
     pm_size = 1 << 23
     need = 8192 * 8 * ops_per_thread  # generous per-op footprint

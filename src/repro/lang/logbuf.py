@@ -155,9 +155,12 @@ class LogLayout:
     # -- functional access (used by setup and recovery) -------------------
 
     def init_region(self, space: PersistentMemory, tid: int) -> None:
-        """Zero the region and write an initial header (head = 0)."""
-        base = self.region_base(tid)
-        space.write(base, b"\x00" * self.region_size)
+        """Zero the region and write an initial header (head = 0).
+
+        Zeros written over untouched PM create no pages, so on a fresh
+        image only the header's page is filled in, not the whole log.
+        """
+        space.write(self.region_base(tid), bytes(self.region_size))
         space.write(self.header_addr(tid), _HEAD.pack(0, self.capacity, 0))
 
     def read_head(self, space: PersistentMemory, tid: int) -> int:

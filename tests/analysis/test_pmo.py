@@ -160,3 +160,19 @@ class TestReachability:
         with pytest.raises(StateSpaceExceeded):
             pmo.count_states(limit=100)
         assert pmo.count_states(limit=5000) == 4096
+
+    def test_states_come_exclude_branch_first(self):
+        p = _prog(*[(OpKind.STORE, A + 64 * i) for i in range(3)])
+        order = [
+            sorted(seq for _tid, seq in state)
+            for state in DeclarativePmo(p, "strandweaver").reachable_states()
+        ]
+        assert order == [[], [2], [1], [1, 2], [0], [0, 2], [0, 1], [0, 1, 2]]
+
+    def test_budget_applies_beyond_the_recursion_limit(self):
+        # One enumeration step per store: 1,200 stores run deeper than
+        # the interpreter's default recursion limit of 1,000.
+        p = _prog(*[(OpKind.STORE, A + 64 * i) for i in range(1200)])
+        pmo = DeclarativePmo(p, "strandweaver")
+        with pytest.raises(StateSpaceExceeded):
+            pmo.count_states(limit=100)

@@ -70,7 +70,7 @@ def test_mark_clean_and_baseline():
     pm.mark_clean()
     pm.write(0, b"\x22" * 8)
     base = pm.baseline_image()
-    assert bytes(base[:8]) == b"\x11" * 8
+    assert base.read(0, 8) == b"\x11" * 8
 
 
 def test_crash_image_applies_persists_in_gseq_order():
@@ -96,13 +96,6 @@ def test_snapshot_restore():
     pm.write(0, b"xyz")
     pm.restore(snap)
     assert pm.read(0, 3) == b"abc"
-
-
-def test_diff_lines():
-    a = PersistentMemory(256)
-    b = PersistentMemory(256)
-    b.write(130, b"\x01")
-    assert a.diff_lines(b) == [2]
 
 
 @given(st.integers(0, 1000), st.binary(min_size=1, max_size=24))
