@@ -36,7 +36,6 @@ class PersistQueue:
         self.capacity = capacity
         self._completions: List[float] = []
         self._latest = 0.0
-        self.inserted = 0
 
     def instrument(self, tracer: Tracer, track: str) -> None:
         """Attach a tracer: each push emits a ``pq.push`` marker, a
@@ -64,7 +63,6 @@ class PersistQueue:
         completion = max(completion, t)
         self._completions.append(completion)
         self._latest = max(self._latest, completion)
-        self.inserted += 1
         profiler = self._profiler
         if profiler is not None and profiler.enabled:
             profiler.charge_resource(

@@ -1,23 +1,55 @@
 /* Native replay core for the StrandWeaver timing simulator.
  *
- * A literal port of the verified Python fast path (repro/sim/fastcore.py)
- * that owns *all* simulator state natively: tag caches, dirty ownership,
- * bandwidth windows with path-compressed skip chains, PM/DRAM timing,
- * lock arbitration, per-design persist structures.  The only output is
- * the per-core dynamic stats block -- the Python layer merges it with the
- * replay-invariant op-mix totals (see fastcore.compile_trace).
+ * A port of the reference per-op engine -- repro/sim/cpu.py, the
+ * persistency domains (repro/persistency/, repro/core/strandweaver.py,
+ * persist_queue.py, strand_buffer.py), repro/sim/cache.py,
+ * repro/sim/memory.py and repro/sim/engine.py -- that owns *all*
+ * simulator state natively: tag caches, dirty ownership, bandwidth
+ * windows with path-compressed skip chains, PM/DRAM timing, lock
+ * arbitration, per-design persist structures.  Those Python modules are
+ * its specification.  The only output is the per-core dynamic stats
+ * block -- the Python layer merges it with the replay-invariant op-mix
+ * totals (see cnative.trace_columns).
  *
  * Bit-identity contract: every floating-point expression mirrors the
  * reference engine's CPython arithmetic operation-for-operation.  Build
  * with -ffp-contract=off (no FMA contraction) so doubles round exactly
  * like CPython's; llrint() under the default FE_TONEAREST mode matches
- * Python's round-half-to-even.  Data-structure substitutions (sorted
- * arrays for the reference's filter+sort lists, running maxima for
- * max()-drain targets) are the same ones fastcore.py proves exact.
+ * Python's round-half-to-even.
+ *
+ * The loop departs from the reference's data structures and control
+ * flow in three places, each exact:
+ *
+ *  - Outstanding-acknowledgement sets (x86/non-atomic fill buffers, HOPS
+ *    persist buffers, StrandWeaver persist-queue completions) are sorted
+ *    arrays.  The reference keeps plain lists: it filters
+ *    [x for x in xs if x > t] and, when full, sorts to read the k-th
+ *    smallest.  Dropping the leading elements <= t of a sorted array (a
+ *    min-heap drain works the same way) removes exactly the elements the
+ *    filter drops, and the element at index len - cap is the same k-th
+ *    smallest value.
+ *
+ *  - max(xs)-style drain targets (SFENCE, DFENCE, JoinStrand, the end-of-
+ *    trace drain) use a running maximum over every value inserted since
+ *    the structure was created.  Exact: any value the reference has
+ *    dropped was filtered at an earlier time t' <= t, or cleared by a
+ *    fence that advanced the core's clock past it, so it is <= t.
+ *    Inside max(t, ...) the stale running maximum is therefore dominated
+ *    by t whenever it disagrees with the live maximum.
+ *
+ *  - Core selection.  The reference pops the least (key, tid) off a
+ *    ready heap, steps that core one op and pushes it back keyed by its
+ *    new clock; a woken core is pushed at max(its clock, the releaser's
+ *    clock).  Each iteration below scans the runnable cores for the
+ *    least key, lowest tid on ties, so cores step in the identical
+ *    global order.  Batching -- stepping the popped core on while its
+ *    (key, tid) stays below the next-smallest and no release wakes a
+ *    parked core -- pops that same order too; this loop does without it
+ *    because a scan over a machine's few cores is cheap.
  *
  * Error protocol: rs_run returns 0 on success, 1 on replay deadlock and
  * 2 on any unsupported/internal condition.  Non-zero means the Python
- * caller silently re-runs on the Python engine, which reproduces the
+ * caller silently re-runs on the reference engine, which reproduces the
  * exact exception (or result) -- so the C core never needs to replicate
  * diagnostics, only fault-free timing.
  */
@@ -250,6 +282,26 @@ static int tc_init(TC *c, i64 n_sets, i32 assoc) {
 static void tc_free(TC *c) {
     free(c->lines); free(c->dirty); free(c->cnt);
     c->lines = NULL; c->dirty = NULL; c->cnt = NULL;
+}
+
+/* The shared L2's tag arrays (3.5 MiB at Table I) outlive a run: the
+ * next run of the same geometry only clears their way counts.  Freeing
+ * a block that size after every run would raise glibc's mmap and trim
+ * thresholds, after which the host process's heap is rarely trimmed.
+ * Keeping them makes rs_run non-reentrant; cnative serialises calls. */
+static TC kept_l2;
+
+static int tc_reuse_l2(TC *l2, i64 n_sets, i32 assoc) {
+    if (kept_l2.cnt && (kept_l2.n_sets != n_sets || kept_l2.assoc != assoc))
+        tc_free(&kept_l2);
+    if (kept_l2.cnt) {
+        memset(kept_l2.cnt, 0, (size_t)n_sets * sizeof(i32));
+    } else if (tc_init(&kept_l2, n_sets, assoc)) {
+        tc_free(&kept_l2);
+        return -1;
+    }
+    *l2 = kept_l2;
+    return 0;
 }
 
 static inline i64 tc_set(const TC *c, i64 line) { return line % c->n_sets; }
@@ -565,7 +617,6 @@ static double flush_line(Ctx *c, int tid, i64 line, double t) {
 
 static void ctx_free(Ctx *c) {
     if (c->l1) { for (int i = 0; i < c->n; i++) tc_free(&c->l1[i]); free(c->l1); }
-    tc_free(&c->l2);
     map_free(&c->downer); map_free(&c->queued);
     bw_free(&c->accept); bw_free(&c->media);
     bw_free(&c->readbw); bw_free(&c->drambw);
@@ -633,7 +684,7 @@ int rs_run(
     if (!c->l1) goto fail;
     for (int i = 0; i < n; i++)
         if (tc_init(&c->l1[i], l1_sets, l1_assoc)) goto fail;
-    if (tc_init(&c->l2, l2_sets, l2_assoc)) goto fail;
+    if (tc_reuse_l2(&c->l2, l2_sets, l2_assoc)) goto fail;
     if (map_init(&c->downer, 1024) || map_init(&c->queued, 1024)) goto fail;
     if (bw_init(&c->accept, fcfg[6], accept_cap)) goto fail;
     if (bw_init(&c->media, fcfg[7], media_cap)) goto fail;

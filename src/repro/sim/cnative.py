@@ -1,27 +1,36 @@
 """ctypes loader for the native replay core (``_fastcore.c``).
 
-The C core is the third tier of the engine fallback chain:
+The simulator has two replay tiers:
 
-``native C`` -> ``Python fastcore`` -> ``reference per-op engine``
+``native C core`` -> ``reference per-op engine``
 
-It is compiled on demand from the single-file source next to this
-module with whatever C compiler the host provides (``cc``/``gcc``/
-``clang``), cached by source hash under ``_build/``, and loaded with
-ctypes — no CPython headers, no third-party packages.  Hosts without a
-compiler simply run the Python fast path; behaviour is identical
-because the C core is a literal port of it (bit-identity is pinned by
-``tests/sim/test_fastcore_identity.py`` and the engine-identity pins).
+:meth:`repro.sim.machine.Machine.run` tries the C core on every
+uninstrumented run (no tracer, profiler, fault plan or media faults).
+Everything else, and every run the core declines, replays on the
+reference engine (:mod:`repro.sim.cpu` plus the persistency domains),
+which the C core ports.  Bit-identity between the two is pinned by
+``tests/sim/test_fastcore_identity.py`` and the engine-identity pins.
+
+The core is compiled on demand from the single-file source next to
+this module with whatever C compiler the host provides (``cc``/``gcc``/
+``clang``), cached by source hash under ``_build/`` (or the directory
+named by ``REPRO_CC_CACHE``), and loaded with ctypes — no CPython
+headers, no third-party packages.  If it cannot be built or loaded, the
+first attempt emits one ``RuntimeWarning`` per process naming the
+reason (no compiler on PATH, the compiler's exit status and first
+stderr line, or the ctypes load error) and every run replays on the
+reference engine: the same results, one to two orders of magnitude
+slower.
 
 Determinism: the build uses ``-ffp-contract=off`` so no FMA contraction
 changes double rounding, and the core itself mirrors the reference
 engine's arithmetic operation-for-operation (see the C file header).
 
 Error protocol: the core returns non-zero for *anything* it does not
-model (replay deadlock, unknown fence-design pairing, allocation
-failure) and :func:`run_native` then returns ``None`` — the machine
-falls through to the Python engines, which reproduce the exact
-exception or result.  Set ``REPRO_SIM_NO_C=1`` to disable the C core
-outright (the identity property tests use this to diff the tiers).
+model (replay deadlock, a fence foreign to the design, allocation
+failure) and :func:`run_native` then returns ``None``, silently — the
+reference engine re-runs the program and raises the exact exception,
+or produces the result.
 """
 
 from __future__ import annotations
@@ -31,23 +40,34 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import threading
+import warnings
 from array import array
 from typing import List, Optional
 
-from repro.core.ops import ColumnTrace, OpKind, Program, ThreadTrace
+from repro.core.ops import CACHE_LINE, ColumnTrace, OpKind, Program, ThreadTrace
 from repro.sim.config import MachineConfig
 from repro.sim.stats import CoreStats
 
-#: environment variable: any non-empty value disables the native core.
-NO_C_ENV = "REPRO_SIM_NO_C"
-
 #: environment variable: override the shared-library build directory.
 BUILD_DIR_ENV = "REPRO_CC_CACHE"
+
+#: design name -> the C core's design id.
+DESIGN_IDS = {
+    "intel-x86": 0,
+    "hops": 1,
+    "no-persist-queue": 2,
+    "strandweaver": 3,
+    "non-atomic": 4,
+}
 
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_fastcore.c")
 
 _lib = None
 _lib_failed = False
+#: the core keeps scratch between runs and ctypes drops the GIL while it
+#: runs, so concurrent callers take turns.
+_run_lock = threading.Lock()
 
 _OUT_STRIDE = 8  # per-core dynamic stats slots (see _fastcore.c)
 
@@ -69,10 +89,12 @@ def _find_cc() -> Optional[str]:
     return None
 
 
-def _compile(src: str, out: str) -> bool:
+def _compile(src: str, out: str) -> Optional[str]:
+    """Build ``src`` into the shared library ``out``; None on success,
+    else the reason it could not."""
     cc = _find_cc()
     if cc is None:
-        return False
+        return "no C compiler (cc, gcc or clang) on PATH"
     tmp = out + f".tmp{os.getpid()}"
     cmd = [
         cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
@@ -80,27 +102,29 @@ def _compile(src: str, out: str) -> bool:
     ]
     try:
         proc = subprocess.run(cmd, capture_output=True, timeout=120)
-    except Exception:
-        return False
+    except (OSError, subprocess.SubprocessError) as exc:
+        return f"{cc} could not run: {exc}"
     if proc.returncode != 0:
         try:
             os.unlink(tmp)
         except OSError:
             pass
-        return False
+        stderr = proc.stderr.decode(errors="replace").strip()
+        first = stderr.splitlines()[0] if stderr else "no output"
+        return f"{cc} exited with status {proc.returncode}: {first}"
     os.replace(tmp, out)  # atomic: concurrent builders race benignly
-    return True
+    return None
 
 
 def _load():
-    """Compile (if needed) and load the shared library; None on failure."""
+    """Compile (if needed) and load the shared library; None on failure,
+    after warning once per process why."""
     global _lib, _lib_failed
-    if os.environ.get(NO_C_ENV):  # honored even once loaded
-        return None
     if _lib is not None:
         return _lib
     if _lib_failed:
         return None
+    so_path = None
     try:
         with open(_SRC, "rb") as fh:
             src_bytes = fh.read()
@@ -113,9 +137,10 @@ def _load():
             except OSError:
                 build_dir = tempfile.gettempdir()
                 so_path = os.path.join(build_dir, f"repro-fastcore-{tag}.so")
-            if not os.path.exists(so_path) and not _compile(_SRC, so_path):
-                _lib_failed = True
-                return None
+            if not os.path.exists(so_path):
+                reason = _compile(_SRC, so_path)
+                if reason is not None:
+                    return _unavailable(reason)
         lib = ctypes.CDLL(so_path)
         lib.rs_run.restype = ctypes.c_int
         lib.rs_run.argtypes = [
@@ -136,9 +161,21 @@ def _load():
         ]
         _lib = lib
         return lib
-    except Exception:
-        _lib_failed = True
-        return None
+    except Exception as exc:
+        return _unavailable(f"cannot load {so_path or _SRC}: {exc}")
+
+
+def _unavailable(reason: str) -> None:
+    """Remember that the core cannot be used and say why, once."""
+    global _lib_failed
+    _lib_failed = True
+    warnings.warn(
+        f"native replay core unavailable: {reason}. Every run replays on "
+        "the reference engine: identical results, far slower.",
+        RuntimeWarning,
+        stacklevel=4,
+    )
+    return None
 
 
 def available() -> bool:
@@ -155,17 +192,47 @@ def _ptr(arr, ctype):
 def _op_mix(trace: ColumnTrace) -> dict:
     """Replay-invariant op-mix totals of one thread, counted at C speed
     (every op executes exactly once, so the core needs no per-op
-    counters); equal to the ``static`` of
-    :func:`repro.sim.fastcore.compile_trace`."""
+    counters); equal to the ``static`` of :func:`compile_trace`."""
     count = trace.kind_bytes().count
     return {
         "stores": count(OpKind.STORE) + count(OpKind.VSTORE),
         "loads": count(OpKind.LOAD) + count(OpKind.VLOAD),
         "clwbs": count(OpKind.CLWB),
         "fences": sum(count(k) for k in range(OpKind.SFENCE, OpKind.DFENCE + 1)),
-        "strand_marks": count(OpKind.PERSIST_BARRIER) + count(OpKind.NEW_STRAND),
         "compute_cycles": sum(trace.cycles),  # only COMPUTE ops carry cycles
     }
+
+
+#: op kinds by the op-mix total they count towards.
+_MIX_OF = {
+    OpKind.STORE: "stores", OpKind.VSTORE: "stores",
+    OpKind.LOAD: "loads", OpKind.VLOAD: "loads",
+    OpKind.CLWB: "clwbs",
+    **{k: "fences" for k in OpKind if OpKind.SFENCE <= k <= OpKind.DFENCE},
+}
+
+
+def compile_trace(trace: ThreadTrace):
+    """Replay columns ``(kinds, lines, cycles, lock_ids, static)`` of a
+    hand-built op-list trace (litmus cases, repairs, tests), with the
+    op-mix totals ``static`` counted op by op."""
+    ops = trace.ops
+    static = dict.fromkeys(("stores", "loads", "clwbs", "fences"), 0)
+    compute_cycles = 0
+    for op in ops:
+        mix = _MIX_OF.get(op.kind)
+        if mix is not None:
+            static[mix] += 1
+        elif op.kind is OpKind.COMPUTE:
+            compute_cycles += op.cycles
+    static["compute_cycles"] = compute_cycles
+    return (
+        array("i", [int(op.kind) for op in ops]),
+        array("q", [op.addr // CACHE_LINE for op in ops]),
+        array("i", [op.cycles for op in ops]),
+        array("i", [op.lock_id for op in ops]),
+        static,
+    )
 
 
 def trace_columns(trace: ThreadTrace):
@@ -174,7 +241,7 @@ def trace_columns(trace: ThreadTrace):
 
     A generated :class:`ColumnTrace` is replayed from the columns it was
     born as, without building an op; a hand-built op list is compiled
-    once by :func:`repro.sim.fastcore.compile_trace`.
+    once by :func:`compile_trace`.
     """
     cached = getattr(trace, "_replay_columns", None)
     if cached is None:
@@ -183,16 +250,7 @@ def trace_columns(trace: ThreadTrace):
                 trace.kinds, trace.lines, trace.cycles, trace.lock_ids, _op_mix(trace)
             )
         else:
-            from repro.sim.fastcore import compile_trace
-
-            kinds, lines, cycles, lock_ids, static = compile_trace(trace)
-            cached = (
-                array("i", kinds),
-                array("q", lines),
-                array("i", cycles),
-                array("i", lock_ids),
-                static,
-            )
+            cached = compile_trace(trace)
         trace._replay_columns = cached
     return cached
 
@@ -236,19 +294,16 @@ def run_native(
     warm: bool,
     prune_period: int,
 ) -> Optional[List[CoreStats]]:
-    """Replay ``program`` on the C core; None means "use the Python path".
+    """Replay ``program`` on the C core; None means "replay it on the
+    reference engine".
 
     Caller guarantees the run is uninstrumented (no tracer, profiler,
-    fault plan, or media faults — the same gate as the Python fast path).
+    fault plan, or media faults).
     """
     lib = _load()
     if lib is None:
         return None
-    from repro.sim import fastcore
-
-    if fastcore.TRACE is not None:  # debug per-op trace needs Python
-        return None
-    des = fastcore.DESIGN_IDS.get(design)
+    des = DESIGN_IDS.get(design)
     if des is None:
         return None
     n = program.n_threads
@@ -313,24 +368,25 @@ def run_native(
     ])
 
     out = array("q", bytes(8 * n * _OUT_STRIDE))
-    rc = lib.rs_run(
-        _ptr(fcfg, ctypes.c_double),
-        _ptr(icfg, ctypes.c_int64),
-        _ptr(ks, ctypes.c_int32),
-        _ptr(ls, ctypes.c_int64),
-        _ptr(cs, ctypes.c_int32),
-        _ptr(lk, ctypes.c_int32),
-        _ptr(offs, ctypes.c_int64),
-        _ptr(lkeys, ctypes.c_int32),
-        _ptr(loffs, ctypes.c_int32),
-        _ptr(ltids, ctypes.c_int32),
-        len(lkeys),
-        _ptr(warm_arr, ctypes.c_int64),
-        len(warm_arr),
-        _ptr(out, ctypes.c_int64),
-    )
+    with _run_lock:
+        rc = lib.rs_run(
+            _ptr(fcfg, ctypes.c_double),
+            _ptr(icfg, ctypes.c_int64),
+            _ptr(ks, ctypes.c_int32),
+            _ptr(ls, ctypes.c_int64),
+            _ptr(cs, ctypes.c_int32),
+            _ptr(lk, ctypes.c_int32),
+            _ptr(offs, ctypes.c_int64),
+            _ptr(lkeys, ctypes.c_int32),
+            _ptr(loffs, ctypes.c_int32),
+            _ptr(ltids, ctypes.c_int32),
+            len(lkeys),
+            _ptr(warm_arr, ctypes.c_int64),
+            len(warm_arr),
+            _ptr(out, ctypes.c_int64),
+        )
     if rc != 0:
-        # Deadlock or unsupported shape: the Python engines reproduce
+        # Deadlock or unsupported shape: the reference engine reproduces
         # the exact exception/result, so just decline.
         return None
 

@@ -39,7 +39,7 @@ PRUNE_PERIOD = 4096
 
 #: environment variable: set to any non-empty value to force the
 #: reference per-op engine even for uninstrumented runs (debugging and
-#: the fast-vs-reference identity property test).
+#: the native-vs-reference identity property test).
 REFERENCE_ENGINE_ENV = "REPRO_SIM_REFERENCE"
 
 #: registry of the hardware designs compared in Figure 7.
@@ -119,12 +119,12 @@ class Machine:
         profiler = self.profiler
 
         # Uninstrumented runs first try the native replay core — a C port
-        # of the compiled fast path loaded via ctypes (repro.sim.cnative).
+        # of the reference engine loaded via ctypes (repro.sim.cnative).
         # It owns all simulator state itself, so on success the Python
         # hierarchy/controller/domain objects are never built.  Any
-        # decline (no compiler, REPRO_SIM_NO_C, replay deadlock, a shape
-        # the core doesn't model) falls through to the Python engines,
-        # which reproduce the exact result or exception.
+        # decline (no compiler, replay deadlock, a fence foreign to the
+        # design) falls through to the reference engine below, which
+        # reproduces the exact result or exception.
         if (
             fault_plan is None
             and media_faults is None
@@ -160,18 +160,6 @@ class Machine:
             # durable frontier reflects everything the ADR domain holds.
             hierarchy.durability = tracker
 
-        # The compiled fast path replays uninstrumented runs bit-identically
-        # an order of magnitude faster (see repro.sim.fastcore).  Any
-        # observer that hooks the per-op path — tracer, profiler, crash
-        # plan, media faults — falls back to the reference engine.
-        use_fast = (
-            tracker is None
-            and media_faults is None
-            and not tracer.enabled
-            and not profiler.enabled
-            and not os.environ.get(REFERENCE_ENGINE_ENV)
-        )
-
         cores: List[CoreEngine] = []
         domains: List[PersistDomain] = []
         stats = MachineStats(design=self.design)
@@ -189,25 +177,11 @@ class Machine:
                 tracer=tracer, profiler=profiler, **kwargs,
             )
             domains.append(domain)
-            if not use_fast:
-                cores.append(
-                    CoreEngine(
-                        trace, self.cfg, hierarchy, domain, core_stats, locks,
-                        tracer
-                    )
+            cores.append(
+                CoreEngine(
+                    trace, self.cfg, hierarchy, domain, core_stats, locks, tracer
                 )
-
-        if use_fast:
-            from repro.sim.fastcore import FastDeadlock, run_fast
-
-            try:
-                run_fast(
-                    self.design, program, self.cfg, hierarchy, domains,
-                    stats.per_core, locks, pm, dram, PRUNE_PERIOD,
-                )
-            except FastDeadlock as exc:
-                raise SimulationDeadlock(str(exc)) from None
-            return stats
+            )
 
         # Min-clock stepping with lock parking.
         ready = [(core.clock, core.tid) for core in cores if not core.finished]

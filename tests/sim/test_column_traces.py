@@ -103,6 +103,9 @@ def test_column_cursor_matches_trace_cursor_field_for_field():
         assert len(ct) == len(rt)
         assert ct.ops == rt.ops
         assert all(type(op.kind) is OpKind for op in ct.ops)
+        # replay columns and op-mix totals: compiled from the op list,
+        # and as born plus counted from the kinds column
+        assert cnative.trace_columns(rt) == cnative.trace_columns(ct)
 
 
 def test_ops_are_correct_whenever_read_while_emitting():

@@ -108,10 +108,10 @@ class TestWindowPruning:
         """Drive a real cell with an aggressive prune period: the stats
         must match the unpruned replay bit-for-bit, and the controller's
         window maps must end small."""
-        # This exercises the *Python* fast path's pruning (the native
+        # This exercises the reference engine's pruning (the native
         # core owns its own resource maps; its prune neutrality is
         # covered by the cross-engine identity suite).
-        monkeypatch.setenv("REPRO_SIM_NO_C", "1")
+        monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
         cfg = default_config(ops_per_thread=48)
         run = generate_for_design(WORKLOADS["queue"], cfg, "strandweaver", "txn")
 

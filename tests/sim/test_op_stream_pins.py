@@ -29,7 +29,7 @@ from repro.harness.experiment import default_config
 from repro.lang.dialect import DIALECTS
 from repro.lang.specialize import MARK_PREFIX
 from repro.sim import cnative
-from repro.sim.fastcore import compile_trace
+from repro.sim.cnative import compile_trace
 from repro.workloads import WORKLOADS
 from repro.workloads.base import generate, generate_canonical, make_model, specialize_run
 
@@ -84,15 +84,7 @@ def program_digest(program) -> dict:
 def assert_columns_match_ops(trace):
     """``trace``'s replay columns and op-mix totals equal
     :func:`compile_trace` of its built ops."""
-    ka, la, ca, lka, static = cnative.trace_columns(trace)
-    kinds, lines, cycles, lock_ids, fresh_static = compile_trace(
-        type("T", (), {"ops": trace.ops, "_compiled": None})()
-    )
-    assert list(ka) == kinds
-    assert list(la) == lines
-    assert list(ca) == cycles
-    assert list(lka) == lock_ids
-    assert static == fresh_static
+    assert cnative.trace_columns(trace) == compile_trace(trace)
 
 
 def _cfg(ops_per_region):
