@@ -18,7 +18,7 @@ exactly as the hardware model allows.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Iterator, Set, Tuple
+from typing import Callable, Iterable, Iterator, List, Set, Tuple
 
 from repro.core.model import PersistDag
 from repro.pmem.space import PersistentMemory
@@ -28,30 +28,39 @@ def enumerate_cuts(dag: PersistDag, limit: int = 200_000) -> Iterator[Set[int]]:
     """Yield every consistent cut of ``dag`` (small programs only).
 
     Cuts are enumerated by processing nodes in visibility order and
-    branching on include/exclude; a node can be included only when all of
-    its predecessors are.  Raises ``ValueError`` if more than ``limit``
+    branching on include/exclude, exclude first; a node can be included
+    only when all of its predecessors are.  The depth-first search keeps
+    its decisions on an explicit stack, so a DAG of any depth enumerates
+    without recursion.  Raises ``ValueError`` if more than ``limit``
     cuts would be produced, to catch accidental use on big programs.
     """
     n = len(dag)
     produced = 0
-
-    def rec(idx: int, included: Set[int]) -> Iterator[Set[int]]:
-        nonlocal produced
-        if idx == n:
-            produced += 1
-            if produced > limit:
-                raise ValueError(f"more than {limit} cuts; program too large to enumerate")
-            yield set(included)
+    included: Set[int] = set()
+    decisions: List[Tuple[int, bool]] = []  # (node, included?) per level
+    idx = 0
+    while True:
+        if idx < n:
+            # Exclude idx first; its include branch waits on the stack.
+            decisions.append((idx, False))
+            idx += 1
+            continue
+        produced += 1
+        if produced > limit:
+            raise ValueError(f"more than {limit} cuts; program too large to enumerate")
+        yield set(included)
+        # Backtrack to the deepest excluded node that may be included.
+        while decisions:
+            node, was_included = decisions.pop()
+            if was_included:
+                included.remove(node)
+            elif all(p in included for p in dag.nodes[node].preds):
+                included.add(node)
+                decisions.append((node, True))
+                idx = node + 1
+                break
+        else:
             return
-        # Exclude idx.
-        yield from rec(idx + 1, included)
-        # Include idx when legal.
-        if all(p in included for p in dag.nodes[idx].preds):
-            included.add(idx)
-            yield from rec(idx + 1, included)
-            included.remove(idx)
-
-    yield from rec(0, set())
 
 
 def random_cut(dag: PersistDag, rng: random.Random, density: float = 0.5) -> Set[int]:

@@ -5,11 +5,10 @@
  * persist_queue.py, strand_buffer.py), repro/sim/cache.py,
  * repro/sim/memory.py and repro/sim/engine.py -- that owns *all*
  * simulator state natively: tag caches, dirty ownership, bandwidth
- * windows with path-compressed skip chains, PM/DRAM timing, lock
- * arbitration, per-design persist structures.  Those Python modules are
- * its specification.  The only output is the per-core dynamic stats
- * block -- the Python layer merges it with the replay-invariant op-mix
- * totals (see cnative.trace_columns).
+ * windows, PM/DRAM timing, lock arbitration, per-design persist
+ * structures.  Those Python modules are its specification.  The only
+ * output is the per-core dynamic stats block -- the Python layer merges
+ * it with the replay-invariant op-mix totals (see cnative.trace_columns).
  *
  * Bit-identity contract: every floating-point expression mirrors the
  * reference engine's CPython arithmetic operation-for-operation.  Build
@@ -18,7 +17,26 @@
  * Python's round-half-to-even.
  *
  * The loop departs from the reference's data structures and control
- * flow in three places, each exact:
+ * flow in five places, each exact:
+ *
+ *  - Bandwidth windows are a ring of per-window counts plus a bitmap of
+ *    full windows, sliding with the prune floor, where the reference
+ *    keeps window-count and skip-chain dicts.  A reservation gets the
+ *    first non-full window at or after its own, whatever structure
+ *    finds it: a skip pointer only ever spans full windows and counts
+ *    never fall, so the reference's chain ends exactly there, and a
+ *    word scan of the bitmap finds the same window.  No reservation
+ *    arrives below the floor, because the floor is the minimum live-core
+ *    clock (at the last prune; clocks never fall) and every reservation
+ *    time is at or after the reserving core's clock; one that did would
+ *    return RC_ERR, and the reference engine would re-run the cell.  So
+ *    dropping the windows below the floor forgets nothing the reference
+ *    could still read.
+ *
+ *  - The line-keyed maps (dirty owner, youngest store retire, queued
+ *    media start, strand-buffer line retire) delete by shifting the
+ *    rest of the probe run back instead of leaving tombstones.  Both
+ *    are the same dictionary: lookups see exactly the live entries.
  *
  *  - Outstanding-acknowledgement sets (x86/non-atomic fill buffers, HOPS
  *    persist buffers, StrandWeaver persist-queue completions) are sorted
@@ -74,16 +92,23 @@ enum {
 enum { RC_OK = 0, RC_DEADLOCK = 1, RC_ERR = 2 };
 
 /* =====================================================================
- * open-addressing hash map: i64 key -> double value
+ * open-addressing hash map: i64 key -> double value.  Linear probing;
+ * a deletion shifts the rest of its probe run back over the hole, so
+ * no tombstones build up and the load is always the live count.
  * ===================================================================== */
 
+/* the empty-slot key: no line is INT64_MIN (map_put declines it) */
+#define EMPTY INT64_MIN
+
 typedef struct {
-    i64 *keys;
-    double *vals;
-    u8 *st;        /* 0 empty, 1 live, 2 tombstone */
-    i64 cap;       /* power of two */
+    i64 key;
+    double val;
+} Slot;
+
+typedef struct {
+    Slot *s;
+    i64 cap;       /* power of two, more than twice the live count */
     i64 live;
-    i64 fill;      /* live + tombstones */
 } Map;
 
 static inline uint64_t mix64(uint64_t x) {
@@ -93,76 +118,91 @@ static inline uint64_t mix64(uint64_t x) {
     return x;
 }
 
+static inline i64 map_home(const Map *m, i64 key) {
+    return (i64)(mix64((uint64_t)key) & (uint64_t)(m->cap - 1));
+}
+
 static int map_init(Map *m, i64 cap0) {
     i64 cap = 16;
     while (cap < cap0) cap <<= 1;
-    m->keys = (i64 *)malloc((size_t)cap * sizeof(i64));
-    m->vals = (double *)malloc((size_t)cap * sizeof(double));
-    m->st = (u8 *)calloc((size_t)cap, 1);
-    m->cap = cap; m->live = 0; m->fill = 0;
-    return m->keys && m->vals && m->st ? 0 : -1;
+    m->s = (Slot *)malloc((size_t)cap * sizeof(Slot));
+    if (!m->s) return -1;
+    for (i64 i = 0; i < cap; i++) m->s[i].key = EMPTY;
+    m->cap = cap; m->live = 0;
+    return 0;
 }
 
-static void map_free(Map *m) {
-    free(m->keys); free(m->vals); free(m->st);
-    m->keys = NULL; m->vals = NULL; m->st = NULL;
-}
+static void map_free(Map *m) { free(m->s); m->s = NULL; }
 
 static int map_grow(Map *m) {
-    i64 ncap = 16;
-    while (ncap < m->live * 4 + 16) ncap <<= 1;
-    i64 *nk = (i64 *)malloc((size_t)ncap * sizeof(i64));
-    double *nv = (double *)malloc((size_t)ncap * sizeof(double));
-    u8 *ns = (u8 *)calloc((size_t)ncap, 1);
-    if (!nk || !nv || !ns) { free(nk); free(nv); free(ns); return -1; }
-    for (i64 i = 0; i < m->cap; i++) {
-        if (m->st[i] != 1) continue;
-        i64 j = (i64)(mix64((uint64_t)m->keys[i]) & (uint64_t)(ncap - 1));
-        while (ns[j]) j = (j + 1) & (ncap - 1);
-        nk[j] = m->keys[i]; nv[j] = m->vals[i]; ns[j] = 1;
+    Map old = *m;
+    if (map_init(m, old.cap * 2)) { *m = old; return -1; }
+    i64 mask = m->cap - 1;
+    for (i64 i = 0; i < old.cap; i++) {
+        if (old.s[i].key == EMPTY) continue;
+        i64 j = map_home(m, old.s[i].key);
+        while (m->s[j].key != EMPTY) j = (j + 1) & mask;
+        m->s[j] = old.s[i];
     }
-    free(m->keys); free(m->vals); free(m->st);
-    m->keys = nk; m->vals = nv; m->st = ns;
-    m->cap = ncap; m->fill = m->live;
+    m->live = old.live;
+    free(old.s);
     return 0;
+}
+
+/* slot holding `key`, or -1 (never finds EMPTY) */
+static inline i64 map_find(const Map *m, i64 key) {
+    i64 mask = m->cap - 1;
+    for (i64 j = map_home(m, key);; j = (j + 1) & mask) {
+        i64 k = m->s[j].key;
+        if (k == EMPTY) return -1;
+        if (k == key) return j;
+    }
 }
 
 static inline int map_get(const Map *m, i64 key, double *out) {
-    i64 mask = m->cap - 1;
-    i64 j = (i64)(mix64((uint64_t)key) & (uint64_t)mask);
-    for (;;) {
-        u8 s = m->st[j];
-        if (s == 0) return 0;
-        if (s == 1 && m->keys[j] == key) { *out = m->vals[j]; return 1; }
-        j = (j + 1) & mask;
-    }
+    i64 j = map_find(m, key);
+    if (j < 0) return 0;
+    *out = m->s[j].val;
+    return 1;
 }
 
 static inline int map_put(Map *m, i64 key, double val) {
-    if (m->fill * 2 >= m->cap && map_grow(m)) return -1;
+    if (key == EMPTY || (m->live * 2 >= m->cap && map_grow(m))) return -1;
     i64 mask = m->cap - 1;
-    i64 j = (i64)(mix64((uint64_t)key) & (uint64_t)mask);
-    i64 tomb = -1;
-    for (;;) {
-        u8 s = m->st[j];
-        if (s == 0) break;
-        if (s == 2) { if (tomb < 0) tomb = j; }
-        else if (m->keys[j] == key) { m->vals[j] = val; return 0; }
-        j = (j + 1) & mask;
-    }
-    if (tomb >= 0) j = tomb; else m->fill++;
-    m->keys[j] = key; m->vals[j] = val; m->st[j] = 1; m->live++;
+    i64 j = map_home(m, key);
+    for (; m->s[j].key != EMPTY; j = (j + 1) & mask)
+        if (m->s[j].key == key) { m->s[j].val = val; return 0; }
+    m->s[j].key = key; m->s[j].val = val; m->live++;
     return 0;
 }
 
-static inline void map_del(Map *m, i64 key) {
+/* empty slot j: each later member of its probe run whose home does not
+ * lie between the hole and itself moves back into the hole */
+static void map_del_at(Map *m, i64 j) {
     i64 mask = m->cap - 1;
-    i64 j = (i64)(mix64((uint64_t)key) & (uint64_t)mask);
-    for (;;) {
-        u8 s = m->st[j];
-        if (s == 0) return;
-        if (s == 1 && m->keys[j] == key) { m->st[j] = 2; m->live--; return; }
-        j = (j + 1) & mask;
+    for (i64 k = (j + 1) & mask; m->s[k].key != EMPTY; k = (k + 1) & mask) {
+        i64 h = map_home(m, m->s[k].key);
+        if (((k - h) & mask) >= ((k - j) & mask)) { m->s[j] = m->s[k]; j = k; }
+    }
+    m->s[j].key = EMPTY;
+    m->live--;
+}
+
+static inline void map_del(Map *m, i64 key) {
+    i64 j = map_find(m, key);
+    if (j >= 0) map_del_at(m, j);
+}
+
+/* delete every entry whose value is <= low.  The scan starts just past
+ * an empty slot, so no probe run wraps around it: a deletion moves only
+ * entries the scan has not reached, into the slot it re-checks or into
+ * slots still ahead of it. */
+static void map_drop_le(Map *m, double low) {
+    i64 mask = m->cap - 1, e = 0;
+    while (m->s[e].key != EMPTY) e++;
+    for (i64 i = 1; i <= m->cap; i++) {
+        i64 j = (e + i) & mask;
+        while (m->s[j].key != EMPTY && m->s[j].val <= low) map_del_at(m, j);
     }
 }
 
@@ -366,64 +406,107 @@ static inline u8 tc_remove(TC *c, i64 set, i32 w) {
 }
 
 /* =====================================================================
- * bandwidth resource: windowed capacity accounting with skip chains
- * (exact port of BandwidthResource.reserve/prune)
+ * bandwidth resource: windowed capacity accounting (exact port of
+ * BandwidthResource.reserve/prune) on a ring of windows that slides
+ * with the prune floor.  Window w lives in slot w & (cap - 1) while
+ * floor_w <= w < floor_w + cap; a bitmap marks the full windows.
  * ===================================================================== */
 
+#define BW_RING0 4096   /* initial ring length in windows */
+
 typedef struct {
-    Map win;    /* window -> count */
-    Map skip;   /* full window -> next candidate */
+    i32 *cnt;          /* reservations per window slot */
+    uint64_t *full;    /* bit per slot: its count reached capn */
+    i64 cap;           /* ring length: a power of two >= 64 */
+    i64 floor_w;       /* no reservation arrives below this window */
     double iv;
     i64 capn;
-    i64 floor_w;
 } BW;
+
+static int bw_alloc(BW *b, i64 cap) {
+    b->cnt = (i32 *)calloc((size_t)cap, sizeof(i32));
+    b->full = (uint64_t *)calloc((size_t)(cap / 64), sizeof(uint64_t));
+    b->cap = cap;
+    return b->cnt && b->full ? 0 : -1;
+}
+
+static void bw_free(BW *b) {
+    free(b->cnt); free(b->full);
+    b->cnt = NULL; b->full = NULL;
+}
 
 static int bw_init(BW *b, double iv, i64 capn) {
     b->iv = iv; b->capn = capn; b->floor_w = 0;
-    if (map_init(&b->win, 64)) return -1;
-    return map_init(&b->skip, 64);
+    if (capn < 1 || capn > INT32_MAX) return -1;
+    return bw_alloc(b, BW_RING0);
 }
 
-static void bw_free(BW *b) { map_free(&b->win); map_free(&b->skip); }
+/* double the ring until window w fits, re-slotting the live windows */
+static int bw_grow(BW *b, i64 w) {
+    BW old = *b;
+    i64 cap = old.cap;
+    while (w >= b->floor_w + cap) cap *= 2;
+    if (bw_alloc(b, cap)) { bw_free(b); *b = old; return -1; }
+    for (i64 v = old.floor_w; v < old.floor_w + old.cap; v++) {
+        i64 s = v & (old.cap - 1), ns = v & (cap - 1);
+        b->cnt[ns] = old.cnt[s];
+        b->full[ns >> 6] |= (old.full[s >> 6] >> (s & 63) & 1) << (ns & 63);
+    }
+    bw_free(&old);
+    return 0;
+}
+
+/* the first window at or after w (inside the ring) that is not full,
+ * or floor_w + cap when every window from w to the ring's end is */
+static inline i64 bw_first_open(const BW *b, i64 w) {
+    i64 end = b->floor_w + b->cap, mask = b->cap - 1;
+    while (w < end) {
+        i64 s = w & mask;
+        uint64_t open = ~b->full[s >> 6] >> (s & 63);
+        if (open) {
+            w += __builtin_ctzll(open);
+            return w < end ? w : end;
+        }
+        w += 64 - (s & 63);
+    }
+    return end;
+}
 
 static double bw_reserve(BW *b, double t, int *err) {
     double tt = t > 0.0 ? t : 0.0;
     i64 w = (i64)(tt / b->iv);
-    double nxt;
-    if (map_get(&b->skip, w, &nxt)) {
-        i64 root = (i64)nxt;
-        double hop;
-        while (map_get(&b->skip, root, &hop)) root = (i64)hop;
-        i64 ww = w;
-        while (map_get(&b->skip, ww, &hop) && (i64)hop != root) {
-            if (map_put(&b->skip, ww, (double)root)) { *err = 1; return t; }
-            ww = (i64)hop;
-        }
-        w = root;
-    }
-    double cv = 0.0;
-    map_get(&b->win, w, &cv);
-    i64 count = (i64)cv + 1;
-    if (map_put(&b->win, w, (double)count)) { *err = 1; return t; }
-    if (count >= b->capn && map_put(&b->skip, w, (double)(w + 1))) {
-        *err = 1; return t;
-    }
+    if (w < b->floor_w) { *err = 1; return t; }
+    if (w >= b->floor_w + b->cap && bw_grow(b, w)) { *err = 1; return t; }
+    w = bw_first_open(b, w);
+    if (w >= b->floor_w + b->cap && bw_grow(b, w)) { *err = 1; return t; }
+    i64 s = w & (b->cap - 1);
+    if (++b->cnt[s] >= b->capn) b->full[s >> 6] |= 1ULL << (s & 63);
     double wt = (double)w * b->iv;
     return t > wt ? t : wt;
 }
 
+/* clear slots [s, s + n) of one pass round the ring (no wrap) */
+static void bw_clear(BW *b, i64 s, i64 n) {
+    memset(b->cnt + s, 0, (size_t)n * sizeof(i32));
+    while (n > 0) {
+        i64 bit = s & 63, k = 64 - bit < n ? 64 - bit : n;
+        uint64_t m = k == 64 ? ~0ULL : ((1ULL << k) - 1) << bit;
+        b->full[s >> 6] &= ~m;
+        s += k; n -= k;
+    }
+}
+
+/* advance the floor to low's window, freeing the slots it passes for
+ * the windows one ring length above them */
 static void bw_prune(BW *b, double low) {
     double tt = low > 0.0 ? low : 0.0;
     i64 w_min = (i64)(tt / b->iv);
     if (w_min <= b->floor_w) return;
-    for (i64 i = 0; i < b->win.cap; i++)
-        if (b->win.st[i] == 1 && b->win.keys[i] < w_min) {
-            b->win.st[i] = 2; b->win.live--;
-        }
-    for (i64 i = 0; i < b->skip.cap; i++)
-        if (b->skip.st[i] == 1 && b->skip.keys[i] < w_min) {
-            b->skip.st[i] = 2; b->skip.live--;
-        }
+    i64 n = w_min - b->floor_w < b->cap ? w_min - b->floor_w : b->cap;
+    i64 s = b->floor_w & (b->cap - 1);
+    i64 head = b->cap - s < n ? b->cap - s : n;
+    bw_clear(b, s, head);
+    bw_clear(b, 0, n - head);
     b->floor_w = w_min;
 }
 
@@ -1093,11 +1176,7 @@ int rs_run(
                 bw_prune(&c->media, low);
                 bw_prune(&c->readbw, low);
                 bw_prune(&c->drambw, low);
-                Map *q = &c->queued;
-                for (i64 i = 0; i < q->cap; i++)
-                    if (q->st[i] == 1 && q->vals[i] <= low) {
-                        q->st[i] = 2; q->live--;
-                    }
+                map_drop_le(&c->queued, low);
             }
         }
     }

@@ -1,6 +1,7 @@
 """Crash-state generation: cut enumeration, sampling, materialisation."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,19 @@ def test_enumerate_cuts_chain_count():
     dag = PersistDag(chain_program(4, barrier=True))
     cuts = list(enumerate_cuts(dag))
     assert len(cuts) == 5
+
+
+def test_enumerate_cuts_deeper_than_the_recursion_limit():
+    # The search keeps its own stack: a chain DAG deeper than Python's
+    # recursion limit still yields its first cut, the empty set.
+    prog = Program(1)
+    cur = TraceCursor(prog, 0)
+    for i in range(sys.getrecursionlimit() + 200):
+        cur.store(i * 64, b"\x01" * 8)
+        cur.persist_barrier()
+    dag = PersistDag(prog)
+    assert len(dag) > sys.getrecursionlimit()
+    assert next(enumerate_cuts(dag)) == set()
 
 
 def test_enumerate_cuts_independent_count():

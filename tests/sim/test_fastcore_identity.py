@@ -24,10 +24,11 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.ops import CACHE_LINE, Program, TraceCursor
 from repro.harness.experiment import default_config
 from repro.sim import cnative
 from repro.sim.config import TABLE_I
-from repro.sim.machine import DESIGNS, Machine
+from repro.sim.machine import DESIGNS, PRUNE_PERIOD, Machine
 from repro.workloads import WORKLOADS
 from repro.workloads.base import (
     generate_canonical,
@@ -84,7 +85,9 @@ def test_derived_arrays_equal_fresh_compile(canonical, workload, design):
 @pytest.mark.parametrize("design", sorted(DESIGNS))
 def test_fast_engines_match_reference(monkeypatch, canonical, workload, design):
     """Reference vs default (native when available): identical summary
-    and identical per-core stats, field for field."""
+    and identical per-core stats, field for field.  Where the core is
+    available it must also accept the run: a silent decline would
+    compare the reference engine with itself."""
     program = specialize_run(canonical[workload], design).program
 
     monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
@@ -95,6 +98,10 @@ def test_fast_engines_match_reference(monkeypatch, canonical, workload, design):
 
     assert native.summary() == ref.summary()
     assert _stats_fields(native) == _stats_fields(ref)
+    if cnative.available():
+        per_core = cnative.run_native(design, program, TABLE_I, True, PRUNE_PERIOD)
+        assert per_core is not None, f"native core declined {workload}/{design}"
+        assert [c.__dict__ for c in per_core] == _stats_fields(ref)
 
 
 def test_native_core_declines_cleanly(monkeypatch, tmp_path, canonical):
@@ -127,21 +134,89 @@ def test_native_core_declines_cleanly(monkeypatch, tmp_path, canonical):
     assert _stats_fields(again) == _stats_fields(ref)
 
 
-def test_native_prune_period_is_result_neutral():
+def parked_core_program(n_lines=256, ahead=2_037_000):
+    """Two cores whose live bandwidth-window span outgrows the native
+    core's initial window ring (4,096 windows).
+
+    Core 0 flushes a line, then parks on a lock that core 1 is first to
+    take.  Core 1 runs ``ahead`` cycles of compute under the lock and
+    flushes a burst of ``n_lines`` lines.  The parked core's clock holds
+    the prune floor near zero meanwhile, so the burst's PM acceptance
+    windows lie about 250,000 windows above it.  Its media windows fill
+    faster than its clock moves, and ``ahead`` starts them just below
+    2**15: the burst also runs off the end of the grown media ring.
+    No fences: the program replays on every design.
+    """
+    program = Program(2)
+    early, hog = TraceCursor(program, 0), TraceCursor(program, 1)
+    hog.lock(0)  # first in lock 0's order: core 0 waits for the release
+    early.store(0, b"\x01" * 8)
+    early.clwb(0)
+    early.lock(0)
+    hog.compute(ahead)
+    for i in range(1, n_lines + 1):
+        hog.store(i * CACHE_LINE, i.to_bytes(8, "little"))
+        hog.clwb(i * CACHE_LINE)
+    hog.unlock(0)
+    early.store(0, b"\x02" * 8)
+    early.clwb(0)
+    early.unlock(0)
+    return program
+
+
+def dirty_handoff_program(n_lines=300):
+    """Two cores that lean on the native core's line-map deletions.
+
+    Core 0, first to take the lock, dirties ``n_lines`` lines in its L1
+    and flushes every other one, so the dirty-owner map loses entries
+    from the middle of its probe runs.  Core 1 then reads every line and
+    must steal each one still dirty in core 0's L1.  A deletion that
+    broke a probe run would hide an owner, and the steal, and its
+    coherence cost.
+    """
+    program = Program(2)
+    owner, reader = TraceCursor(program, 0), TraceCursor(program, 1)
+    owner.lock(0)
+    for i in range(n_lines):
+        owner.store(i * CACHE_LINE, i.to_bytes(8, "little"))
+    for i in range(0, n_lines, 2):
+        owner.clwb(i * CACHE_LINE)
+    owner.unlock(0)
+    reader.lock(0)
+    for i in range(n_lines):
+        reader.load(i * CACHE_LINE, 8)
+    reader.unlock(0)
+    return program
+
+
+PROGRAMS = {"parked-core": parked_core_program, "dirty-handoff": dirty_handoff_program}
+
+
+@pytest.mark.parametrize("name", ("queue", *PROGRAMS))
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_native_prune_period_is_result_neutral(monkeypatch, canonical, design, name):
     """The native core's periodic resource pruning must not perturb
-    stats: an aggressive prune period replays bit-identically to an
-    effectively-unpruned one."""
+    stats: at prune periods 1, 64 and effectively never it replays
+    bit-identically to the reference engine, and so to itself.  The
+    queue program runs for over 300,000 cycles: at periods 1 and 64 the
+    floor drags its 4,096-window rings round 10 to 30 times, and
+    unpruned its PM-acceptance ring grows to 65,536 windows.  The
+    parked-core program grows the rings while the floor stays put, and
+    the dirty-handoff program deletes from the middle of probe runs."""
     if not cnative.available():
         pytest.skip("no C compiler in this environment")
-    program = specialize_run(
-        generate_canonical(WORKLOADS["queue"], CFG, "txn"), "strandweaver"
-    ).program
-    aggressive = cnative.run_native("strandweaver", program, TABLE_I, True, 64)
-    unpruned = cnative.run_native(
-        "strandweaver", program, TABLE_I, True, 1 << 30
-    )
-    assert aggressive is not None and unpruned is not None
-    assert [c.__dict__ for c in aggressive] == [c.__dict__ for c in unpruned]
+    if name in PROGRAMS:
+        program = PROGRAMS[name]()
+    else:
+        program = specialize_run(canonical[name], design).program
+    monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
+    ref = _stats_fields(Machine(design).run(program))
+    by_period = {}
+    for period in (1, 64, 1 << 30):
+        per_core = cnative.run_native(design, program, TABLE_I, True, period)
+        assert per_core is not None, f"native core declined at period {period}"
+        by_period[period] = [c.__dict__ for c in per_core]
+    assert by_period[1] == by_period[64] == by_period[1 << 30] == ref
 
 
 def test_native_runs_do_not_see_earlier_runs(monkeypatch, canonical):
