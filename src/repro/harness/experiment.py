@@ -45,16 +45,23 @@ class RunKey:
 
 _CACHE: Dict[RunKey, MachineStats] = {}
 
-#: canonical marker runs, keyed by (benchmark, model, workload config) —
-#: one functional execution serves every design (repro.lang.specialize).
+#: canonical marker runs, keyed by :func:`program_key` — one functional
+#: execution serves every design (repro.lang.specialize).
 _CANONICAL: Dict[tuple, GeneratedRun] = {}
 
-#: specialized runs, keyed additionally by dialect name.  Designs that
+#: specialized runs, keyed by (program key, dialect name).  Designs that
 #: share a dialect (strandweaver and no-persist-queue both replay strand
 #: traces) share one program object *and* its per-trace compiled arrays;
 #: machine configuration never affects generation, so Figure 9's six
 #: strand-buffer variants also all hit this cache.
 _PROGRAMS: Dict[tuple, GeneratedRun] = {}
+
+
+def program_key(benchmark: str, model: str, wl_cfg: WorkloadConfig) -> tuple:
+    """Identity of the canonical program a cell replays: every design
+    and machine config of one (benchmark, model, workload config) shares
+    it.  The sweep groups pool work by this key."""
+    return (benchmark, model, wl_cfg)
 
 
 def generation_for_cell(
@@ -66,11 +73,10 @@ def generation_for_cell(
     (benchmark, model, config) under the marker dialect, then each
     concrete dialect's program is specialized from it once.
     """
-    dialect = dialect_for_design(design).name
-    pkey = (benchmark, model, wl_cfg, dialect)
+    ckey = program_key(benchmark, model, wl_cfg)
+    pkey = (ckey, dialect_for_design(design).name)
     run = _PROGRAMS.get(pkey)
     if run is None:
-        ckey = (benchmark, model, wl_cfg)
         canonical = _CANONICAL.get(ckey)
         if canonical is None:
             canonical = generate_canonical(WORKLOADS[benchmark], wl_cfg, model)
@@ -78,6 +84,20 @@ def generation_for_cell(
         run = specialize_run(canonical, design)
         _PROGRAMS[pkey] = run
     return run
+
+
+def release_programs(keep: tuple) -> None:
+    """Drop every canonical program and specialization (with the replay
+    streams cached on them) whose :func:`program_key` is not ``keep``.
+
+    A sweep's pool worker calls this before each chunk of cells, so it
+    holds one program at a time.  Serial runs never call it: they keep
+    every program for reuse across figures.
+    """
+    for key in [key for key in _CANONICAL if key != keep]:
+        del _CANONICAL[key]
+    for key in [key for key in _PROGRAMS if key[0] != keep]:
+        del _PROGRAMS[key]
 
 
 def memo_lookup(key: RunKey) -> Optional[MachineStats]:

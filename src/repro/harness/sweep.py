@@ -12,15 +12,23 @@ cells with
 * **per-cell error capture** — one failed cell reports its exception
   class, message and traceback (:class:`CellFailure`), the rest of the
   sweep completes;
+* **program affinity** — a pool task is a chunk of the cells that
+  replay one canonical program (one (benchmark, model, workload
+  config): :func:`repro.harness.experiment.program_key`), so a worker
+  generates and specializes each program once; a group larger than
+  ⌈outstanding cells / jobs⌉ is split into chunks of at most that size,
+  so a one-program sweep still uses every worker.  Before each chunk a
+  worker drops every other program, so it holds one at a time;
 * **worker-loss isolation** — a worker that dies (OOM-killed, segfault,
   SIGKILL) poisons only the cell it was running: the pool is respawned
-  and every other in-flight cell is re-executed in isolation, so the
-  culprit is identified definitively instead of taking innocent
+  and every cell of every unfinished chunk is re-executed in isolation,
+  so the culprit is identified definitively instead of taking innocent
   neighbours down with a ``BrokenProcessPool``;
 * **per-cell timeouts and bounded retries** — ``timeout`` kills a hung
-  cell's worker and fails (or retries) just that cell; ``retries``
-  re-runs failing cells a bounded number of times, with the attempt
-  count recorded in the failure;
+  cell's worker and fails (or retries) just that cell (a chunk's
+  deadline is ``timeout`` x its cell count); ``retries`` re-runs failing
+  cells a bounded number of times, with the attempt count recorded in
+  the failure;
 * **three-level caching** — the in-process memo (shared with
   :func:`repro.harness.experiment.run_cell`), then the content-addressed
   on-disk cache (:mod:`repro.harness.cachedir`), then a real run.
@@ -57,6 +65,8 @@ from repro.harness.experiment import (
     default_config,
     memo_lookup,
     memo_store,
+    program_key,
+    release_programs,
     run_cell,
 )
 from repro.prof.runlog import Progress, RunLog
@@ -153,6 +163,10 @@ class SweepCell:
             self.ops_per_region,
             self.machine_cfg,
         )
+
+    def program_key(self) -> tuple:
+        """Key of the canonical program this cell replays."""
+        return program_key(self.benchmark, self.model, self.workload_cfg())
 
     def fingerprint(self) -> Dict[str, object]:
         return cell_fingerprint(
@@ -429,6 +443,33 @@ def _execute(cell: SweepCell) -> Tuple[str, object, float, int]:
         return "error", payload, time.perf_counter() - t0, os.getpid()
 
 
+def _run_chunk(chunk: List[SweepCell]) -> List[Tuple[str, object, float, int]]:
+    """Pool task: run cells that share one canonical program, one
+    :func:`_execute` outcome per cell.
+
+    Programs of other keys are dropped first, so the worker holds one at
+    a time.  ``_execute`` is looked up on the module per cell, so a
+    wrapper installed before the pool forks sees every cell.
+    """
+    release_programs(chunk[0].program_key())
+    return [_execute(cell) for cell in chunk]
+
+
+def _chunks(batch: List[SweepCell], jobs: int) -> List[List[SweepCell]]:
+    """Pool tasks of one batch: its cells grouped by canonical program in
+    first-appearance order, each group cut into chunks of at most
+    ⌈len(batch) / jobs⌉ cells."""
+    groups: Dict[tuple, List[SweepCell]] = {}
+    for cell in batch:
+        groups.setdefault(cell.program_key(), []).append(cell)
+    size = -(-len(batch) // jobs)
+    return [
+        group[start:start + size]
+        for group in groups.values()
+        for start in range(0, len(group), size)
+    ]
+
+
 def _failure(status: str, payload: object, attempts: int) -> CellFailure:
     """Build the typed failure record for a non-``ok`` outcome."""
     if status == "error":
@@ -520,13 +561,22 @@ def _run_pool(
     monitor: Optional[SweepMonitor] = None,
     index_of: Optional[Dict[SweepCell, int]] = None,
 ) -> Dict[SweepCell, Tuple[str, object, float, Optional[int], int]]:
-    """Fan cells over a process pool, surviving hangs and dead workers.
+    """Fan cells over a process pool in per-program chunks, surviving
+    hangs and dead workers.
 
-    Clean outcomes (ok / cell raised) are attributed in the parallel
-    batch, with failed cells re-batched while they have retries left.  A
-    hang or worker death cannot be attributed safely inside a shared
-    pool — the broken future is not necessarily the broken cell — so the
-    pool is torn down and every unfinished cell re-runs through
+    Each pool task is one chunk (:func:`_chunks`): cells that share a
+    canonical program, at most ⌈cells in the batch / jobs⌉ of them, so a
+    large group is split and every worker gets work.  One worker runs a
+    chunk's cells one by one and generates and specializes the program
+    once; it drops every other program first, so it holds one at a time
+    (:func:`_run_chunk`).  A chunk's future is awaited for ``timeout`` x
+    its cell count.
+
+    Clean outcomes (ok / cell raised) are attributed per cell, with
+    failed cells re-batched while they have retries left.  A hang or
+    worker death cannot be attributed safely inside a shared pool — the
+    broken future is not necessarily the broken cell — so the pool is
+    torn down and every cell of every unfinished chunk re-runs through
     :func:`_run_solo`, where blame is unambiguous.  One poisoned cell
     therefore fails alone; its neighbours complete on the respawned path.
     """
@@ -552,58 +602,37 @@ def _run_pool(
     while batch:
         for cell in batch:
             attempts[cell] += 1
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(batch)))
+        chunks = _chunks(batch, jobs)
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(chunks)))
         futures = []
-        for cell in batch:
+        for chunk in chunks:
             if monitor is not None:
-                monitor.started(cell.label(), _idx(cell))
-            futures.append((cell, pool.submit(_execute, cell)))
+                for cell in chunk:
+                    monitor.started(cell.label(), _idx(cell))
+            futures.append((chunk, pool.submit(_run_chunk, chunk)))
         retry_batch: List[SweepCell] = []
         broken = False
-        for cell, fut in futures:
-            if broken:
-                # The pool is compromised: harvest finished results,
-                # route everything else through isolated re-execution
-                # (uncharged — the in-flight attempt was aborted through
-                # no fault that can be pinned on the cell yet).
-                done_ok = False
-                if fut.done():
-                    try:
-                        status, payload, seconds, pid = fut.result(timeout=0)
-                        done_ok = True
-                    except Exception:
-                        done_ok = False
-                if done_ok:
-                    if status == "ok" or attempts[cell] > retries:
-                        _record(cell, status, payload, seconds, pid)
-                    else:
-                        retry_batch.append(cell)
-                else:
+        for chunk, fut in futures:
+            # Once the pool is compromised, only finished chunks are
+            # harvested.
+            deadline = None if timeout is None else timeout * len(chunk)
+            try:
+                results = fut.result(timeout=0 if broken else deadline)
+            except Exception:
+                # Which cell hung or killed its worker is unknowable from
+                # here: isolation will tell, with each cell's timeout
+                # measured fairly from its own start.  The aborted
+                # attempt is not charged to these cells.
+                broken = True
+                for cell in chunk:
                     attempts[cell] -= 1
                     solo.append(cell)
                 continue
-            try:
-                status, payload, seconds, pid = fut.result(timeout=timeout)
-            except FuturesTimeout:
-                # `cell` hung (or is starved behind a hung neighbour):
-                # isolation will tell, with the timeout measured fairly
-                # from its own start.
-                broken = True
-                attempts[cell] -= 1
-                solo.append(cell)
-                continue
-            except Exception:
-                # The worker running *some* cell died and broke the
-                # shared pool; which cell is the culprit is unknowable
-                # from here.
-                broken = True
-                attempts[cell] -= 1
-                solo.append(cell)
-                continue
-            if status == "ok" or attempts[cell] > retries:
-                _record(cell, status, payload, seconds, pid)
-            else:
-                retry_batch.append(cell)
+            for cell, (status, payload, seconds, pid) in zip(chunk, results):
+                if status == "ok" or attempts[cell] > retries:
+                    _record(cell, status, payload, seconds, pid)
+                else:
+                    retry_batch.append(cell)
         _kill_pool(pool) if broken else pool.shutdown()
         batch = retry_batch
     for cell in solo:
@@ -629,11 +658,18 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate every cell, fanning misses out over ``jobs`` processes.
 
-    ``timeout`` bounds each cell's execution in seconds (enforced by
-    killing the cell's worker process; forces the pool path even at
-    ``jobs=1``).  ``retries`` re-runs a failing cell up to that many
-    extra times before recording its :class:`CellFailure`.  ``runlog``
-    streams ``repro.runlog/1`` campaign telemetry; ``progress`` drives a
+    The pool's unit of work is a chunk of misses that share a canonical
+    program, so a worker generates each program once and holds only the
+    one it is running.  A group of more than ⌈misses / jobs⌉ cells is
+    split into chunks of at most that size, so even a one-program sweep
+    uses every worker (:func:`_run_pool`).
+
+    ``timeout`` bounds each cell's execution in seconds (a chunk is
+    given ``timeout`` x its cell count, and the cells of a chunk that
+    overruns are re-run one by one to find the culprit; forces the pool
+    path even at ``jobs=1``).  ``retries`` re-runs a failing cell up to
+    that many extra times before recording its :class:`CellFailure`.
+    ``runlog`` streams ``repro.runlog/1`` campaign telemetry; ``progress`` drives a
     live status line — both are observation-only and never alter
     results (their wall-clock content is exactly why ``--deterministic``
     sweeps refuse them at the CLI).

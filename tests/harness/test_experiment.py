@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.harness import experiment
 from repro.harness.experiment import (
     ALL_DESIGNS,
     ALL_MODELS,
@@ -11,6 +12,7 @@ from repro.harness.experiment import (
     default_config,
     run_cell,
 )
+from repro.harness.sweep import SweepCell, _run_chunk
 from repro.sim.config import TABLE_I
 
 
@@ -74,3 +76,22 @@ def test_cache_distinguishes_cache_timing():
     )
     assert a is not b
     assert a.cycles != b.cycles
+
+
+def test_worker_release_keeps_only_the_current_program():
+    """A pool worker that moves on to program B drops program A and its
+    specializations (with the replay streams cached on them); B's stay."""
+    clear_cache()
+    chunk_a = [SweepCell("queue", design, ops_per_thread=4)
+               for design in ("intel-x86", "strandweaver")]
+    chunk_b = [SweepCell("hashmap", design, ops_per_thread=4)
+               for design in ("intel-x86", "hops", "strandweaver")]
+    for chunk in (chunk_a, chunk_b):
+        outcomes = _run_chunk(chunk)
+        assert [status for status, *_ in outcomes] == ["ok"] * len(chunk)
+    key_b = chunk_b[0].program_key()
+    assert chunk_a[0].program_key() != key_b
+    assert list(experiment._CANONICAL) == [key_b]
+    assert experiment._PROGRAMS
+    assert {ckey for ckey, _dialect in experiment._PROGRAMS} == {key_b}
+    clear_cache()

@@ -1,13 +1,17 @@
-"""Parallel sweep engine: determinism, caching, collision-proofing."""
+"""Parallel sweep engine: determinism, program affinity, caching, collision-proofing."""
 
 import dataclasses
 import json
+import os
+import time
 
 import pytest
 
+from repro.harness import experiment, sweep
 from repro.harness.cachedir import CACHE_SCHEMA, CellCache, fingerprint_key
-from repro.harness.experiment import clear_cache
+from repro.harness.experiment import ALL_DESIGNS, clear_cache
 from repro.harness.sweep import SweepCell, expand_cells, run_sweep
+from repro.prof.runlog import RunLog, read_runlog
 from repro.sim.config import TABLE_I
 
 OPS = 4  # tiny but representative scale
@@ -17,6 +21,17 @@ def small_matrix():
     return expand_cells(
         ["queue", "hashmap"], ["intel-x86", "strandweaver"], ops_per_thread=OPS
     )
+
+
+def one_program_configs():
+    """Cells of one canonical program (queue on strandweaver under four
+    strand-buffer configs): more than ⌈4 / 2⌉ cells, so a 2-job pool
+    splits the group into two chunks."""
+    return [
+        SweepCell("queue", "strandweaver", ops_per_thread=OPS,
+                  machine_cfg=TABLE_I.with_strand(buffers, entries))
+        for buffers, entries in ((1, 1), (2, 2), (4, 4), (8, 8))
+    ]
 
 
 @pytest.fixture(autouse=True)
@@ -30,12 +45,57 @@ def _fresh_memo():
 
 
 def test_parallel_matches_serial_byte_identical():
-    """`-j 1` and `-j 4` produce byte-identical repro.sweep/1 JSON."""
-    serial = run_sweep(small_matrix(), jobs=1, use_memo=False)
-    parallel = run_sweep(small_matrix(), jobs=4, use_memo=False)
-    a = json.dumps(serial.to_json(deterministic=True), sort_keys=True)
-    b = json.dumps(parallel.to_json(deterministic=True), sort_keys=True)
-    assert a == b
+    """`-j 1` and `-j N` produce byte-identical repro.sweep/1 JSON, both
+    for a grid of programs and for one program split across workers."""
+    for cells, jobs in ((small_matrix(), 4), (one_program_configs(), 2)):
+        serial = run_sweep(cells, jobs=1, use_memo=False)
+        parallel = run_sweep(cells, jobs=jobs, use_memo=False)
+        a = json.dumps(serial.to_json(deterministic=True), sort_keys=True)
+        b = json.dumps(parallel.to_json(deterministic=True), sort_keys=True)
+        assert a == b
+
+
+def test_pool_generates_each_program_once(tmp_path, monkeypatch):
+    """Cells that share a canonical program run in one worker, which
+    generates the program once: two programs, two generations."""
+    calls = tmp_path / "generations.txt"
+    original = experiment.generate_canonical
+
+    def counted(*args, **kwargs):
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return original(*args, **kwargs)
+
+    # the pool forks after the patch, so its workers inherit it
+    monkeypatch.setattr(experiment, "generate_canonical", counted)
+    cells = expand_cells(["queue", "hashmap"], ALL_DESIGNS, ops_per_thread=OPS)
+    result = run_sweep(cells, jobs=2, use_memo=False)
+    assert result.errors == 0
+    assert len(calls.read_text().splitlines()) == 2
+
+
+def test_split_program_runs_on_two_workers(tmp_path, monkeypatch):
+    """A one-program sweep is split into chunks, so both workers of a
+    2-job pool run cells."""
+    original = sweep._execute
+
+    def slowed(cell):
+        # long enough that one worker cannot drain both chunks before
+        # the other takes one
+        time.sleep(0.3)
+        return original(cell)
+
+    monkeypatch.setattr(sweep, "_execute", slowed)
+    cells = one_program_configs()
+    path = str(tmp_path / "run.jsonl")
+    result = run_sweep(
+        cells, jobs=2, use_memo=False,
+        runlog=RunLog(path, kind="sweep", total=len(cells)),
+    )
+    assert result.errors == 0
+    finishes = [e for e in read_runlog(path) if e["event"] == "cell-finish"]
+    assert len(finishes) == len(cells)
+    assert len({e["worker"] for e in finishes}) == 2
 
 
 def test_results_in_input_order():
