@@ -11,8 +11,6 @@ Usage::
     python -m repro crashtest <workload> --design <d> --crashes N [--seed S] [--json]
     python -m repro soak <workload> --seeds N [--design <d>] [--seed S] [--json]
     python -m repro lint <workload> [--design <d>|all] [--model m] [--json]
-    python -m repro serve [--dir D] [--host H --port P] [--resume] [--drain]
-    python -m repro submit <spec.json|-> [--url U] [--follow|--no-wait]
 
 ``trace`` replays one (workload, design, model) cell with the tracer on
 and writes a Chrome/Perfetto trace-event JSON (open it in
@@ -33,23 +31,12 @@ accept ``-j/--jobs`` to fan their cell lists over worker processes, and
 both reuse results across invocations via the content-addressed on-disk
 cache under ``.repro-cache/`` (disable with ``--no-cache``); ``--timeout``
 and ``--retries`` bound each cell (a hung or killed worker fails only
-its own cell).  ``soak`` runs a randomized fault campaign — per-case
+its own cell).  Each cell enters the cache as soon as it finishes, so
+rerunning a killed ``sweep`` or figure run resumes where it stopped.
+``soak`` runs a randomized fault campaign — per-case
 crash points, media-fault models and power failures injected *inside*
 recovery, all derived from one master seed — and shrinks any unexpected
 violation to a minimal replayable reproducer (``repro.soak/1``).
-
-``serve`` runs the crash-safe campaign service: a stdlib HTTP job API
-(``POST /campaigns``, ``GET /campaigns/<id>``, ``GET
-/campaigns/<id>/events``, ``POST /campaigns/<id>/cancel``) in front of
-a checkpointed coordinator that journals every settled cell
-write-ahead (``repro.campaign/1``) and shards work over supervised,
-self-healing worker processes.  ``--resume`` replays half-finished
-campaign journals from a previous life and continues them with
-exactly-once cell accounting; ``--drain`` skips the HTTP listener and
-just runs resumable campaigns to completion (crash-recovery in
-scripts).  ``submit`` is the matching client: it posts a campaign spec
-(a JSON file, or ``-`` for stdin), then waits — polling the status
-document, or streaming the journal with ``--follow``.
 
 ``profile`` runs one cell under cProfile with the simulated-cycle phase
 profiler attached and reports both attributions (wall-clock seconds per
@@ -94,7 +81,7 @@ ARTEFACTS = {
 
 COMMANDS = sorted(ARTEFACTS) + [
     "all", "sweep", "trace", "bench", "crashtest", "soak", "lint", "profile",
-    "serve", "submit", "modelcheck", "repair",
+    "modelcheck", "repair",
 ]
 
 
@@ -278,62 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--progress", action="store_true",
         help="sweep/soak: live progress line on stderr",
-    )
-    parser.add_argument(
-        "--dir", default=".repro-campaigns", metavar="DIR",
-        help="serve: service root holding campaigns/<id>/ directories "
-        "(default .repro-campaigns)",
-    )
-    parser.add_argument(
-        "--host", default="127.0.0.1",
-        help="serve: bind address (default 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--port", type=int, default=8642,
-        help="serve: TCP port (default 8642; 0 picks a free port)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="serve: replay half-finished campaign journals under --dir "
-        "and continue them (exactly-once cell accounting)",
-    )
-    parser.add_argument(
-        "--drain", action="store_true",
-        help="serve: no HTTP listener — resume campaigns, run them to "
-        "completion, report, exit",
-    )
-    parser.add_argument(
-        "--worker-budget", type=int, default=8, metavar="N",
-        help="serve: global cap on concurrent campaign workers (default 8)",
-    )
-    parser.add_argument(
-        "--rate", type=float, default=2.0, metavar="R",
-        help="serve: sustained requests/second allowed per client (default 2)",
-    )
-    parser.add_argument(
-        "--burst", type=int, default=6, metavar="N",
-        help="serve: per-client burst capacity before 429s (default 6)",
-    )
-    parser.add_argument(
-        "--url", default=None, metavar="URL",
-        help="submit: service endpoint (default $REPRO_SERVICE_URL or "
-        "http://127.0.0.1:8642)",
-    )
-    parser.add_argument(
-        "--follow", action="store_true",
-        help="submit: stream the campaign journal instead of polling",
-    )
-    parser.add_argument(
-        "--no-wait", action="store_true",
-        help="submit: print the campaign id and return immediately",
-    )
-    parser.add_argument(
-        "--status", default=None, metavar="ID", dest="status_id",
-        help="submit: print the status document of an existing campaign",
-    )
-    parser.add_argument(
-        "--cancel", default=None, metavar="ID", dest="cancel_id",
-        help="submit: request cancellation of an existing campaign",
     )
     parser.add_argument(
         "--runlog", default=None, metavar="FILE",
@@ -950,130 +881,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.api import CampaignHTTPServer, CampaignService
-    from repro.service.ratelimit import ClientRateLimiter, ResourceTracker
-
-    if args.worker_budget < 1:
-        print("--worker-budget must be at least 1", file=sys.stderr)
-        return 2
-    if args.rate <= 0 or args.burst < 1:
-        print("--rate must be positive and --burst at least 1", file=sys.stderr)
-        return 2
-    service = CampaignService(
-        args.dir,
-        cache=_make_cache(args),
-        tracker=ResourceTracker(args.worker_budget),
-        limiter=ClientRateLimiter(rate=args.rate, burst=args.burst),
-    )
-    if args.resume or args.drain:
-        for campaign_id in service.resume_all():
-            print(f"resumed campaign {campaign_id}", file=sys.stderr)
-    if args.drain:
-        service.drain()
-        rc = 0
-        for campaign_id in service.list_ids():
-            state = service.get(campaign_id)
-            if state is None:
-                continue
-            print(
-                f"{campaign_id}: {state.status} "
-                f"({state.done}/{state.spec.total}, {state.errors} errors)"
-            )
-            if state.status == "failed":
-                rc = 1
-        return rc
-    server = CampaignHTTPServer((args.host, args.port), service)
-    host, port = server.server_address[0], server.server_address[1]
-    print(
-        f"repro campaign service listening on http://{host}:{port} "
-        f"(root {service.root})",
-        file=sys.stderr, flush=True,
-    )
-
-    # Route SIGTERM into the same graceful path as Ctrl-C.  This also
-    # covers `kill -INT` on a service backgrounded by a non-interactive
-    # shell (CI scripts): such jobs inherit SIGINT as SIG_IGN, which
-    # Python honours, so SIGTERM is the only reliable stop signal there.
-    import signal as _signal
-
-    def _sigterm(signum: int, frame: object) -> None:
-        raise KeyboardInterrupt
-
-    _signal.signal(_signal.SIGTERM, _sigterm)
-    try:
-        server.serve_forever(poll_interval=0.2)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        service.shutdown()
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.service.client import CampaignClient, ServiceError
-    from repro.service.jobs import CampaignSpec, SpecError
-
-    url = args.url or os.environ.get("REPRO_SERVICE_URL") or "http://127.0.0.1:8642"
-    client = CampaignClient(url)
-    try:
-        if args.cancel_id:
-            client.cancel(args.cancel_id)
-            print(f"cancellation requested for {args.cancel_id}")
-            return 0
-        if args.status_id:
-            print(json.dumps(client.status(args.status_id), indent=1, sort_keys=True))
-            return 0
-        if args.workload is None:
-            print("submit requires a campaign spec: a JSON file path, or '-' "
-                  "for stdin (or --status/--cancel ID)", file=sys.stderr)
-            return 2
-        if args.workload == "-":
-            raw = sys.stdin.read()
-        else:
-            try:
-                with open(args.workload, encoding="utf-8") as fh:
-                    raw = fh.read()
-            except OSError as exc:
-                print(f"cannot read spec {args.workload!r}: {exc}", file=sys.stderr)
-                return 2
-        try:
-            doc = json.loads(raw)
-            spec = CampaignSpec.from_json(doc)
-        except (ValueError, SpecError) as exc:
-            # SpecError subclasses ValueError; both mean a bad spec.
-            print(f"invalid campaign spec: {exc}", file=sys.stderr)
-            return 2
-        campaign_id = client.submit(spec.to_json())
-        print(f"submitted campaign {campaign_id} "
-              f"({spec.kind}, {spec.total} work units) to {url}", file=sys.stderr)
-        if not args.json:
-            # Bare id on stdout for scripting; --json keeps stdout pure JSON.
-            print(campaign_id)
-        if args.no_wait:
-            return 0
-        if args.follow:
-            for record in client.events(campaign_id, follow=True):
-                print(json.dumps(record, sort_keys=True))
-            status = client.status(campaign_id)
-        else:
-            status = client.wait(campaign_id)
-        if args.json:
-            print(json.dumps(status, indent=1, sort_keys=True))
-        else:
-            print(f"campaign {campaign_id}: {status.get('status')} "
-                  f"({status.get('done')}/{status.get('total')}, "
-                  f"{status.get('errors')} errors)", file=sys.stderr)
-        ok = status.get("status") == "finished" and not status.get("errors")
-        return 0 if ok else 1
-    except ServiceError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.artefact == "trace":
@@ -1094,10 +901,6 @@ def main(argv=None) -> int:
         return _cmd_sweep(args)
     if args.artefact == "profile":
         return _cmd_profile(args)
-    if args.artefact == "serve":
-        return _cmd_serve(args)
-    if args.artefact == "submit":
-        return _cmd_submit(args)
     if args.jobs < 1:
         print("--jobs must be at least 1", file=sys.stderr)
         return 2

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence
 
 from repro.chaos.harness import CrashHarness
 from repro.chaos.plan import CrashSchedule, RecoveryCrash
@@ -125,47 +125,6 @@ class SoakCase:
     @property
     def ok(self) -> bool:
         return self.violation is None or self.expected
-
-    def to_json(self) -> Dict[str, object]:
-        """Lossless wire form (campaign workers ship cases as JSON)."""
-        doc: Dict[str, object] = {
-            "index": self.index,
-            "seed": self.seed,
-            "design": self.design,
-            "plan": self.plan_desc,
-            "violation": self.violation,
-            "expected": self.expected,
-            "recovery_passes": self.recovery_passes,
-            "media_faults": self.media_faults,
-            "shrunk": None if self.shrunk is None else asdict(self.shrunk),
-        }
-        return doc
-
-    @staticmethod
-    def from_json(doc: Dict[str, object]) -> "SoakCase":
-        shrunk_doc = doc.get("shrunk")
-        shrunk = None
-        if isinstance(shrunk_doc, dict):
-            shrunk = ShrinkResult(
-                kind=str(shrunk_doc["kind"]),
-                original_at=float(shrunk_doc["original_at"]),
-                minimal_at=float(shrunk_doc["minimal_at"]),
-                probes=int(shrunk_doc["probes"]),
-                violation=str(shrunk_doc["violation"]),
-                reproducible=bool(shrunk_doc.get("reproducible", True)),
-            )
-        media = doc.get("media_faults")
-        return SoakCase(
-            index=int(doc["index"]),
-            seed=int(doc["seed"]),
-            design=str(doc["design"]),
-            plan_desc=str(doc["plan"]),
-            violation=None if doc.get("violation") is None else str(doc["violation"]),
-            expected=bool(doc.get("expected", False)),
-            recovery_passes=int(doc.get("recovery_passes", 1)),
-            media_faults=media if isinstance(media, dict) else None,
-            shrunk=shrunk,
-        )
 
 
 @dataclass
@@ -286,13 +245,14 @@ def run_soak_case(
     machine_cfg: MachineConfig = TABLE_I,
     harnesses: Optional[Dict[str, CrashHarness]] = None,
 ) -> SoakCase:
-    """Run exactly one soak case — the unit the campaign service shards.
+    """Run exactly one soak case.
 
     A pure function of ``(workload, case_seed, index, design_pool,
     media, machine knobs)``: which process runs it, and which cases ran
-    before it, cannot change the outcome.  ``harnesses`` is an optional
-    per-process cache of baseline runs (one per design) so a worker
-    executing a seed range pays for each design's baseline once.
+    before it, cannot change the outcome, so a long campaign can be
+    split across processes with ``--seed`` and ``--seeds``.
+    ``harnesses`` is an optional cache of baseline runs (one per design)
+    so a run of many cases pays for each design's baseline once.
     """
     design = pick_design(case_seed, design_pool)
     schedule = sample_case_schedule(case_seed, media=media)
@@ -315,28 +275,6 @@ def run_soak_case(
     if not case.ok and shrink:
         case.shrunk = shrink_crash_point(harness, sample.plan)
     return case
-
-
-def shard_seed_ranges(
-    n_cases: int, n_shards: int, start: int = 0
-) -> List[Tuple[int, int]]:
-    """Split case indices ``[start, start + n_cases)`` into contiguous
-    ``(first_index, count)`` ranges, at most ``n_shards`` of them, sizes
-    differing by at most one.  The campaign service hands each range to
-    a worker; because :func:`run_soak_case` is index-pure, any sharding
-    reassembles (sorted by index) into the serial campaign exactly.
-    """
-    if n_cases <= 0:
-        return []
-    n_shards = max(1, min(n_shards, n_cases))
-    base, extra = divmod(n_cases, n_shards)
-    ranges: List[Tuple[int, int]] = []
-    first = start
-    for shard in range(n_shards):
-        count = base + (1 if shard < extra else 0)
-        ranges.append((first, count))
-        first += count
-    return ranges
 
 
 def run_soak(

@@ -32,7 +32,13 @@ cells with
 * **three-level caching** — the in-process memo (shared with
   :func:`repro.harness.experiment.run_cell`), then the content-addressed
   on-disk cache (:mod:`repro.harness.cachedir`), then a real run.
-  Identical cells appearing twice in one sweep are simulated once.
+  Identical cells appearing twice in one sweep are simulated once;
+* **crash-safe resume** — a cell is settled (memo, on-disk cache,
+  progress monitor) as soon as its outcome reaches this process: in the
+  pool, when its chunk is collected.  A killed or interrupted sweep
+  loses only the cells still running, and rerunning it reads the rest
+  back from the cache.  Pool workers exit once their parent dies, so a
+  killed sweep leaves no process behind.
 
 ``jobs <= 1`` runs every cell inline in this process (no pool, no
 pickling), which is the bit-identical reference path the parallel path
@@ -44,12 +50,13 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: test-only fault hooks, read inside the worker: a cell whose label
 #: equals the value of KILL dies by SIGKILL (simulating an OOM-killed or
@@ -58,6 +65,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 TEST_KILL_ENV = "REPRO_SWEEP_TEST_KILL"
 TEST_HANG_ENV = "REPRO_SWEEP_TEST_HANG"
 _HANG_SECONDS = 60.0
+#: seconds between a pool worker's checks that its parent is alive.
+_PARENT_POLL_S = 0.5
 
 from repro.harness.cachedir import CellCache, cell_fingerprint, fingerprint_key
 from repro.harness.experiment import (
@@ -274,17 +283,13 @@ class SweepResult:
 
 @dataclass
 class CellPlan:
-    """Re-enterable execution plan for a cell list.
+    """Execution plan for a cell list.
 
-    Splits a campaign into what is already resolved (``results`` slots
-    filled from prior journal replay, the in-process memo, or the
-    on-disk cache) and what remains to run (``pending``: unique
-    outstanding cell -> every input index it satisfies).  Both
-    :func:`run_sweep` and the campaign service's coordinator build one;
-    the coordinator additionally seeds ``done`` from its write-ahead
-    journal, which is what makes a ``kill -9``'d campaign resumable with
-    exactly-once cell accounting — an index resolved in an earlier life
-    is never re-executed, only re-read.
+    Splits a sweep into what is already resolved (``results`` slots
+    filled from the in-process memo or the on-disk cache) and what
+    remains to run (``pending``: unique outstanding cell -> every input
+    index it satisfies).  A rerun of a killed sweep resolves every cell
+    the killed run settled from the cache, and runs only the rest.
     """
 
     cells: List[SweepCell]
@@ -296,9 +301,6 @@ class CellPlan:
     def outstanding(self) -> List[SweepCell]:
         """Unique cells still to execute, in first-appearance order."""
         return list(self.pending)
-
-    def first_index(self) -> Dict[SweepCell, int]:
-        return {cell: idxs[0] for cell, idxs in self.pending.items()}
 
     @property
     def complete(self) -> bool:
@@ -314,24 +316,18 @@ def plan_cells(
     cells: Iterable[SweepCell],
     cache: Optional[CellCache] = None,
     use_memo: bool = True,
-    done: Optional[Dict[int, CellResult]] = None,
     monitor: Optional[SweepMonitor] = None,
 ) -> CellPlan:
-    """Resolve memo/cache/``done`` hits; dedupe the rest into a plan.
+    """Resolve memo and cache hits; dedupe the rest into a plan.
 
-    ``done`` maps input indices to already-settled results (a resumed
-    campaign's journal replay); those indices are taken as-is and their
-    cells charged to no one.  Identical outstanding cells are planned
-    once and fanned back out to every index at settle time.
+    Identical outstanding cells are planned once and fanned back out to
+    every index at settle time.
     """
     cell_list = list(cells)
     results: List[Optional[CellResult]] = [None] * len(cell_list)
     pending: Dict[SweepCell, List[int]] = {}
     memo_hits = cache_hits = 0
     for idx, cell in enumerate(cell_list):
-        if done is not None and idx in done:
-            results[idx] = done[idx]
-            continue
         earlier = pending.get(cell)
         if earlier is not None:
             earlier.append(idx)
@@ -367,36 +363,6 @@ def plan_cells(
         memo_hits=memo_hits,
         cache_hits=cache_hits,
     )
-
-
-def settle_outcome(
-    plan: CellPlan,
-    cell: SweepCell,
-    status: str,
-    payload: object,
-    seconds: float,
-    attempts: int,
-    cache: Optional[CellCache] = None,
-    use_memo: bool = True,
-) -> CellResult:
-    """Record one outstanding cell's outcome and fan it to its indices."""
-    if status == "ok":
-        assert isinstance(payload, MachineStats)
-        res = CellResult(cell, payload, wall_time=seconds, source="run")
-        if use_memo:
-            memo_store(cell.run_key(), payload)
-        if cache is not None:
-            cache.store(cell.fingerprint(), payload)
-    else:
-        res = CellResult(
-            cell,
-            None,
-            failure=_failure(status, payload, attempts),
-            wall_time=seconds,
-        )
-    for idx in plan.pending[cell]:
-        plan.results[idx] = res
-    return res
 
 
 def expand_cells(
@@ -510,6 +476,23 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit once the parent process dies.
+
+    A worker waiting on its task queue never learns that a SIGKILLed
+    parent is gone, so a daemon thread polls ``os.getppid()`` and ends
+    the worker when it changes.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _run_solo(
     cell: SweepCell, timeout: Optional[float], retries: int, prior_attempts: int
 ) -> Tuple[str, object, float, Optional[int], int]:
@@ -525,29 +508,27 @@ def _run_solo(
     )
     for _ in range(retries + 1):
         attempts += 1
-        pool = ProcessPoolExecutor(max_workers=1)
-        fut = pool.submit(_execute, cell)
+        pool = ProcessPoolExecutor(max_workers=1, initializer=_exit_with_parent)
+        clean = False
         try:
-            last = fut.result(timeout=timeout)
-            pool.shutdown()
+            (last,) = pool.submit(_run_chunk, [cell]).result(timeout=timeout)
+            clean = True
         except FuturesTimeout:
-            _kill_pool(pool)
             last = (
                 "timeout",
                 f"cell exceeded the per-cell timeout of {timeout:g}s",
                 float(timeout or 0.0),
                 None,
             )
-            continue
         except Exception as exc:  # worker process died mid-cell
-            _kill_pool(pool)
             last = (
                 "worker-lost",
                 f"worker process died while running this cell: {exc!r}",
                 0.0,
                 None,
             )
-            continue
+        finally:
+            pool.shutdown() if clean else _kill_pool(pool)
         if last[0] == "ok":
             break
     return last[0], last[1], last[2], last[3], attempts
@@ -558,11 +539,12 @@ def _run_pool(
     jobs: int,
     timeout: Optional[float],
     retries: int,
-    monitor: Optional[SweepMonitor] = None,
-    index_of: Optional[Dict[SweepCell, int]] = None,
-) -> Dict[SweepCell, Tuple[str, object, float, Optional[int], int]]:
+    started: Callable[[SweepCell], None],
+    settle: Callable[[SweepCell, str, object, float, Optional[int], int], None],
+) -> None:
     """Fan cells over a process pool in per-program chunks, surviving
-    hangs and dead workers.
+    hangs and dead workers, and ``settle`` each cell's final outcome as
+    its chunk is collected.
 
     Each pool task is one chunk (:func:`_chunks`): cells that share a
     canonical program, at most ⌈cells in the batch / jobs⌉ of them, so a
@@ -579,71 +561,58 @@ def _run_pool(
     torn down and every cell of every unfinished chunk re-runs through
     :func:`_run_solo`, where blame is unambiguous.  One poisoned cell
     therefore fails alone; its neighbours complete on the respawned path.
+    If ``settle`` raises, or the user interrupts, the pool is torn down
+    before the exception propagates.
     """
-    outcomes: Dict[SweepCell, Tuple[str, object, float, Optional[int], int]] = {}
     attempts: Dict[SweepCell, int] = {cell: 0 for cell in unique}
-
-    def _idx(cell: SweepCell) -> int:
-        return index_of.get(cell, 0) if index_of is not None else 0
-
-    def _record(
-        cell: SweepCell, status: str, payload: object, seconds: float,
-        pid: Optional[int],
-    ) -> None:
-        outcomes[cell] = (status, payload, seconds, pid, attempts[cell])
-        if monitor is not None:
-            monitor.finished(
-                cell.label(), _idx(cell), status == "ok", seconds,
-                source="run", worker=pid,
-            )
-
     batch = list(unique)
     solo: List[SweepCell] = []
     while batch:
         for cell in batch:
             attempts[cell] += 1
         chunks = _chunks(batch, jobs)
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(chunks)))
-        futures = []
-        for chunk in chunks:
-            if monitor is not None:
-                for cell in chunk:
-                    monitor.started(cell.label(), _idx(cell))
-            futures.append((chunk, pool.submit(_run_chunk, chunk)))
+        pool = ProcessPoolExecutor(
+            max_workers=min(jobs, len(chunks)), initializer=_exit_with_parent
+        )
         retry_batch: List[SweepCell] = []
-        broken = False
-        for chunk, fut in futures:
-            # Once the pool is compromised, only finished chunks are
-            # harvested.
-            deadline = None if timeout is None else timeout * len(chunk)
-            try:
-                results = fut.result(timeout=0 if broken else deadline)
-            except Exception:
-                # Which cell hung or killed its worker is unknowable from
-                # here: isolation will tell, with each cell's timeout
-                # measured fairly from its own start.  The aborted
-                # attempt is not charged to these cells.
-                broken = True
+        broken = clean = False
+        try:
+            futures = []
+            for chunk in chunks:
                 for cell in chunk:
-                    attempts[cell] -= 1
-                    solo.append(cell)
-                continue
-            for cell, (status, payload, seconds, pid) in zip(chunk, results):
-                if status == "ok" or attempts[cell] > retries:
-                    _record(cell, status, payload, seconds, pid)
-                else:
-                    retry_batch.append(cell)
-        _kill_pool(pool) if broken else pool.shutdown()
+                    started(cell)
+                futures.append((chunk, pool.submit(_run_chunk, chunk)))
+            for chunk, fut in futures:
+                # Once the pool is compromised, only finished chunks are
+                # harvested.
+                deadline = None if timeout is None else timeout * len(chunk)
+                try:
+                    results = fut.result(timeout=0 if broken else deadline)
+                except Exception:
+                    # Which cell hung or killed its worker is unknowable
+                    # from here: isolation will tell, with each cell's
+                    # timeout measured fairly from its own start.  The
+                    # aborted attempt is not charged to these cells.
+                    broken = True
+                    for cell in chunk:
+                        attempts[cell] -= 1
+                        solo.append(cell)
+                    continue
+                for cell, (status, payload, seconds, pid) in zip(chunk, results):
+                    if status == "ok" or attempts[cell] > retries:
+                        settle(cell, status, payload, seconds, pid, attempts[cell])
+                    else:
+                        retry_batch.append(cell)
+            clean = not broken
+        finally:
+            pool.shutdown() if clean else _kill_pool(pool)
         batch = retry_batch
     for cell in solo:
-        if monitor is not None:
-            monitor.started(cell.label(), _idx(cell))
-        status, payload, seconds, pid, n_attempts = _run_solo(
+        started(cell)
+        status, payload, seconds, pid, attempts[cell] = _run_solo(
             cell, timeout, retries, attempts[cell]
         )
-        attempts[cell] = n_attempts
-        _record(cell, status, payload, seconds, pid)
-    return outcomes
+        settle(cell, status, payload, seconds, pid, attempts[cell])
 
 
 def run_sweep(
@@ -663,6 +632,10 @@ def run_sweep(
     one it is running.  A group of more than ⌈misses / jobs⌉ cells is
     split into chunks of at most that size, so even a one-program sweep
     uses every worker (:func:`_run_pool`).
+
+    Each cell is settled — stored in the memo and ``cache``, reported to
+    the monitor — as soon as its outcome arrives, so an exception or a
+    kill part-way leaves every finished cell in ``cache`` for a rerun.
 
     ``timeout`` bounds each cell's execution in seconds (a chunk is
     given ``timeout`` x its cell count, and the cells of a chunk that
@@ -684,41 +657,50 @@ def run_sweep(
     cache_misses = len(plan.pending) if cache is not None else 0
 
     unique = plan.outstanding()
-    first_index = plan.first_index()
+
+    def started(cell: SweepCell) -> None:
+        if monitor.enabled:
+            monitor.started(cell.label(), plan.pending[cell][0])
+
+    def settle(
+        cell: SweepCell, status: str, payload: object, seconds: float,
+        pid: Optional[int], attempts: int,
+    ) -> None:
+        if status == "ok":
+            assert isinstance(payload, MachineStats)
+            res = CellResult(cell, payload, wall_time=seconds, source="run")
+            if use_memo:
+                memo_store(cell.run_key(), payload)
+            if cache is not None:
+                cache.store(cell.fingerprint(), payload)
+        else:
+            res = CellResult(
+                cell, None, failure=_failure(status, payload, attempts),
+                wall_time=seconds,
+            )
+        first, *duplicates = plan.pending[cell]
+        for idx in plan.pending[cell]:
+            plan.results[idx] = res
+        if monitor.enabled:
+            monitor.finished(
+                cell.label(), first, res.ok, seconds, source="run", worker=pid
+            )
+            # Duplicate cells shared this execution; account them so the
+            # campaign's done-count reaches the input cell total.
+            for idx in duplicates:
+                monitor.finished(cell.label(), idx, res.ok, 0.0, source="memo")
+
     if (jobs > 1 or timeout is not None) and unique:
-        by_cell = _run_pool(
-            unique, max(jobs, 1), timeout, retries,
-            monitor=monitor if monitor.enabled else None,
-            index_of=first_index,
-        )
-        outcomes = [(cell,) + by_cell[cell] for cell in unique]
+        _run_pool(unique, max(jobs, 1), timeout, retries, started, settle)
     else:
-        outcomes = []
         for cell in unique:
-            if monitor.enabled:
-                monitor.started(cell.label(), first_index[cell])
+            started(cell)
             status, payload, seconds, pid = _execute(cell)
             attempts = 1
             while status != "ok" and attempts <= retries:
                 status, payload, seconds, pid = _execute(cell)
                 attempts += 1
-            if monitor.enabled:
-                monitor.finished(
-                    cell.label(), first_index[cell], status == "ok", seconds,
-                    source="run", worker=pid,
-                )
-            outcomes.append((cell, status, payload, seconds, pid, attempts))
-
-    for cell, status, payload, seconds, _pid, attempts in outcomes:
-        res = settle_outcome(
-            plan, cell, status, payload, seconds, attempts,
-            cache=cache, use_memo=use_memo,
-        )
-        if monitor.enabled:
-            # Duplicate cells shared this execution; account them so the
-            # campaign's done-count reaches the input cell total.
-            for idx in plan.pending[cell][1:]:
-                monitor.finished(cell.label(), idx, res.ok, 0.0, source="memo")
+            settle(cell, status, payload, seconds, pid, attempts)
 
     final = plan.finish()
     result = SweepResult(

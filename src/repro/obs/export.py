@@ -22,10 +22,6 @@ from repro.sim.stats import CoreStats, MachineStats
 STATS_SCHEMA = "repro.stats/1"
 BENCH_SCHEMA = "repro.bench/1"
 SWEEP_SCHEMA = "repro.sweep/1"
-#: the campaign service's write-ahead journal (JSONL, one record/line).
-CAMPAIGN_SCHEMA = "repro.campaign/1"
-#: the campaign service's HTTP status document.
-CAMPAIGN_STATUS_SCHEMA = "repro.campaign-status/1"
 
 #: CoreStats fields exported per core, in declaration order.
 _CORE_FIELDS = tuple(f.name for f in dataclasses.fields(CoreStats) if f.name != "metrics")
@@ -174,42 +170,6 @@ def load_sweep_json(path: str) -> Dict[str, object]:
     doc.setdefault("cache_hits", 0)
     doc.setdefault("cache_misses", 0)
     doc.setdefault("memo_hits", 0)
-    return doc
-
-
-def campaign_status_to_json(
-    campaign_id: str,
-    kind: str,
-    status: str,
-    total: int,
-    done: int,
-    errors: int,
-    spec: Dict[str, object],
-    workers: Optional[List[Dict[str, object]]] = None,
-    detail: Optional[str] = None,
-) -> Dict[str, object]:
-    """Schema ``repro.campaign-status/1``: one campaign's live status.
-
-    Served by ``GET /campaigns/<id>`` — deliberately wall-clock-free so
-    polling clients can diff consecutive documents and see only real
-    progress.  ``status`` walks ``queued -> running -> finished``
-    (terminal alternatives: ``cancelled``, ``failed``); ``detail``
-    carries the failure message on ``failed``.
-    """
-    doc: Dict[str, object] = {
-        "schema": CAMPAIGN_STATUS_SCHEMA,
-        "id": campaign_id,
-        "kind": kind,
-        "status": status,
-        "total": total,
-        "done": done,
-        "errors": errors,
-        "spec": spec,
-    }
-    if workers is not None:
-        doc["workers"] = workers
-    if detail is not None:
-        doc["detail"] = detail
     return doc
 
 

@@ -1,9 +1,8 @@
 """Campaign telemetry: the ``repro.runlog/1`` JSONL run log.
 
 Long-running ``sweep`` and ``soak`` campaigns need observability while
-they run, not just a result document afterwards — the ROADMAP-item-2
-campaign service will stream exactly this.  A :class:`RunLog` appends
-one self-describing JSON object per line:
+they run, not just a result document afterwards.  A :class:`RunLog`
+appends one self-describing JSON object per line:
 
 * ``start``       — campaign kind, total work items, invocation metadata;
 * ``cell-start``  — a work item was handed to a worker;
@@ -131,18 +130,13 @@ class RunLog:
             fh.close()
 
 
-def parse_jsonl_tolerant(
-    path: str, schema: str, what: str = "runlog"
-) -> List[Dict[str, object]]:
-    """Parse a schema-tagged JSONL stream, tolerating a torn tail.
+def read_runlog(path: str) -> List[Dict[str, object]]:
+    """Parse a run log, tolerating a torn tail.
 
-    The shared reader shape for every append-only log in the repo (the
-    run log here, the campaign journal in :mod:`repro.service.journal`):
-    a truncated *final* line — a live writer mid-append, or the fsync'd
-    prefix a ``kill -9`` left behind — is silently dropped and the
-    parsed prefix returned, while a malformed or foreign-schema line
-    anywhere *before* the tail is real corruption and raises
-    ``ValueError``.
+    A truncated *final* line — a live campaign mid-append, or what a
+    ``kill -9`` left behind — is dropped and the parsed prefix returned.
+    A malformed or non-runlog line anywhere before the tail is real
+    corruption and raises ``ValueError``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -156,23 +150,14 @@ def parse_jsonl_tolerant(
         except json.JSONDecodeError:
             if lineno == len(lines):
                 break  # torn tail of a live log
-            raise ValueError(f"{path}:{lineno}: malformed {what} line")
-        if not isinstance(record, dict) or record.get("schema") != schema:
+            raise ValueError(f"{path}:{lineno}: malformed runlog line")
+        if not isinstance(record, dict) or record.get("schema") != RUNLOG_SCHEMA:
             got = record.get("schema") if isinstance(record, dict) else record
             raise ValueError(
-                f"{path}:{lineno}: expected schema {schema!r}, got {got!r}"
+                f"{path}:{lineno}: expected schema {RUNLOG_SCHEMA!r}, got {got!r}"
             )
         records.append(record)
     return records
-
-
-def read_runlog(path: str) -> List[Dict[str, object]]:
-    """Parse a run log; raises ValueError on a non-runlog line.
-
-    Truncated final lines (a live campaign mid-write) are tolerated —
-    the parsed prefix is returned.
-    """
-    return parse_jsonl_tolerant(path, RUNLOG_SCHEMA, what="runlog")
 
 
 class Progress:

@@ -8,9 +8,9 @@ closures were rewritten:
 
 * ``tests/chaos/data/soak_queue_seeds25_seed7.json`` — the output of
   ``repro soak queue --seeds 25 --seed 7 --json``, and
-  ``soak_queue_seeds25_seed7_cases.json`` — every case of that campaign
-  in its wire form (plan, violation message, recovery passes, media
-  fault accounting), which the summary only counts;
+  ``soak_queue_seeds25_seed7_cases.json`` — every field of every case
+  of that campaign (plan, violation message, recovery passes, media
+  fault accounting, shrink result), which the summary only counts;
 * ``tests/chaos/data/crashtest_queue_all_crashes10_seed7.json`` — the
   output of ``repro crashtest queue --design all --crashes 10 --seed 7
   --json``.
@@ -21,6 +21,7 @@ Re-record (only for a deliberate change to crash-test outcomes)::
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -49,11 +50,26 @@ def run_cli(argv) -> str:
     return out.getvalue()
 
 
+def case_doc(case) -> dict:
+    """Every field of one :class:`~repro.chaos.soak.SoakCase`, as JSON."""
+    return {
+        "index": case.index,
+        "seed": case.seed,
+        "design": case.design,
+        "plan": case.plan_desc,
+        "violation": case.violation,
+        "expected": case.expected,
+        "recovery_passes": case.recovery_passes,
+        "media_faults": case.media_faults,
+        "shrunk": None if case.shrunk is None else dataclasses.asdict(case.shrunk),
+    }
+
+
 def soak_docs():
     """The pinned soak campaign's ``--json`` text and its cases' text."""
     result = run_soak("queue", seeds=25, seed=7)
     summary = json.dumps(result.summary(), indent=1, sort_keys=True) + "\n"
-    cases = json.dumps([c.to_json() for c in result.cases], indent=1, sort_keys=True)
+    cases = json.dumps([case_doc(c) for c in result.cases], indent=1, sort_keys=True)
     return summary, cases + "\n"
 
 

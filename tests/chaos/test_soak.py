@@ -1,11 +1,20 @@
-"""Soak campaign: determinism, isolated replay, shrinker hand-off."""
+"""Soak campaign: determinism, isolated replay, case purity, replay
+flags, shrinker hand-off."""
 
 import json
 
 from repro.chaos import CrashHarness, run_soak
 from repro.chaos.harness import CHAOS_CFG
 from repro.chaos.shrink import not_reproducible, shrink_crash_point
-from repro.chaos.soak import pick_design, sample_case_schedule
+from repro.chaos.soak import (
+    SoakCase,
+    SoakResult,
+    design_pool_for,
+    pick_design,
+    run_soak_case,
+    sample_case_schedule,
+)
+from repro.sim.machine import DESIGNS
 
 
 def _summary_blob(result):
@@ -83,6 +92,78 @@ def test_unexpected_failure_is_shrunk_and_replayable(monkeypatch):
     failing = result.summary()["failing"][0]
     assert "soak queue --design strandweaver" in failing["replay"]
     assert "not reproducible" in failing["shrunk"]
+
+
+class TestCasePurity:
+    """Each case depends only on its seed and index, so a long campaign
+    can be split across processes with ``--seed`` and ``--seeds``."""
+
+    def test_run_soak_case_matches_the_serial_campaign(self):
+        pool = design_pool_for(None)
+        serial = run_soak("queue", seeds=3, seed=7)
+        for case in serial.cases:
+            alone = run_soak_case("queue", case.seed, case.index, pool)
+            assert alone == case
+
+    def test_out_of_order_reassembly_is_identical(self):
+        pool = design_pool_for(None)
+        serial = run_soak("queue", seeds=4, seed=7)
+        # run the second half first: order must not matter
+        out = {}
+        for idx in (2, 3, 0, 1):
+            out[idx] = run_soak_case("queue", 7 + idx, idx, pool)
+        assert [out[i] for i in sorted(out)] == serial.cases
+
+    def test_design_pool_for_defaults_to_all_designs_sorted(self):
+        assert design_pool_for(None) == sorted(DESIGNS)
+        assert design_pool_for(["strandweaver"]) == ["strandweaver"]
+
+
+def _case(**over) -> SoakCase:
+    doc = dict(index=3, seed=10, design="strandweaver", plan_desc="crash@5")
+    doc.update(over)
+    return SoakCase(**doc)
+
+
+class TestReplayCommandFlags:
+    """Replay one-liners must echo every campaign flag that shapes a case.
+
+    A campaign run with ``--no-media`` draws a *different* plan for the
+    same seed, so a replay without the flag chases a different failure
+    than the one reported.  Pinned here so the flags can never silently
+    drop out of the command again.
+    """
+
+    def _result(self, media: bool, shrink: bool) -> SoakResult:
+        return SoakResult(
+            workload="queue", seed=7, n_seeds=1, media=media,
+            designs=["strandweaver"], shrink=shrink,
+        )
+
+    def test_default_flags_produce_the_bare_command(self):
+        cmd = self._result(media=True, shrink=True).replay_command(_case())
+        assert cmd == (
+            "python -m repro soak queue --design strandweaver --seeds 1 --seed 10"
+        )
+
+    def test_no_media_campaign_echoes_no_media(self):
+        cmd = self._result(media=False, shrink=True).replay_command(_case())
+        assert "--no-media" in cmd
+
+    def test_no_shrink_campaign_echoes_no_shrink(self):
+        cmd = self._result(media=True, shrink=False).replay_command(_case())
+        assert "--no-shrink" in cmd
+
+    def test_both_flags_echo_together(self):
+        cmd = self._result(media=False, shrink=False).replay_command(_case())
+        assert "--no-media" in cmd and "--no-shrink" in cmd
+
+    def test_summary_embeds_the_flagged_replay_for_failures(self):
+        result = self._result(media=False, shrink=False)
+        result.cases = [_case(violation="queue lost an element", expected=False)]
+        (failing,) = result.summary()["failing"]
+        assert "--no-media" in failing["replay"]
+        assert "--no-shrink" in failing["replay"]
 
 
 # -- shrinker guard rails ------------------------------------------------

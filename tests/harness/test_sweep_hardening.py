@@ -1,10 +1,17 @@
-"""Sweep resilience: dead workers, hung cells, retries, failure provenance."""
+"""Sweep resilience: dead workers, hung cells, retries, failure
+provenance, and resuming a killed or interrupted sweep from the cache."""
 
 import json
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+from repro.harness import sweep
 from repro.harness.cachedir import CellCache
 from repro.harness.experiment import clear_cache
 from repro.harness.sweep import (
@@ -16,6 +23,7 @@ from repro.harness.sweep import (
 )
 
 OPS = 4
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 
 @pytest.fixture(autouse=True)
@@ -53,6 +61,32 @@ def test_killed_worker_fails_exactly_one_cell(monkeypatch):
             assert "died" in res.error
         else:
             assert res.ok, res.error
+
+
+def test_transient_worker_death_is_retried_to_ok(tmp_path, monkeypatch):
+    """A worker killed once (a marker file makes the kill one-shot) costs
+    its cell one re-run, not a failure."""
+    cells = _cells()
+    victim = cells[1].label()
+    marker = tmp_path / "killed-once"
+    original = sweep._execute
+
+    def dies_once(cell):
+        if cell.label() == victim and not marker.exists():
+            marker.write_text(str(os.getpid()))
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(cell)
+
+    # the pools fork after the patch, so their workers inherit it
+    monkeypatch.setattr(sweep, "_execute", dies_once)
+    result = run_sweep(cells, jobs=2, use_memo=False, retries=1)
+    assert marker.exists(), "the victim's worker never ran"
+    assert int(marker.read_text()) != os.getpid()
+    assert result.errors == 0, [res.error for res in result.cells]
+    undisturbed = run_sweep(cells, jobs=1, use_memo=False)
+    assert result.to_json(deterministic=True) == undisturbed.to_json(
+        deterministic=True
+    )
 
 
 def test_killed_worker_retries_then_fails(monkeypatch):
@@ -178,3 +212,138 @@ def test_truncated_cache_entry_is_recomputed_not_served(tmp_path):
         pass
     assert cache.lookup(cell.fingerprint()) is None
     assert os.path.getsize(path) == 0
+
+
+# -- resume from the cache -------------------------------------------------
+
+
+def _entries(root):
+    return sorted(str(p) for p in root.rglob("*.json"))
+
+
+def test_interrupted_serial_sweep_keeps_finished_cells(tmp_path, monkeypatch):
+    """An interrupt on the third of four cells leaves the two finished
+    cells in the cache, where a rerun finds them."""
+    cells = _cells()
+    original = sweep._execute
+    ran = []
+
+    def interrupted(cell):
+        ran.append(cell)
+        if len(ran) == 3:
+            raise KeyboardInterrupt
+        return original(cell)
+
+    monkeypatch.setattr(sweep, "_execute", interrupted)
+    cache = CellCache(str(tmp_path))
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(cells, jobs=1, cache=cache, use_memo=False)
+    assert len(_entries(tmp_path)) == 2
+    cached = [c for c in cells if cache.lookup(c.fingerprint()) is not None]
+    assert cached == cells[:2]
+
+
+def test_failed_settle_tears_the_pool_down(tmp_path, monkeypatch):
+    """A cache write that fails while another chunk is still running
+    propagates, and the busy worker is killed, not left to finish."""
+    cache = CellCache(str(tmp_path))
+
+    def disk_full(fingerprint, stats):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cache, "store", disk_full)
+    # the hashmap chunk hangs; the queue chunk's first settle fails
+    monkeypatch.setenv(TEST_HANG_ENV, "hashmap/strandweaver/txn")
+    with pytest.raises(OSError, match="disk full"):
+        run_sweep(_cells(), jobs=2, cache=cache, use_memo=False)
+    deadline = time.monotonic() + 5.0
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not multiprocessing.active_children()
+
+
+def _sweep_cli(args, env=None):
+    """``repro sweep`` in its own process group, so every process of the
+    sweep — the CLI and its pool workers — can be found after a kill."""
+    full_env = {
+        k: v for k, v in os.environ.items() if k not in (TEST_HANG_ENV, TEST_KILL_ENV)
+    }
+    full_env.update(env or {}, PYTHONPATH=SRC)
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "sweep", "--workloads", "queue,hashmap",
+         "--designs", "intel-x86,strandweaver", "--ops", str(OPS), "-j", "2",
+         "--deterministic", "--json", *args],
+        env=full_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+
+
+def _live_group_members(pgid):
+    """Pids of the processes in group ``pgid`` that have not exited
+    (zombies count as exited)."""
+    alive = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        # after the parenthesised command name: state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            alive.append(int(entry))
+    return alive
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_kill9_sweep_resumes_from_the_cache(tmp_path):
+    """SIGKILL a ``-j 2`` sweep once one chunk's cells are settled: its
+    workers exit, and a rerun reads those cells back from the cache,
+    runs only the rest, and prints the uninterrupted run's bytes."""
+    control = _sweep_cli(["--no-cache"])
+    control_out, err = control.communicate(timeout=300)
+    assert control.returncode == 0, err.decode()
+
+    cache_dir = tmp_path / "cache"
+    cache = CellCache(str(cache_dir))
+    queue_entries = [
+        cache.path_for(SweepCell("queue", design, ops_per_thread=OPS).key())
+        for design in ("intel-x86", "strandweaver")
+    ]
+    # The hashmap chunk hangs, so only the queue chunk can settle.
+    with _sweep_cli(
+        ["--cache-dir", str(cache_dir)],
+        env={TEST_HANG_ENV: "hashmap/strandweaver/txn"},
+    ) as proc:
+        try:
+            deadline = time.monotonic() + 30.0
+            while not all(os.path.exists(p) for p in queue_entries):
+                assert proc.poll() is None, proc.stderr.read().decode()
+                assert time.monotonic() < deadline, "the queue cells never reached the cache"
+                time.sleep(0.05)
+            os.kill(proc.pid, signal.SIGKILL)
+            assert proc.wait(timeout=30) == -signal.SIGKILL
+            deadline = time.monotonic() + 5.0
+            while _live_group_members(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not _live_group_members(proc.pid), "pool workers outlived the sweep"
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+    assert _entries(cache_dir) == sorted(queue_entries)
+    before = {p: os.stat(p) for p in queue_entries}
+
+    rerun = _sweep_cli(["--cache-dir", str(cache_dir)])
+    out, err = rerun.communicate(timeout=300)
+    assert rerun.returncode == 0, err.decode()
+    assert out == control_out
+    # The settled cells were read, not re-run: a re-run would have
+    # replaced their entries with new files.
+    for path, st in before.items():
+        now = os.stat(path)
+        assert (now.st_ino, now.st_mtime_ns) == (st.st_ino, st.st_mtime_ns)
+    assert len(_entries(cache_dir)) == 4
