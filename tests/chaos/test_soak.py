@@ -1,8 +1,12 @@
 """Soak campaign: determinism, isolated replay, case purity, replay
 flags, shrinker hand-off."""
 
+import dataclasses
 import json
 
+import pytest
+
+from repro.__main__ import main
 from repro.chaos import CrashHarness, run_soak
 from repro.chaos.harness import CHAOS_CFG
 from repro.chaos.shrink import not_reproducible, shrink_crash_point
@@ -117,6 +121,39 @@ class TestCasePurity:
     def test_design_pool_for_defaults_to_all_designs_sorted(self):
         assert design_pool_for(None) == sorted(DESIGNS)
         assert design_pool_for(["strandweaver"]) == ["strandweaver"]
+
+
+class TestSplitCampaign:
+    """``--seed S --seeds N`` split at any point into ``--seed S --seeds
+    k`` and ``--seed S+k --seeds N-k`` runs the same cases; only each
+    case's index within its own run differs."""
+
+    @pytest.mark.parametrize("split", [1, 2, 3])
+    @pytest.mark.parametrize("workload", ["queue", "hashmap"])
+    def test_halves_reproduce_the_whole_campaign(self, workload, split):
+        whole = run_soak(workload, seeds=4, seed=7)
+        head = run_soak(workload, seeds=split, seed=7)
+        tail = run_soak(workload, seeds=4 - split, seed=7 + split)
+        rejoined = head.cases + [
+            dataclasses.replace(case, index=case.index + split) for case in tail.cases
+        ]
+        assert rejoined == whole.cases
+
+    @pytest.mark.parametrize("design", ["all", "non-atomic"])
+    def test_cli_summaries_of_the_halves_add_up(self, capsys, design):
+        def soak(seeds, seed):
+            rc = main(["soak", "queue", "--design", design, "--seeds", str(seeds),
+                       "--seed", str(seed), "--json"])
+            assert rc == 0
+            return json.loads(capsys.readouterr().out)
+
+        whole, head, tail = soak(5, 7), soak(2, 7), soak(3, 9)
+        for key in ("cases", "failures", "expected_violations",
+                    "recovery_passes", "media_cases", "media_retries"):
+            assert head[key] + tail[key] == whole[key], key
+        assert whole["failing"] == head["failing"] + tail["failing"] == []
+        if design == "non-atomic":
+            assert whole["expected_violations"] > 0
 
 
 def _case(**over) -> SoakCase:

@@ -262,7 +262,7 @@ def test_failed_settle_tears_the_pool_down(tmp_path, monkeypatch):
     assert not multiprocessing.active_children()
 
 
-def _sweep_cli(args, env=None):
+def _sweep_cli(args, env=None, jobs=2):
     """``repro sweep`` in its own process group, so every process of the
     sweep — the CLI and its pool workers — can be found after a kill."""
     full_env = {
@@ -271,7 +271,7 @@ def _sweep_cli(args, env=None):
     full_env.update(env or {}, PYTHONPATH=SRC)
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "sweep", "--workloads", "queue,hashmap",
-         "--designs", "intel-x86,strandweaver", "--ops", str(OPS), "-j", "2",
+         "--designs", "intel-x86,strandweaver", "--ops", str(OPS), "-j", str(jobs),
          "--deterministic", "--json", *args],
         env=full_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         start_new_session=True,
@@ -297,31 +297,30 @@ def _live_group_members(pgid):
     return alive
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
-def test_kill9_sweep_resumes_from_the_cache(tmp_path):
-    """SIGKILL a ``-j 2`` sweep once one chunk's cells are settled: its
-    workers exit, and a rerun reads those cells back from the cache,
-    runs only the rest, and prints the uninterrupted run's bytes."""
-    control = _sweep_cli(["--no-cache"])
+def _kill9_drill(tmp_path, jobs, settled):
+    """SIGKILL a ``-j jobs`` sweep whose hashmap/strandweaver cell hangs,
+    once the ``settled`` cells are in the cache: no process of the sweep
+    survives, and a rerun reads those cells back from the cache, runs
+    only the rest, and prints the uninterrupted run's bytes."""
+    control = _sweep_cli(["--no-cache"], jobs=jobs)
     control_out, err = control.communicate(timeout=300)
     assert control.returncode == 0, err.decode()
 
     cache_dir = tmp_path / "cache"
     cache = CellCache(str(cache_dir))
-    queue_entries = [
-        cache.path_for(SweepCell("queue", design, ops_per_thread=OPS).key())
-        for design in ("intel-x86", "strandweaver")
+    settled_entries = [
+        cache.path_for(SweepCell(bench, design, ops_per_thread=OPS).key())
+        for bench, design in settled
     ]
-    # The hashmap chunk hangs, so only the queue chunk can settle.
     with _sweep_cli(
         ["--cache-dir", str(cache_dir)],
-        env={TEST_HANG_ENV: "hashmap/strandweaver/txn"},
+        env={TEST_HANG_ENV: "hashmap/strandweaver/txn"}, jobs=jobs,
     ) as proc:
         try:
             deadline = time.monotonic() + 30.0
-            while not all(os.path.exists(p) for p in queue_entries):
+            while not all(os.path.exists(p) for p in settled_entries):
                 assert proc.poll() is None, proc.stderr.read().decode()
-                assert time.monotonic() < deadline, "the queue cells never reached the cache"
+                assert time.monotonic() < deadline, "the settled cells never reached the cache"
                 time.sleep(0.05)
             os.kill(proc.pid, signal.SIGKILL)
             assert proc.wait(timeout=30) == -signal.SIGKILL
@@ -334,10 +333,10 @@ def test_kill9_sweep_resumes_from_the_cache(tmp_path):
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
-    assert _entries(cache_dir) == sorted(queue_entries)
-    before = {p: os.stat(p) for p in queue_entries}
+    assert _entries(cache_dir) == sorted(settled_entries)
+    before = {p: os.stat(p) for p in settled_entries}
 
-    rerun = _sweep_cli(["--cache-dir", str(cache_dir)])
+    rerun = _sweep_cli(["--cache-dir", str(cache_dir)], jobs=jobs)
     out, err = rerun.communicate(timeout=300)
     assert rerun.returncode == 0, err.decode()
     assert out == control_out
@@ -347,3 +346,24 @@ def test_kill9_sweep_resumes_from_the_cache(tmp_path):
         now = os.stat(path)
         assert (now.st_ino, now.st_mtime_ns) == (st.st_ino, st.st_mtime_ns)
     assert len(_entries(cache_dir)) == 4
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_kill9_sweep_resumes_from_the_cache(tmp_path):
+    """``-j 2``: the hashmap chunk hangs, so only the queue chunk's two
+    cells can settle before the kill."""
+    _kill9_drill(
+        tmp_path, jobs=2,
+        settled=[("queue", "intel-x86"), ("queue", "strandweaver")],
+    )
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_kill9_serial_sweep_resumes_from_the_cache(tmp_path):
+    """``-j 1``: the three cells before the hanging one settle, in order,
+    before the kill."""
+    _kill9_drill(
+        tmp_path, jobs=1,
+        settled=[("queue", "intel-x86"), ("queue", "strandweaver"),
+                 ("hashmap", "intel-x86")],
+    )

@@ -63,6 +63,52 @@ def test_wrong_schema_rejected(tmp_path):
         read_runlog(str(path))
 
 
+def test_non_object_line_rejected(tmp_path):
+    path = tmp_path / "run.jsonl"
+    path.write_text('["schema", "repro.runlog/1"]\n')
+    with pytest.raises(ValueError, match=r"run\.jsonl:1: expected schema"):
+        read_runlog(str(path))
+
+
+def test_empty_runlog_has_no_records(tmp_path):
+    path = tmp_path / "run.jsonl"
+    path.write_text("")
+    assert read_runlog(str(path)) == []
+
+
+def test_blank_lines_skipped(tmp_path):
+    record = json.dumps({"schema": RUNLOG_SCHEMA, "event": "start"})
+    path = tmp_path / "run.jsonl"
+    path.write_text(f"\n{record}\n\n{record}\n\n")
+    assert [e["event"] for e in read_runlog(str(path))] == ["start", "start"]
+
+
+def test_complete_final_line_without_newline_kept(tmp_path):
+    path = str(tmp_path / "run.jsonl")
+    log = RunLog(path, kind="sweep", total=1)
+    log.close()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"schema": RUNLOG_SCHEMA, "event": "finish"}))
+    assert [e["event"] for e in read_runlog(path)] == ["start", "finish"]
+
+
+def test_every_truncation_of_the_last_record_reads_the_prefix(tmp_path):
+    """Whatever byte a kill -9 cut the last append at, the reader returns
+    the records before it, and the whole record once it is complete."""
+    path = str(tmp_path / "run.jsonl")
+    log = RunLog(path, kind="sweep", total=1)
+    log.cell_finish("queue/strandweaver/txn", 0, ok=True, wall_time_s=0.1)
+    log.close()
+    whole = open(path, encoding="utf-8").read()
+    head, last = whole[: whole.rindex("{")], whole[whole.rindex("{"):]
+    for cut in range(len(last)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(head + last[:cut])
+        events = [e["event"] for e in read_runlog(path)]
+        assert events == (["start", "cell-finish"] if cut >= len(last) - 1
+                          else ["start"]), cut
+
+
 def test_progress_writes_line(tmp_path):
     out = []
 
