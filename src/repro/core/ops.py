@@ -486,6 +486,28 @@ class TraceCursor:
 (_STORE, _LOAD, _CLWB, _SFENCE, _PB, _NS, _JS, _OFENCE, _DFENCE,
  _LOCK_ACQ, _LOCK_REL, _COMPUTE, _VSTORE, _VLOAD) = map(int, OpKind)
 
+_FENCE_INTS = frozenset(map(int, FENCE_KINDS))
+#: constant column pieces of the emission blocks.
+_STORE_CLWB = array("i", (_STORE, _CLWB))
+_ZEROS2, _ZEROS6 = array("i", [0] * 2), array("i", [0] * 6)
+_NO_LOCKS2, _NO_LOCKS6 = array("i", [-1] * 2), array("i", [-1] * 6)
+
+
+def _flush_rows(addr: int, data: bytes, label: str, region: int, own: int) -> list:
+    """``(kind, addr, size, data, region, label)`` rows of a PM store and
+    its flush: one STORE per cache line touched, as :meth:`TraceCursor.store`
+    splits it, then one CLWB per line.  The STOREs carry ``region``, the
+    CLWBs ``own``; an empty payload is one empty STORE and no CLWB."""
+    rows = [
+        (_STORE, a, len(d), d, region, label)
+        for a, d in split_at_lines(addr, data)
+    ]
+    rows += [
+        (_CLWB, line * CACHE_LINE, CACHE_LINE, b"", own, label)
+        for line in lines_of(addr, len(data))
+    ]
+    return rows
+
 
 class ColumnCursor:
     """Emission helper writing one thread of a generated program straight
@@ -494,6 +516,15 @@ class ColumnCursor:
     The runtime (:mod:`repro.lang.runtime`) emits through this; it mirrors
     :class:`TraceCursor`, which builds ops for hand-written programs, and
     produces op-for-op the same trace.  Methods return nothing.
+
+    The runtime's fixed op patterns are emitted as blocks, one call each,
+    that extend every column, the record and the marker sites once: a
+    store and its flush (:meth:`store_and_flush`), a logged store
+    (:meth:`logged_store`) and a run of one-line stores (:meth:`store_run`).
+
+    A fence is ``(kind, label)``; only the marker dialect's placeholders
+    carry a label, and a labelled fence's ``(index, label)`` goes into the
+    trace's ``marker_sites`` as it is emitted.
     """
 
     __slots__ = ("program", "tid", "trace", "region")
@@ -518,6 +549,26 @@ class ColumnCursor:
         trace.lock_ids.append(lock_id)
         trace.record.extend((addr, size, data, gseq, region, label))
 
+    def _emit_rows(self, rows: list) -> None:
+        """Append ``(kind, addr, size, data, region, label)`` rows as ops
+        with no lock and no cycles, recording labelled fences' sites."""
+        trace = self.trace
+        program = self.program
+        gseq = program._next_gseq
+        base = len(trace.kinds)
+        n = len(rows)
+        program._next_gseq = gseq + n
+        trace.kinds.extend([row[0] for row in rows])
+        trace.lines.extend([row[1] // CACHE_LINE for row in rows])
+        trace.cycles.extend(repeat(0, n))
+        trace.lock_ids.extend(repeat(-1, n))
+        record = trace.record
+        sites = trace.marker_sites
+        for i, (kind, addr, size, data, region, label) in enumerate(rows):
+            record.extend((addr, size, data, gseq + i, region, label))
+            if label and kind in _FENCE_INTS:
+                sites.append((base + i, label))
+
     def store_and_flush(
         self, addr: int, data: bytes, label: str = "", region: Optional[int] = None
     ) -> None:
@@ -528,21 +579,122 @@ class ColumnCursor:
         own = self.region
         if region is None:
             region = own
-        emit = self._emit
         size = len(data)
         offset = addr % CACHE_LINE
-        if offset + size <= CACHE_LINE:  # one piece, at most one line
-            emit(_STORE, addr, size, data, -1, 0, label, region)
-            if size:
-                emit(_CLWB, addr - offset, CACHE_LINE, b"", -1, 0, label, own)
+        if not 0 < size <= CACHE_LINE - offset:
+            self._emit_rows(_flush_rows(addr, data, label, region, own))
             return
-        for a, d in split_at_lines(addr, data):
-            emit(_STORE, a, len(d), d, -1, 0, label, region)
-        for line in lines_of(addr, size):
-            emit(_CLWB, line * CACHE_LINE, CACHE_LINE, b"", -1, 0, label, own)
+        trace = self.trace
+        program = self.program
+        gseq = program._next_gseq
+        program._next_gseq = gseq + 2
+        line = addr // CACHE_LINE
+        trace.kinds.extend(_STORE_CLWB)
+        trace.lines.extend((line, line))
+        trace.cycles.extend(_ZEROS2)
+        trace.lock_ids.extend(_NO_LOCKS2)
+        trace.record.extend((
+            addr, size, data, gseq, region, label,
+            addr - offset, CACHE_LINE, b"", gseq + 1, own, label,
+        ))
+
+    def logged_store(
+        self, entry_addr: int, entry: bytes, entry_label: str,
+        pair: Optional[Tuple[int, str]], addr: int, data: bytes, label: str,
+        sep: Optional[Tuple[int, str]],
+    ) -> None:
+        """Emit one undo-logged store (Fig. 5) as one block: the log
+        entry's STORE + CLWB (``entry`` fills the cache line at
+        ``entry_addr``), the ``pair`` fence, the update's STORE piece(s)
+        + CLWB(s) as :meth:`store_and_flush` emits them, then the ``sep``
+        fence.  A fence of None emits nothing."""
+        size = len(data)
+        offset = addr % CACHE_LINE
+        region = self.region
+        if pair is None or sep is None or not 0 < size <= CACHE_LINE - offset:
+            rows = [
+                (_STORE, entry_addr, len(entry), entry, region, entry_label),
+                (_CLWB, entry_addr, CACHE_LINE, b"", region, entry_label),
+            ]
+            if pair is not None:
+                rows.append((pair[0], 0, 0, b"", region, pair[1]))
+            rows += _flush_rows(addr, data, label, region, region)
+            if sep is not None:
+                rows.append((sep[0], 0, 0, b"", region, sep[1]))
+            self._emit_rows(rows)
+            return
+        trace = self.trace
+        program = self.program
+        gseq = program._next_gseq
+        program._next_gseq = gseq + 6
+        kinds = trace.kinds
+        base = len(kinds)
+        pair_kind, pair_label = pair
+        sep_kind, sep_label = sep
+        entry_line = entry_addr // CACHE_LINE
+        line = addr // CACHE_LINE
+        kinds.extend((_STORE, _CLWB, pair_kind, _STORE, _CLWB, sep_kind))
+        trace.lines.extend((entry_line, entry_line, 0, line, line, 0))
+        trace.cycles.extend(_ZEROS6)
+        trace.lock_ids.extend(_NO_LOCKS6)
+        trace.record.extend((
+            entry_addr, len(entry), entry, gseq, region, entry_label,
+            entry_addr, CACHE_LINE, b"", gseq + 1, region, entry_label,
+            0, 0, b"", gseq + 2, region, pair_label,
+            addr, size, data, gseq + 3, region, label,
+            addr - offset, CACHE_LINE, b"", gseq + 4, region, label,
+            0, 0, b"", gseq + 5, region, sep_label,
+        ))
+        if pair_label:
+            trace.marker_sites.append((base + 2, pair_label))
+        if sep_label:
+            trace.marker_sites.append((base + 5, sep_label))
+
+    def store_run(self, addrs: List[int], data: bytes, label: str) -> None:
+        """Emit ``data`` stored and flushed at each of ``addrs`` as one
+        block: STORE, CLWB, STORE, CLWB, ...  Each store must lie inside
+        one cache line (a commit's log-entry invalidations)."""
+        size = len(data)
+        if any(not 0 < size <= CACHE_LINE - a % CACHE_LINE for a in addrs):
+            raise ValueError(f"a {size}-byte store of the run crosses a cache line")
+        n = 2 * len(addrs)
+        trace = self.trace
+        program = self.program
+        gseq = program._next_gseq
+        program._next_gseq = gseq + n
+        region = self.region
+        lines = [a // CACHE_LINE for a in addrs]
+        trace.kinds.extend(_STORE_CLWB * len(addrs))
+        trace.lines.extend([x for line in lines for x in (line, line)])
+        trace.cycles.extend(repeat(0, n))
+        trace.lock_ids.extend(repeat(-1, n))
+        record = trace.record
+        for i, (a, line) in enumerate(zip(addrs, lines)):
+            g = gseq + 2 * i
+            record.extend((
+                a, size, data, g, region, label,
+                line * CACHE_LINE, CACHE_LINE, b"", g + 1, region, label,
+            ))
+
+    def fence(self, fence: Optional[Tuple[int, str]]) -> None:
+        """Emit one ``(kind, label)`` fence; None emits nothing."""
+        if fence is None:
+            return
+        kind, label = fence
+        if label:
+            self.trace.marker_sites.append((len(self.trace.kinds), label))
+        self._emit(kind, 0, 0, b"", -1, 0, label, self.region)
 
     def load(self, addr: int, size: int, label: str = "") -> None:
-        self._emit(_LOAD, addr, size, b"", -1, 0, label, self.region)
+        trace = self.trace
+        program = self.program
+        gseq = program._next_gseq
+        program._next_gseq = gseq + 1
+        trace.kinds.append(_LOAD)
+        trace.lines.append(addr // CACHE_LINE)
+        trace.cycles.append(0)
+        trace.lock_ids.append(-1)
+        trace.record.extend((addr, size, b"", gseq, self.region, label))
 
     def vstore(self, addr: int, size: int, label: str = "") -> None:
         self._emit(_VSTORE, addr, size, b"", -1, 0, label, self.region)
@@ -550,8 +702,8 @@ class ColumnCursor:
     def vload(self, addr: int, size: int, label: str = "") -> None:
         self._emit(_VLOAD, addr, size, b"", -1, 0, label, self.region)
 
-    def sfence(self, label: str = "") -> None:
-        self._emit(_SFENCE, 0, 0, b"", -1, 0, label, self.region)
+    def sfence(self) -> None:
+        self._emit(_SFENCE, 0, 0, b"", -1, 0, "", self.region)
 
     def persist_barrier(self) -> None:
         self._emit(_PB, 0, 0, b"", -1, 0, "", self.region)

@@ -1,6 +1,6 @@
 """ISA dialects: how the logging runtime orders persists on each design.
 
-The undo-logging runtime of Section V needs four ordering points; each
+The undo-logging runtime of Section V has five ordering points; each
 hardware design provides them with its own primitives:
 
 =================  ===============  ============  =============
@@ -10,49 +10,52 @@ log -> update      persist barrier  SFENCE        ofence
 between pairs      NewStrand        SFENCE        ofence
 region drain       JoinStrand       SFENCE        dfence
 commit ordering    persist barrier  SFENCE        ofence
+region end         JoinStrand       SFENCE        ofence
 =================  ===============  ============  =============
 
-The NON-ATOMIC dialect emits none of them, which is why its traces fail
-the crash-consistency property tests — by design.
+Each dialect's :attr:`IsaDialect.fences` table is that column, and it is
+the one source of fence kinds: the runtime emits every fence by looking
+its ordering point up there, and :mod:`repro.lang.specialize` derives
+its marker rewrite from the same tables.  The NON-ATOMIC dialect emits
+none of them, which is why its traces fail the crash-consistency
+property tests — by design.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Dict, Type
+from typing import Dict, Optional, Tuple, Type
 
-from repro.core.ops import ColumnCursor
+from repro.core.ops import OpKind
+
+#: Ordering points of the runtime (Figures 5 and 6).
+PAIR = "pair"  #: a log persist before its in-place update
+SEPARATOR = "sep"  #: between independent log/update pairs
+DRAIN = "drain"  #: every prior persist of the region durable (commit gate)
+COMMIT = "commit"  #: the commit marker before the log invalidations
+REGION_END = "region-end"  #: leaving a region whose commit must be durable
+ORDERING_POINTS = (PAIR, SEPARATOR, DRAIN, COMMIT, REGION_END)
+
+#: what a cursor emits at one ordering point: ``(kind, label)``, or None.
+Fence = Optional[Tuple[int, str]]
 
 
-class IsaDialect(ABC):
-    """Ordering-primitive emission strategy for one hardware design."""
+class IsaDialect:
+    """Ordering-primitive choice of one hardware design."""
 
     name = "abstract"
     #: designs (Machine names) this dialect's traces are meant for.
-    designs = ()
+    designs: Tuple[str, ...] = ()
+    #: ordering point -> fence kind emitted there, or None for nothing.
+    fences: Dict[str, Optional[OpKind]] = dict.fromkeys(ORDERING_POINTS)
 
-    @abstractmethod
-    def pair_barrier(self, cur: ColumnCursor) -> None:
-        """Order a log persist before its in-place update (Fig. 5)."""
-
-    @abstractmethod
-    def pair_separator(self, cur: ColumnCursor) -> None:
-        """Separate independent log/update pairs (Fig. 5's NewStrand)."""
-
-    @abstractmethod
-    def region_drain(self, cur: ColumnCursor) -> None:
-        """Make every prior persist of the region durable (commit gate)."""
-
-    @abstractmethod
-    def commit_barrier(self, cur: ColumnCursor) -> None:
-        """Order the commit marker before log invalidations (Fig. 6)."""
-
-    def region_begin(self, cur: ColumnCursor) -> None:
-        """Entering a failure-atomic region (default: nothing)."""
-
-    def region_end(self, cur: ColumnCursor) -> None:
-        """Leaving a failure-atomic region (default: nothing)."""
-
+    def fence_ops(self) -> Dict[str, Fence]:
+        """Ordering point -> the fence a cursor emits there
+        (:meth:`~repro.core.ops.ColumnCursor.fence`).  Concrete fences
+        carry no label."""
+        return {
+            point: None if kind is None else (int(kind), "")
+            for point, kind in self.fences.items()
+        }
 
 
 class StrandDialect(IsaDialect):
@@ -60,21 +63,13 @@ class StrandDialect(IsaDialect):
 
     name = "strand"
     designs = ("strandweaver", "no-persist-queue")
-
-    def pair_barrier(self, cur: ColumnCursor) -> None:
-        cur.persist_barrier()
-
-    def pair_separator(self, cur: ColumnCursor) -> None:
-        cur.new_strand()
-
-    def region_drain(self, cur: ColumnCursor) -> None:
-        cur.join_strand()
-
-    def commit_barrier(self, cur: ColumnCursor) -> None:
-        cur.persist_barrier()
-
-    def region_end(self, cur: ColumnCursor) -> None:
-        cur.join_strand()
+    fences = {
+        PAIR: OpKind.PERSIST_BARRIER,
+        SEPARATOR: OpKind.NEW_STRAND,
+        DRAIN: OpKind.JOIN_STRAND,
+        COMMIT: OpKind.PERSIST_BARRIER,
+        REGION_END: OpKind.JOIN_STRAND,
+    }
 
 
 class X86Dialect(IsaDialect):
@@ -82,46 +77,26 @@ class X86Dialect(IsaDialect):
 
     name = "x86"
     designs = ("intel-x86",)
-
-    def pair_barrier(self, cur: ColumnCursor) -> None:
-        cur.sfence()
-
-    def pair_separator(self, cur: ColumnCursor) -> None:
-        cur.sfence()
-
-    def region_drain(self, cur: ColumnCursor) -> None:
-        cur.sfence()
-
-    def commit_barrier(self, cur: ColumnCursor) -> None:
-        cur.sfence()
-
-    def region_end(self, cur: ColumnCursor) -> None:
-        cur.sfence()
+    fences = dict.fromkeys(ORDERING_POINTS, OpKind.SFENCE)
 
 
 class HopsDialect(IsaDialect):
-    """HOPS: ofence for ordering, dfence for durability ([19])."""
+    """HOPS: ofence for ordering, dfence for durability ([19]).
+
+    One dfence per region (before the commit marker) is enough: epoch
+    ordering already orders the commit before the next region's
+    persists, so leaving the region needs no drain, only an ofence.
+    """
 
     name = "hops"
     designs = ("hops",)
-
-    def pair_barrier(self, cur: ColumnCursor) -> None:
-        cur.ofence()
-
-    def pair_separator(self, cur: ColumnCursor) -> None:
-        cur.ofence()
-
-    def region_drain(self, cur: ColumnCursor) -> None:
-        cur.dfence()
-
-    def commit_barrier(self, cur: ColumnCursor) -> None:
-        cur.ofence()
-
-    def region_end(self, cur: ColumnCursor) -> None:
-        # One dfence per region (before the commit marker) is enough:
-        # epoch ordering already orders the commit before the next
-        # region's persists, so leaving the region needs no drain [19].
-        cur.ofence()
+    fences = {
+        PAIR: OpKind.OFENCE,
+        SEPARATOR: OpKind.OFENCE,
+        DRAIN: OpKind.DFENCE,
+        COMMIT: OpKind.OFENCE,
+        REGION_END: OpKind.OFENCE,
+    }
 
 
 class NonAtomicDialect(IsaDialect):
@@ -129,18 +104,6 @@ class NonAtomicDialect(IsaDialect):
 
     name = "non-atomic"
     designs = ("non-atomic",)
-
-    def pair_barrier(self, cur: ColumnCursor) -> None:
-        pass
-
-    def pair_separator(self, cur: ColumnCursor) -> None:
-        pass
-
-    def region_drain(self, cur: ColumnCursor) -> None:
-        pass
-
-    def commit_barrier(self, cur: ColumnCursor) -> None:
-        pass
 
 
 DIALECTS: Dict[str, Type[IsaDialect]] = {

@@ -57,8 +57,12 @@ TYPE_NAMES = {
     REDO: "redo",
 }
 
+#: ``log:<type>`` label of every entry type's log-entry store.
+ENTRY_LABELS = {type_: f"log:{name}" for type_, name in TYPE_NAMES.items()}
+
 _HEAD = struct.Struct("<QQQ")
-_META = struct.Struct("<BBBBIQ")  # type, valid, commit, size, tid, addr
+#: type, valid, commit, size, tid, addr, value, seq: one whole entry.
+_ENTRY = struct.Struct(f"<BBBBIQ{MAX_VALUE}sQ")
 _STATE = struct.Struct("<Q")
 #: the three fields that tell a written slot from a never-written one.
 _SLOT_KEY = struct.Struct("<BB54xQ")  # type, valid, seq
@@ -103,15 +107,12 @@ def encode_entry(
     """Serialise an entry to its 64-byte PM representation."""
     if len(value) > MAX_VALUE:
         raise LogError(f"old value of {len(value)} bytes exceeds {MAX_VALUE}-byte field")
-    meta = _META.pack(type_, 1, 1 if commit else 0, len(value), tid, addr)
-    payload = value.ljust(MAX_VALUE, b"\x00")
-    return meta + payload + struct.pack("<Q", seq)
+    return _ENTRY.pack(type_, 1, 1 if commit else 0, len(value), tid, addr, value, seq)
 
 
 def decode_entry(raw: bytes, slot: int) -> LogEntry:
-    type_, valid, commit, size, tid, addr = _META.unpack_from(raw, 0)
-    value = raw[16 : 16 + min(size, MAX_VALUE)]
-    (seq,) = struct.unpack_from("<Q", raw, 56)
+    type_, valid, commit, size, tid, addr, value, seq = _ENTRY.unpack_from(raw, 0)
+    value = value[: min(size, MAX_VALUE)]
     return LogEntry(
         slot=slot,
         type=type_,
@@ -132,6 +133,11 @@ class LogLayout:
     base: int
     capacity: int  #: entries per thread
     n_threads: int
+
+    def __post_init__(self) -> None:
+        # Every entry fills one cache line, so it is one persist.
+        if self.base % ENTRY_SIZE:
+            raise LogError(f"log base {self.base:#x} is not {ENTRY_SIZE}-byte aligned")
 
     @property
     def region_size(self) -> int:

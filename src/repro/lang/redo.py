@@ -37,6 +37,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.lang import logbuf
+from repro.lang.dialect import COMMIT, DRAIN, REGION_END, SEPARATOR
+from repro.lang.logbuf import ENTRY_SIZE
 from repro.lang.runtime import COMMIT_MARKER_LABEL, PersistencyModel, PmRuntime, _Region
 
 
@@ -72,7 +74,7 @@ class RedoTxnModel(PersistencyModel):
         state = rt._threads[tid]
         # Each transaction runs on its own strand (NewStrand under the
         # strand dialect; a fence that closes the epoch elsewhere).
-        rt.dialect.pair_separator(state.cursor)
+        state.cursor.fence(rt.fences[SEPARATOR])
         rt._open_region(tid, logbuf.TX_BEGIN)
 
     def on_txn_end(self, rt: PmRuntime, tid: int) -> None:
@@ -91,7 +93,7 @@ class RedoTxnModel(PersistencyModel):
         if len(state.pending) >= self.group_commit:
             self._group_commit(rt, tid)
         if self.durable_commit:
-            rt.dialect.region_end(state.cursor)
+            state.cursor.fence(rt.fences[REGION_END])
 
     def on_finish(self, rt: PmRuntime, tid: int) -> None:
         self._group_commit(rt, tid)
@@ -104,23 +106,22 @@ class RedoTxnModel(PersistencyModel):
             return
         cur = state.cursor
         # 1. Every redo log of the group is durable.
-        rt.dialect.region_drain(cur)
+        cur.fence(rt.fences[DRAIN])
         # 2. Commit marker on the group's last TX_END entry.
         terminator = state.pending[-1].terminator_slot
-        marker_addr = rt.layout.entry_addr(tid, terminator) + 2
         rt._plain_store(
-            tid, marker_addr, b"\x01", label=COMMIT_MARKER_LABEL,
-            region=state.pending[-1].region_id,
+            tid, state.entry_base + terminator * ENTRY_SIZE + 2, b"\x01",
+            label=COMMIT_MARKER_LABEL, region=state.pending[-1].region_id,
         )
         # 3. Marker persists before any in-place update.
-        rt.dialect.commit_barrier(cur)
+        cur.fence(rt.fences[COMMIT])
         # 4. Apply the group's deferred updates (concurrent sub-epoch).
         for write_set in self._pending_writes.get(tid, []):
             for addr, data in write_set:
                 rt._plain_store(tid, addr, data, label="redo-update")
         self._pending_writes[tid] = []
         # 5. Updates durable before the logs are retired.
-        rt.dialect.region_drain(cur)
+        cur.fence(rt.fences[DRAIN])
         # 6. Publish the retired-sequence watermark (with the new head),
         # and only then invalidate entries: replaying a *subset* of a
         # group's entries over newer in-place data would corrupt it, so
@@ -134,11 +135,5 @@ class RedoTxnModel(PersistencyModel):
             rt.layout.encode_head(head, retired),
             label="head",
         )
-        rt.dialect.commit_barrier(cur)
-        for region in state.pending:
-            for slot in region.slots:
-                valid_addr = rt.layout.entry_addr(tid, slot) + 1
-                rt._plain_store(tid, valid_addr, b"\x00", label="invalidate")
-                state.live_entries -= 1
-        state.committed_regions.extend(r.region_id for r in state.pending)
-        state.pending = []
+        cur.fence(rt.fences[COMMIT])
+        rt._retire_pending(state)

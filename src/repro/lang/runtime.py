@@ -19,12 +19,16 @@ and region commit follows Figure 6::
     store + CLWB head pointer
 
 Which primitive implements each ordering point is decided by the
-:class:`~repro.lang.dialect.IsaDialect`; where regions begin and end is
-decided by the :class:`PersistencyModel` (TXN / ATLAS / SFR).
+:class:`~repro.lang.dialect.IsaDialect`'s fence table; where regions
+begin and end is decided by the :class:`PersistencyModel` (TXN / ATLAS /
+SFR).
 
 The runtime simultaneously (a) updates the functional PM image, so data
 structures really live in simulated PM, and (b) emits the micro-op trace
-consumed by the timing simulator and the formal persistency model.
+consumed by the timing simulator and the formal persistency model.  Each
+fixed op pattern is one cursor call (:class:`~repro.core.ops.ColumnCursor`):
+a logged store, a log entry and its flush, a commit's invalidation run,
+a load.
 """
 
 from __future__ import annotations
@@ -37,8 +41,11 @@ from typing import List, Optional, Tuple
 
 from repro.core.ops import ColumnCursor, ColumnTrace, Program
 from repro.lang import logbuf
-from repro.lang.logbuf import LogError, LogLayout
+from repro.lang.dialect import COMMIT, DRAIN, PAIR, REGION_END, SEPARATOR
+from repro.lang.logbuf import ENTRY_LABELS, ENTRY_SIZE, HEADER_SIZE, LogError, LogLayout
 from repro.pmem.space import PersistentMemory
+
+_U64 = struct.Struct("<Q")
 
 #: label every runtime stamps on its commit-intent marker store.  The
 #: static analyzer (:mod:`repro.analysis`) keys on it: a commit marker is
@@ -59,6 +66,8 @@ class _Region:
 @dataclass
 class _ThreadState:
     cursor: ColumnCursor
+    #: address of the thread's log slot 0.
+    entry_base: int = 0
     tail: int = 0
     live_entries: int = 0
     region_open: bool = False
@@ -121,8 +130,16 @@ class PmRuntime:
         self.dialect = dialect
         self.model = model
         self.program = Program(n_threads, trace=ColumnTrace)
+        #: ordering point -> the fence emitted there (one table lookup).
+        self.fences = dialect.fence_ops()
+        self._pair = self.fences[PAIR]
+        self._sep = self.fences[SEPARATOR]
         self._threads = [
-            _ThreadState(cursor=ColumnCursor(self.program, tid)) for tid in range(n_threads)
+            _ThreadState(
+                cursor=ColumnCursor(self.program, tid),
+                entry_base=layout.region_base(tid) + HEADER_SIZE,
+            )
+            for tid in range(n_threads)
         ]
         self._next_seq = 1
         self._next_region = 0
@@ -167,27 +184,33 @@ class PmRuntime:
             raise LogError(
                 f"thread {tid} stored to PM outside a failure-atomic region"
             )
+        space = self.space
         if self.model.logging_style == "redo":
             self._append_entry(tid, logbuf.REDO, addr=addr, value=data)
-            self.space.write(addr, data)  # visible to the thread's reads
+            space.write(addr, data)  # visible to the thread's reads
             state.write_set.append((addr, data))
             return
-        old = self.space.read(addr, len(data))
-        self._append_entry(tid, logbuf.STORE, addr=addr, value=old)
-        self.dialect.pair_barrier(state.cursor)
-        self._plain_store(tid, addr, data, label=label or "update")
-        self.dialect.pair_separator(state.cursor)
+        old = space.read(addr, len(data))
+        entry_addr, entry = self._claim_entry(state, tid, logbuf.STORE, addr, old)
+        space.write(entry_addr, entry)
+        space.write(addr, data)
+        state.cursor.logged_store(
+            entry_addr, entry, ENTRY_LABELS[logbuf.STORE], self._pair,
+            addr, data, label or "update", self._sep,
+        )
 
     def store_u64(self, tid: int, addr: int, value: int, label: str = "") -> None:
-        self.store(tid, addr, struct.pack("<Q", value & (2**64 - 1)), label=label)
+        self.store(tid, addr, _U64.pack(value & 0xFFFFFFFFFFFFFFFF), label=label)
 
     def load(self, tid: int, addr: int, size: int) -> bytes:
+        data = self.space.read(addr, size)
         self._threads[tid].cursor.load(addr, size)
-        return self.space.read(addr, size)
+        return data
 
     def load_u64(self, tid: int, addr: int) -> int:
+        value = self.space.read_u64(addr)
         self._threads[tid].cursor.load(addr, 8)
-        return self.space.read_u64(addr)
+        return value
 
     def compute(self, tid: int, cycles: int) -> None:
         self._threads[tid].cursor.compute(cycles)
@@ -229,8 +252,6 @@ class PmRuntime:
         self._next_region += 1
         state.region_slots = []
         state.cursor.region = state.region_id
-        if self.model.enclose_regions:
-            self.dialect.region_begin(state.cursor)
         self._append_entry(tid, entry_type)
 
     def _close_region(self, tid: int, entry_type: int, commit_now: bool) -> None:
@@ -246,7 +267,7 @@ class PmRuntime:
         if commit_now:
             self._commit_pending(tid)
         if self.model.enclose_regions and self.model.durable_commit:
-            self.dialect.region_end(state.cursor)
+            state.cursor.fence(self.fences[REGION_END])
         state.cursor.region = -1
 
     def _commit_pending(self, tid: int) -> None:
@@ -257,19 +278,18 @@ class PmRuntime:
         cur = state.cursor
         terminator = state.pending[-1].terminator_slot
         # 1. All in-place updates of the pending regions become durable.
-        self.dialect.region_drain(cur)
+        cur.fence(self.fences[DRAIN])
         # 2. Set the commit-intent marker on the terminating log entry.
         # The marker is tagged (label + region) so the static analyzer can
         # anchor check 1 on it even for deferred commits, where the
         # cursor's region id has already been reset.
-        marker_addr = self.layout.entry_addr(tid, terminator) + 2
         self._plain_store(
-            tid, marker_addr, b"\x01", label=COMMIT_MARKER_LABEL,
-            region=state.pending[-1].region_id,
+            tid, state.entry_base + terminator * ENTRY_SIZE + 2, b"\x01",
+            label=COMMIT_MARKER_LABEL, region=state.pending[-1].region_id,
         )
         # 3. Marker persists before the entries are invalidated and before
         # the head pointer advances.
-        self.dialect.commit_barrier(cur)
+        cur.fence(self.fences[COMMIT])
         # 4. Advance the head pointer and invalidate all entries of the
         # committed regions.  These persists need no mutual order, so they
         # share one sub-epoch on the marker's strand: each is ordered
@@ -285,36 +305,55 @@ class PmRuntime:
             self.layout.encode_head(head, retired),
             label="head",
         )
-        for region in state.pending:
-            for slot in region.slots:
-                valid_addr = self.layout.entry_addr(tid, slot) + 1
-                self._plain_store(tid, valid_addr, b"\x00", label="invalidate")
-                state.live_entries -= 1
+        self._retire_pending(state)
+
+    def _retire_pending(self, state: _ThreadState) -> None:
+        """Invalidate every log entry of the thread's pending regions, as
+        one run of valid-byte stores, and mark those regions committed."""
+        valid_addrs = [
+            state.entry_base + slot * ENTRY_SIZE + 1
+            for region in state.pending
+            for slot in region.slots
+        ]
+        write = self.space.write
+        for addr in valid_addrs:
+            write(addr, b"\x00")
+        state.cursor.store_run(valid_addrs, b"\x00", "invalidate")
+        state.live_entries -= len(valid_addrs)
         state.committed_regions.extend(r.region_id for r in state.pending)
         state.pending = []
 
-    def _append_entry(
-        self, tid: int, entry_type: int, addr: int = 0, value: bytes = b"",
-        commit: bool = False,
-    ) -> int:
-        """Allocate, write, and flush one undo-log entry; returns its slot."""
-        state = self._threads[tid]
+    def _claim_entry(
+        self, state: _ThreadState, tid: int, entry_type: int, addr: int, value: bytes
+    ) -> Tuple[int, bytes]:
+        """Take the next log slot for an entry; returns its address and
+        its 64 bytes.  Raises :class:`LogError`, before anything is
+        written or emitted, when the log is full or ``value`` is too long
+        for an entry."""
         if state.live_entries >= self.layout.capacity:
             raise LogError(
                 f"thread {tid} exhausted its {self.layout.capacity}-entry log; "
                 "size the log for the workload (the paper allocates more "
                 "entries dynamically)"
             )
-        slot = state.tail
-        seq = self._next_seq
+        entry = logbuf.encode_entry(entry_type, tid, addr, value, self._next_seq)
         self._next_seq += 1
-        raw = logbuf.encode_entry(entry_type, tid, addr, value, seq, commit=commit)
-        entry_addr = self.layout.entry_addr(tid, slot)
-        self._plain_store(tid, entry_addr, raw, label=f"log:{logbuf.TYPE_NAMES[entry_type]}")
+        slot = state.tail
         state.tail = (slot + 1) % self.layout.capacity
         state.live_entries += 1
         if state.region_open:
             state.region_slots.append(slot)
+        return state.entry_base + slot * ENTRY_SIZE, entry
+
+    def _append_entry(
+        self, tid: int, entry_type: int, addr: int = 0, value: bytes = b""
+    ) -> int:
+        """Allocate, write, and flush one log entry; returns its slot."""
+        state = self._threads[tid]
+        slot = state.tail
+        entry_addr, entry = self._claim_entry(state, tid, entry_type, addr, value)
+        self.space.write(entry_addr, entry)
+        state.cursor.store_and_flush(entry_addr, entry, ENTRY_LABELS[entry_type])
         return slot
 
     def _plain_store(
@@ -363,14 +402,27 @@ class DirectAccessor(Accessor):
 
 
 class RuntimeAccessor(Accessor):
-    """Traced, undo-logged access bound to one thread of the runtime."""
+    """Traced, undo-logged access bound to one thread of the runtime.
+    Reads go straight to the PM image and the thread's cursor."""
 
     def __init__(self, rt: PmRuntime, tid: int) -> None:
         self.rt = rt
         self.tid = tid
+        self._space = rt.space
+        self._cursor = rt._threads[tid].cursor
 
     def read(self, addr: int, size: int) -> bytes:
-        return self.rt.load(self.tid, addr, size)
+        data = self._space.read(addr, size)
+        self._cursor.load(addr, size)
+        return data
+
+    def read_u64(self, addr: int) -> int:
+        value = self._space.read_u64(addr)
+        self._cursor.load(addr, 8)
+        return value
 
     def write(self, addr: int, data: bytes) -> None:
         self.rt.store(self.tid, addr, data)
+
+    def write_u64(self, addr: int, value: int) -> None:
+        self.rt.store(self.tid, addr, _U64.pack(value & 0xFFFFFFFFFFFFFFFF))

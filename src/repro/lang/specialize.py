@@ -26,11 +26,13 @@ each ordering point with a tagged placeholder fence — and then
   generation would number them.
 
 Generated traces are born as replay columns
-(:class:`~repro.core.ops.ColumnTrace`), and :class:`MarkerDialect`
-records every marker's position as it emits it, so specializing never
-walks the ops; a specialized trace builds its ops only when ``.ops`` is
+(:class:`~repro.core.ops.ColumnTrace`), and the cursor records every
+marker's position as it emits it, so specializing never walks the ops; a specialized trace builds its ops only when ``.ops`` is
 read (the native replay core never reads it).
 
+The rewrite of each dialect is its fence table
+(:attr:`~repro.lang.dialect.IsaDialect.fences`), the same table the
+runtime emits from, so the two cannot disagree.
 ``tests/sim/test_fastcore_identity.py`` pins that a specialized program
 is op-for-op identical (all fields) to one generated directly with the
 real dialect, and ``tests/sim/test_op_stream_pins.py`` pins both, and
@@ -43,17 +45,11 @@ from array import array
 from bisect import bisect_left
 from typing import Dict, Optional
 
-from repro.core.ops import ColumnCursor, ColumnTrace, Op, OpKind, Program
-from repro.lang.dialect import IsaDialect
+from repro.core.ops import ColumnTrace, Op, OpKind, Program
+from repro.lang.dialect import DIALECTS, ORDERING_POINTS, Fence, IsaDialect
 
 #: label prefix carried by canonical placeholder fences.
 MARK_PREFIX = "mark:"
-
-_PAIR = MARK_PREFIX + "pair"
-_SEP = MARK_PREFIX + "sep"
-_DRAIN = MARK_PREFIX + "drain"
-_COMMIT = MARK_PREFIX + "commit"
-_REGION_END = MARK_PREFIX + "region-end"
 
 
 class MarkerDialect(IsaDialect):
@@ -61,68 +57,27 @@ class MarkerDialect(IsaDialect):
 
     The op kind of a marker is irrelevant (markers never reach a
     simulator); SFENCE is used so marker programs still satisfy trace
-    invariants if inspected.  Each marker's ``(index, label)`` goes into
-    its trace's ``marker_sites`` as it is emitted.  ``region_begin``
-    stays the inherited no-op because every concrete dialect also emits
-    nothing there.
+    invariants if inspected.  Each marker is labelled ``mark:<point>``,
+    which makes the cursor record its ``(index, label)`` in the trace's
+    ``marker_sites`` as it emits it.
     """
 
     name = "marker"
     designs = ()
+    fences = dict.fromkeys(ORDERING_POINTS, OpKind.SFENCE)
 
-    @staticmethod
-    def _mark(cur: ColumnCursor, label: str) -> None:
-        trace = cur.trace
-        trace.marker_sites.append((len(trace.kinds), label))
-        cur.sfence(label)
-
-    def pair_barrier(self, cur: ColumnCursor) -> None:
-        self._mark(cur, _PAIR)
-
-    def pair_separator(self, cur: ColumnCursor) -> None:
-        self._mark(cur, _SEP)
-
-    def region_drain(self, cur: ColumnCursor) -> None:
-        self._mark(cur, _DRAIN)
-
-    def commit_barrier(self, cur: ColumnCursor) -> None:
-        self._mark(cur, _COMMIT)
-
-    def region_end(self, cur: ColumnCursor) -> None:
-        self._mark(cur, _REGION_END)
+    def fence_ops(self) -> Dict[str, Fence]:
+        return {
+            point: (int(OpKind.SFENCE), MARK_PREFIX + point)
+            for point in ORDERING_POINTS
+        }
 
 
-#: dialect name -> ordering-point label -> concrete fence kind (None: drop).
-#: Mirrors the emission tables of :mod:`repro.lang.dialect` exactly.
+#: dialect name -> marker label -> concrete fence kind (None: drop);
+#: each dialect's :attr:`~repro.lang.dialect.IsaDialect.fences` table.
 SPECIALIZE_MAP: Dict[str, Dict[str, Optional[OpKind]]] = {
-    "strand": {
-        _PAIR: OpKind.PERSIST_BARRIER,
-        _SEP: OpKind.NEW_STRAND,
-        _DRAIN: OpKind.JOIN_STRAND,
-        _COMMIT: OpKind.PERSIST_BARRIER,
-        _REGION_END: OpKind.JOIN_STRAND,
-    },
-    "x86": {
-        _PAIR: OpKind.SFENCE,
-        _SEP: OpKind.SFENCE,
-        _DRAIN: OpKind.SFENCE,
-        _COMMIT: OpKind.SFENCE,
-        _REGION_END: OpKind.SFENCE,
-    },
-    "hops": {
-        _PAIR: OpKind.OFENCE,
-        _SEP: OpKind.OFENCE,
-        _DRAIN: OpKind.DFENCE,
-        _COMMIT: OpKind.OFENCE,
-        _REGION_END: OpKind.OFENCE,
-    },
-    "non-atomic": {
-        _PAIR: None,
-        _SEP: None,
-        _DRAIN: None,
-        _COMMIT: None,
-        _REGION_END: None,
-    },
+    name: {MARK_PREFIX + point: kind for point, kind in cls.fences.items()}
+    for name, cls in DIALECTS.items()
 }
 
 

@@ -13,6 +13,13 @@ redo-txn} x {the marker program, strand, x86, hops, non-atomic}.  Each
 concrete dialect is checked twice: generated directly and specialized
 from the marker program.
 
+``pinned_wrap_op_streams.json`` pins, in the same format, runs whose
+circular undo log wraps: 8 benchmarks x {txn, sfr with 4 ops per SFR},
+each with a per-thread log just large enough for its peak of live
+entries, so every thread's tail passes the end of its log at least twice
+and none raises ``LogError``.  No other pinned or benchmark scale wraps
+a log (the first wrap comes at 1,024 ops per thread).
+
 Re-record (only for a deliberate change to the generated traces)::
 
     PYTHONPATH=src python tests/sim/test_op_stream_pins.py --record
@@ -22,9 +29,11 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 import pytest
 
+from repro.core.ops import OpKind
 from repro.harness.experiment import default_config
 from repro.lang.dialect import DIALECTS
 from repro.lang.specialize import MARK_PREFIX
@@ -34,6 +43,9 @@ from repro.workloads import WORKLOADS
 from repro.workloads.base import generate, generate_canonical, make_model, specialize_run
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "pinned_op_streams.json")
+WRAP_DATA = os.path.join(
+    os.path.dirname(__file__), "data", "pinned_wrap_op_streams.json"
+)
 
 OPS_PER_THREAD = 4
 
@@ -52,6 +64,26 @@ DIALECT_DESIGNS = {
     "x86": "intel-x86",
     "hops": "hops",
     "non-atomic": "non-atomic",
+}
+
+
+#: wrap variant -> (model name, ops per region, ops per thread)
+WRAP_MODELS = {
+    "txn": ("txn", 1, 16),
+    "sfr4": ("sfr", 4, 48),
+}
+
+#: (benchmark, wrap variant) -> per-thread log entries: the run's peak
+#: of live entries in one thread, so the fullest log fills exactly.
+WRAP_LOG_ENTRIES = {
+    ("queue", "txn"): 6, ("queue", "sfr4"): 66,
+    ("hashmap", "txn"): 5, ("hashmap", "sfr4"): 29,
+    ("arrayswap", "txn"): 4, ("arrayswap", "sfr4"): 24,
+    ("rbtree", "txn"): 24, ("rbtree", "sfr4"): 204,
+    ("tpcc", "txn"): 17, ("tpcc", "sfr4"): 82,
+    ("nstore-rd", "txn"): 3, ("nstore-rd", "sfr4"): 17,
+    ("nstore-bal", "txn"): 3, ("nstore-bal", "sfr4"): 19,
+    ("nstore-wr", "txn"): 3, ("nstore-wr", "sfr4"): 22,
 }
 
 
@@ -106,11 +138,18 @@ def _model_of(variant):
     raise KeyError(variant)
 
 
-def record() -> dict:
+def _wrap_cfg(bench, variant):
+    _model, opr, ops = WRAP_MODELS[variant]
+    return replace(
+        default_config(ops_per_thread=ops, ops_per_region=opr),
+        log_entries=WRAP_LOG_ENTRIES[bench, variant],
+    )
+
+
+def _record_cases(cases, cfg_of, model_of) -> dict:
     out = {}
-    for bench, variant in _cases():
-        model, opr = _model_of(variant)
-        cfg = _cfg(opr)
+    for bench, variant in cases:
+        model, cfg = model_of(variant), cfg_of(bench, variant)
         canonical = generate_canonical(WORKLOADS[bench], cfg, model)
         out[f"{bench}/{variant}/marker"] = program_digest(canonical.program)
         for dialect in DIALECT_DESIGNS:
@@ -121,9 +160,29 @@ def record() -> dict:
     return out
 
 
+def record() -> dict:
+    return _record_cases(
+        _cases(),
+        lambda _bench, variant: _cfg(_model_of(variant)[1]),
+        lambda variant: _model_of(variant)[0],
+    )
+
+
+def record_wrap() -> dict:
+    return _record_cases(
+        WRAP_LOG_ENTRIES, _wrap_cfg, lambda variant: WRAP_MODELS[variant][0]
+    )
+
+
 @pytest.fixture(scope="module")
 def pinned():
     with open(DATA, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def pinned_wrap():
+    with open(WRAP_DATA, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -157,9 +216,36 @@ def test_op_streams_match_pins(pinned, bench, variant):
             assert_columns_match_ops(trace)
 
 
+@pytest.mark.parametrize("bench,variant", list(WRAP_LOG_ENTRIES))
+def test_wrapping_log_op_streams_match_pins(pinned_wrap, bench, variant):
+    """With a log sized to the run's peak of live entries, every thread
+    writes more than twice its capacity of log entries, and the marker
+    program, direct generation and specialization reproduce the pins."""
+    model = WRAP_MODELS[variant][0]
+    cfg = _wrap_cfg(bench, variant)
+    canonical = generate_canonical(WORKLOADS[bench], cfg, model)
+    key = f"{bench}/{variant}"
+    for trace in canonical.program.threads:
+        entries = sum(
+            1 for op in trace.ops
+            if op.kind is OpKind.STORE and op.label.startswith("log:")
+        )
+        assert entries > 2 * cfg.log_entries, (key, trace.tid, entries)
+    assert program_digest(canonical.program) == pinned_wrap[f"{key}/marker"], key
+    for dialect, design in DIALECT_DESIGNS.items():
+        want = pinned_wrap[f"{key}/{dialect}"]
+        direct = generate(
+            WORKLOADS[bench], cfg, DIALECTS[dialect](), make_model(model)
+        )
+        assert program_digest(direct.program) == want, f"{key}/{dialect} direct"
+        spec = specialize_run(canonical, design)
+        assert program_digest(spec.program) == want, f"{key}/{dialect} specialized"
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: test_op_stream_pins.py --record")
-    with open(DATA, "w", encoding="utf-8") as fh:
-        json.dump(record(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    for path, digests in ((DATA, record()), (WRAP_DATA, record_wrap())):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(digests, fh, indent=1, sort_keys=True)
+            fh.write("\n")
