@@ -38,7 +38,6 @@ from typing import Dict, List, Tuple
 
 from repro.lang import logbuf
 from repro.lang.dialect import COMMIT, DRAIN, REGION_END, SEPARATOR
-from repro.lang.logbuf import ENTRY_SIZE
 from repro.lang.runtime import COMMIT_MARKER_LABEL, PersistencyModel, PmRuntime, _Region
 
 
@@ -109,9 +108,10 @@ class RedoTxnModel(PersistencyModel):
         cur.fence(rt.fences[DRAIN])
         # 2. Commit marker on the group's last TX_END entry.
         terminator = state.pending[-1].terminator_slot
+        marker_addr = rt.layout.entry_addr(tid, terminator) + 2
         rt._plain_store(
-            tid, state.entry_base + terminator * ENTRY_SIZE + 2, b"\x01",
-            label=COMMIT_MARKER_LABEL, region=state.pending[-1].region_id,
+            tid, marker_addr, b"\x01", label=COMMIT_MARKER_LABEL,
+            region=state.pending[-1].region_id,
         )
         # 3. Marker persists before any in-place update.
         cur.fence(rt.fences[COMMIT])

@@ -283,9 +283,10 @@ class PmRuntime:
         # The marker is tagged (label + region) so the static analyzer can
         # anchor check 1 on it even for deferred commits, where the
         # cursor's region id has already been reset.
+        marker_addr = self.layout.entry_addr(tid, terminator) + 2
         self._plain_store(
-            tid, state.entry_base + terminator * ENTRY_SIZE + 2, b"\x01",
-            label=COMMIT_MARKER_LABEL, region=state.pending[-1].region_id,
+            tid, marker_addr, b"\x01", label=COMMIT_MARKER_LABEL,
+            region=state.pending[-1].region_id,
         )
         # 3. Marker persists before the entries are invalidated and before
         # the head pointer advances.

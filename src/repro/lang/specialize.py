@@ -27,8 +27,9 @@ each ordering point with a tagged placeholder fence — and then
 
 Generated traces are born as replay columns
 (:class:`~repro.core.ops.ColumnTrace`), and the cursor records every
-marker's position as it emits it, so specializing never walks the ops; a specialized trace builds its ops only when ``.ops`` is
-read (the native replay core never reads it).
+marker's position as it emits it, so specializing never walks the ops;
+a specialized trace builds its ops only when ``.ops`` is read (the
+native replay core never reads it).
 
 The rewrite of each dialect is its fence table
 (:attr:`~repro.lang.dialect.IsaDialect.fences`), the same table the
@@ -68,8 +69,8 @@ class MarkerDialect(IsaDialect):
 
     def fence_ops(self) -> Dict[str, Fence]:
         return {
-            point: (int(OpKind.SFENCE), MARK_PREFIX + point)
-            for point in ORDERING_POINTS
+            point: (int(kind), MARK_PREFIX + point)
+            for point, kind in self.fences.items()
         }
 
 
