@@ -607,7 +607,12 @@ class ColumnCursor:
         entry's STORE + CLWB (``entry`` fills the cache line at
         ``entry_addr``), the ``pair`` fence, the update's STORE piece(s)
         + CLWB(s) as :meth:`store_and_flush` emits them, then the ``sep``
-        fence.  A fence of None emits nothing."""
+        fence.  A fence of None emits nothing.
+
+        The common shape (both fences, an update inside one line) is
+        written field by field; any other (a dialect without fences, an
+        update that crosses a line or is empty) is built as rows and
+        written by :meth:`_emit_rows`, still once per column."""
         size = len(data)
         offset = addr % CACHE_LINE
         region = self.region

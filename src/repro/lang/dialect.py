@@ -23,7 +23,7 @@ property tests — by design.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Type
+from typing import Dict, Mapping, Optional, Tuple, Type
 
 from repro.core.ops import OpKind
 
@@ -46,7 +46,7 @@ class IsaDialect:
     #: designs (Machine names) this dialect's traces are meant for.
     designs: Tuple[str, ...] = ()
     #: ordering point -> fence kind emitted there, or None for nothing.
-    fences: Dict[str, Optional[OpKind]] = dict.fromkeys(ORDERING_POINTS)
+    fences: Mapping[str, Optional[OpKind]] = dict.fromkeys(ORDERING_POINTS)
 
     def fence_ops(self) -> Dict[str, Fence]:
         """Ordering point -> the fence a cursor emits there
