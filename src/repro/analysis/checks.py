@@ -293,15 +293,50 @@ class _Access:
     op: Op
     own_clock: int
     lockset: frozenset
+    pos: int  #: index in the program's visibility order of accesses
+
+
+@dataclass
+class _LineHistory:
+    """One thread's accesses to one cache line, in visibility order.
+
+    A thread's own clock rises with each of its accesses, so ``clocks``
+    and ``store_clocks`` are ascending and bisectable.
+    """
+
+    accesses: List[_Access] = field(default_factory=list)
+    clocks: List[int] = field(default_factory=list)
+    stores: List[_Access] = field(default_factory=list)
+    store_clocks: List[int] = field(default_factory=list)
+
+
+#: each persist-race rule's bit in the mask of rules a (line, thread
+#: pair) has reported; each is reported once.
+_RULE_BITS = {"conflicting-access": 1, "false-sharing": 2}
+_ALL_RULES = sum(_RULE_BITS.values())
 
 
 def _check_persist_races(program: Program, report: AnalysisReport) -> None:
+    """Report the first race of each (line, thread pair, rule).
+
+    An earlier access of thread ``o`` is ordered before the current
+    access of thread ``t`` iff its own clock is at most ``vc[t][o]``, so
+    the unordered ones are a suffix of ``o``'s history on the line,
+    found by bisection; a LOAD scans only ``o``'s stores, and a thread
+    pair whose rules on the line were both reported is skipped.  The
+    races one access finds on one line are reported in the visibility
+    order of the earlier access, the order a scan of every earlier
+    access reports them in.
+    """
     nt = program.n_threads
     vc: List[List[int]] = [[0] * nt for _ in range(nt)]
     lock_vc: Dict[int, List[int]] = {}
     held: List[Set[int]] = [set() for _ in range(nt)]
-    by_line: Dict[int, List[_Access]] = {}
-    seen: Set[Tuple[int, int, int, str]] = set()
+    #: line -> tid -> that thread's history on the line.
+    by_line: Dict[int, Dict[int, _LineHistory]] = {}
+    #: (line, lower tid, higher tid) -> mask of the rules reported.
+    seen: Dict[Tuple[int, int, int], int] = {}
+    pos = 0
 
     for op in program.all_ops():
         t = op.tid
@@ -317,38 +352,62 @@ def _check_persist_races(program: Program, report: AnalysisReport) -> None:
             lock_vc[op.lock_id] = list(vc[t])
         elif kind in (OpKind.STORE, OpKind.LOAD):
             vc[t][t] += 1
-            acc = _Access(op, vc[t][t], frozenset(held[t]))
+            acc = _Access(op, vc[t][t], frozenset(held[t]), pos)
+            pos += 1
+            is_store = kind is OpKind.STORE
             for line in lines_of(op.addr, op.size):
-                for prev_acc in by_line.get(line, ()):
-                    _maybe_race(prev_acc, acc, vc, line, seen, report)
-                by_line.setdefault(line, []).append(acc)
+                histories = by_line.get(line)
+                if histories is None:
+                    histories = by_line[line] = {}
+                found: List[Tuple[_Access, str]] = []
+                for other, hist in histories.items():
+                    if other == t:
+                        continue
+                    pair = (line, min(t, other), max(t, other))
+                    reported = seen.get(pair, 0)
+                    if reported == _ALL_RULES:
+                        continue
+                    if is_store:
+                        earlier, clocks = hist.accesses, hist.clocks
+                    else:
+                        earlier, clocks = hist.stores, hist.store_clocks
+                    for i in range(bisect_right(clocks, vc[t][other]), len(earlier)):
+                        rule = _race_rule(earlier[i], acc)
+                        if rule is None or reported & _RULE_BITS[rule]:
+                            continue
+                        reported |= _RULE_BITS[rule]
+                        seen[pair] = reported
+                        found.append((earlier[i], rule))
+                        if reported == _ALL_RULES:
+                            break
+                found.sort(key=lambda race: race[0].pos)
+                for earlier_acc, rule in found:
+                    _report_race(earlier_acc, acc, line, rule, report)
+                hist = histories.get(t)
+                if hist is None:
+                    hist = histories[t] = _LineHistory()
+                hist.accesses.append(acc)
+                hist.clocks.append(acc.own_clock)
+                if is_store:
+                    hist.stores.append(acc)
+                    hist.store_clocks.append(acc.own_clock)
 
 
-def _maybe_race(
-    prev: _Access,
-    cur: _Access,
-    vc: List[List[int]],
-    line: int,
-    seen: Set[Tuple[int, int, int, str]],
-    report: AnalysisReport,
+def _race_rule(prev: _Access, cur: _Access) -> Optional[str]:
+    """The rule an unordered cross-thread pair with a store breaks, or
+    None when a common lock orders the two."""
+    if prev.lockset & cur.lockset:
+        return None
+    a, b = prev.op, cur.op
+    overlap = a.addr < b.addr + b.size and b.addr < a.addr + a.size
+    return "conflicting-access" if overlap else "false-sharing"
+
+
+def _report_race(
+    prev: _Access, cur: _Access, line: int, rule: str, report: AnalysisReport
 ) -> None:
     a, b = prev.op, cur.op
-    if a.tid == b.tid:
-        return
-    if a.kind is not OpKind.STORE and b.kind is not OpKind.STORE:
-        return
-    # happens-before: prev's release clock reached cur's thread?
-    if prev.own_clock <= vc[b.tid][a.tid]:
-        return
-    if prev.lockset & cur.lockset:
-        return
-    overlap = a.addr < b.addr + b.size and b.addr < a.addr + a.size
-    rule = "conflicting-access" if overlap else "false-sharing"
-    key = (line, min(a.tid, b.tid), max(a.tid, b.tid), rule)
-    if key in seen:
-        return
-    seen.add(key)
-    if overlap:
+    if rule == "conflicting-access":
         report.add(
             Diagnostic.at(
                 b,

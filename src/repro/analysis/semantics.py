@@ -120,12 +120,17 @@ class EffectiveProgram:
         ]
         #: fences projected away; 0 means the projection is ``program``.
         self.n_dropped = len(ops) - len(self._ops)
+        self._thread_ops: List[List[Op]] = [[] for _ in range(self.n_threads)]
+        for op in self._ops:
+            self._thread_ops[op.tid].append(op)
 
     def all_ops(self) -> List[Op]:
         return self._ops
 
     def thread_ops(self, tid: int) -> List[Op]:
-        return [op for op in self._ops if op.tid == tid]
+        """One thread's projected ops in visibility order (callers only
+        read the list)."""
+        return self._thread_ops[tid]
 
 
 def effective_program(program: Program, sem: DesignSemantics) -> EffectiveProgram:

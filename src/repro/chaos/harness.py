@@ -1,10 +1,12 @@
 """End-to-end crash-injection harness with a differential oracle.
 
 ``run_crashtest`` drives one (workload, design) cell through ``N``
-seeded crash points: generate the traced run once, measure the design's
-clean cycle horizon, then for each schedule crash the timing simulator
-mid-run, materialise the machine-state durable frontier into a PM image,
-run undo/redo recovery and check the workload's invariants.
+seeded crash points: specialize the workload's traced run for the
+design, measure the design's clean cycle horizon, then for each schedule
+crash the timing simulator mid-run, materialise the machine-state
+durable frontier into a PM image, run undo/redo recovery and check the
+workload's invariants.  Every design's harness of one workload shares
+one functional run (see :func:`canonical_run`).
 
 ``run_differential`` replays the *same* fractional crash schedules
 across all five hardware designs.  The four correct designs must recover
@@ -20,9 +22,10 @@ CLI (``python -m repro crashtest ...``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis import analyze
+from repro.analysis import AnalysisReport, analyze
 from repro.chaos.image import ImageInfo, build_crash_image
 from repro.chaos.plan import (
     DEFAULT_DROP_PROB,
@@ -36,12 +39,11 @@ from repro.faults.recovery import CrashingRecoveryWriter, RecoveryCrashed
 from repro.lang.recovery import RecoveryReport, recover
 from repro.sim.config import TABLE_I, MachineConfig
 from repro.sim.machine import DESIGNS, Machine
-from repro.workloads import (
-    WORKLOADS,
-    CheckFailure,
-    WorkloadConfig,
-    generate_for_design,
-)
+from repro.workloads import WORKLOADS, CheckFailure, WorkloadConfig
+from repro.workloads.base import GeneratedRun, generate_canonical, specialize_run
+
+# Unused here; benchmarks/perf/unit.py spans it by name on the traced soak.
+from repro.workloads import generate_for_design  # noqa: F401
 
 #: default workload scale for crash testing: small enough that one cell
 #: (horizon run + N crash replays) finishes in seconds, large enough for
@@ -49,6 +51,22 @@ from repro.workloads import (
 CHAOS_CFG = WorkloadConfig(
     n_threads=4, ops_per_thread=12, log_entries=2048, pm_size=1 << 20
 )
+
+
+@lru_cache(maxsize=1)
+def canonical_run(workload: str, cfg: WorkloadConfig) -> GeneratedRun:
+    """The one functional run every design's harness of ``workload``
+    specializes.
+
+    Crash tests use the conservative commit-durable-before-hand-off
+    model variant, matching the DAG-level crash-consistency tests.  A
+    specialized program equals direct generation for the design, and
+    the functional artefacts it shares (PM image, log layout, workload)
+    are only read: crash images and recovery work on copies.  The slot
+    holds one run, the most recent: campaigns walk one workload at a
+    time, and holding every workload's run would only grow the process.
+    """
+    return generate_canonical(WORKLOADS[workload], cfg, "txn", durable_commit=True)
 
 
 @dataclass
@@ -96,22 +114,25 @@ class CrashHarness:
         self.design = design
         self.cfg = cfg or CHAOS_CFG
         self.machine_cfg = machine_cfg
-        # Crash tests use the conservative commit-durable-before-hand-off
-        # model variant, matching the DAG-level crash-consistency tests.
-        self.run = generate_for_design(
-            WORKLOADS[workload], self.cfg, design, "txn", durable_commit=True
-        )
+        self.run = specialize_run(canonical_run(workload, self.cfg), design)
         self.dag = PersistDag(self.run.program)
-        # Static pre-flight: the linter's ERROR findings and the
-        # differential oracle must agree — a correct design lints clean
-        # and recovers; NON-ATOMIC lints dirty and violates invariants.
-        # The program is in the design's own dialect, so the linter can
-        # reuse the DAG instead of building the same one again.
-        self.lint = analyze(self.run.program, design=design, dag=self.dag)
         baseline = Machine(design, machine_cfg).run(self.run.program)
         #: clean-run cycle count: the horizon fractional schedules scale to.
         self.horizon = float(baseline.cycles)
         self.total_ops = sum(len(t) for t in self.run.program.threads)
+
+    @cached_property
+    def lint(self) -> AnalysisReport:
+        """Static pre-flight, run on first read (crashtest reads it, soak
+        does not).
+
+        The linter's ERROR findings and the differential oracle must
+        agree: a correct design lints clean and recovers; NON-ATOMIC
+        lints dirty and violates invariants.  The program is in the
+        design's own dialect, so the linter reuses the harness's DAG
+        instead of building the same one again.
+        """
+        return analyze(self.run.program, design=self.design, dag=self.dag)
 
     def crash_once(self, plan: FaultPlan, index: int = 0) -> CrashSample:
         """Crash under ``plan``, recover, check; returns the sample.

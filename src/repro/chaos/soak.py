@@ -251,8 +251,9 @@ def run_soak_case(
     media, machine knobs)``: which process runs it, and which cases ran
     before it, cannot change the outcome, so a long campaign can be
     split across processes with ``--seed`` and ``--seeds``.
-    ``harnesses`` is an optional cache of baseline runs (one per design)
-    so a run of many cases pays for each design's baseline once.
+    ``harnesses`` is an optional cache of harnesses (one per design) so
+    a run of many cases pays for each design's baseline once.  A case
+    never reads the harness's lint: no soak verdict depends on it.
     """
     design = pick_design(case_seed, design_pool)
     schedule = sample_case_schedule(case_seed, media=media)
@@ -294,7 +295,8 @@ def run_soak(
     Each case draws its own crash point, fault probabilities, optional
     media fault model and crash-during-recovery schedule from
     ``seed + index``; the per-design :class:`CrashHarness` (one baseline
-    run each) is built lazily and reused across cases.  ``runlog``
+    run each, all specializing one functional run of the workload) is
+    built lazily and reused across cases.  ``runlog``
     streams ``repro.runlog/1`` campaign telemetry per case; ``progress``
     drives a live status line (see :mod:`repro.prof.runlog`) — both are
     observation-only.

@@ -4,6 +4,9 @@ Small crash counts keep this suite fast; the CI smoke job and the CLI
 acceptance run exercise the full 50-crash cells.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.chaos import (
@@ -12,8 +15,11 @@ from repro.chaos import (
     FaultPlan,
     run_crashtest,
     run_differential,
+    run_soak,
     shrink_crash_point,
 )
+from repro.chaos import harness as chaos_harness
+from repro.chaos.harness import canonical_run
 from repro.sim.machine import DESIGNS, Machine
 from repro.workloads import WORKLOADS, WorkloadConfig, generate_for_design
 
@@ -119,3 +125,73 @@ def test_harness_rejects_unknown_names():
         CrashHarness("queue", "sparc")
     with pytest.raises(ValueError):
         CrashHarness("no-such-workload", "strandweaver")
+
+
+# -- one functional run per workload, lint only where a verdict reads it ------
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the crash harness's generation and lint calls, from an empty
+    canonical-run slot."""
+    counts = {"generate_canonical": 0, "generate_for_design": 0, "analyze": 0}
+
+    def counting(name):
+        real = getattr(chaos_harness, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(chaos_harness, name, wrapper)
+
+    for name in counts:
+        counting(name)
+    canonical_run.cache_clear()
+    yield counts
+    canonical_run.cache_clear()
+
+
+def test_soak_over_every_design_generates_once_and_never_lints(calls):
+    result = run_soak("queue", seeds=10, seed=11, designs=None, cfg=FAST_CFG)
+    assert len({case.design for case in result.cases}) > 1
+    assert calls == {"generate_canonical": 1, "generate_for_design": 0, "analyze": 0}
+
+
+def test_single_design_soaks_back_to_back_share_one_run(calls):
+    for design in sorted(DESIGNS):
+        run_soak("queue", seeds=1, seed=3, designs=[design], cfg=FAST_CFG)
+    assert calls == {"generate_canonical": 1, "generate_for_design": 0, "analyze": 0}
+
+
+def test_differential_generates_once_and_lints_each_harness_once(calls):
+    diff = run_differential("queue", crashes=1, seed=11, cfg=FAST_CFG)
+    assert diff.ok
+    assert calls == {
+        "generate_canonical": 1,
+        "generate_for_design": 0,
+        "analyze": len(DESIGNS),
+    }
+
+
+def test_lint_runs_on_first_read_only(calls):
+    harness = CrashHarness("queue", "non-atomic", cfg=FAST_CFG)
+    assert calls["analyze"] == 0
+    assert harness.lint is harness.lint
+    assert calls["analyze"] == 1
+    assert harness.lint.errors
+
+
+def test_slot_holds_only_the_latest_workload():
+    canonical_run.cache_clear()
+    CrashHarness("queue", "strandweaver", cfg=FAST_CFG)
+    queue_run = weakref.ref(canonical_run("queue", FAST_CFG))
+    CrashHarness("hashmap", "strandweaver", cfg=FAST_CFG)
+    gc.collect()
+    assert queue_run() is None, "the slot still holds queue's run"
+    info = canonical_run.cache_info()
+    assert info.currsize == 1
+    canonical_run("hashmap", FAST_CFG)
+    assert canonical_run.cache_info().hits == info.hits + 1
+    canonical_run.cache_clear()
+

@@ -6,8 +6,10 @@ per-dialect generation, generate-once + specialize).  Every pair must be
 bit-identical:
 
 * a specialized program is op-for-op identical — every field of every
-  op, the lock order, the numbering — to one generated directly with
-  the concrete dialect;
+  op, the lock order, the numbering, the PM image — to one generated
+  directly with the concrete dialect, at the figures' scale and at the
+  crash harness's (``CHAOS_CFG``, commit-durable txn), whose every
+  crash program is specialized;
 * the specialized program's replay columns (what the native core
   replays) equal a fresh compile of its built ops;
 * the default tier reproduces the reference engine's ``MachineStats``
@@ -24,6 +26,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.chaos.harness import CHAOS_CFG
 from repro.core.ops import CACHE_LINE, Program, TraceCursor
 from repro.harness.experiment import default_config
 from repro.sim import cnative
@@ -44,23 +47,40 @@ BENCHMARKS = tuple(WORKLOADS)
 
 CFG = default_config(ops_per_thread=12)
 
+#: generation inputs, (workload config, txn model knobs): the figures'
+#: scale, and the crash harness's.
+INPUTS = {
+    "figures": (CFG, {}),
+    "chaos": (CHAOS_CFG, {"durable_commit": True}),
+}
+
 
 def _stats_fields(stats):
     return [dict(c.__dict__) for c in stats.per_core]
 
 
 @pytest.fixture(scope="module")
-def canonical():
-    return {b: generate_canonical(WORKLOADS[b], CFG, "txn") for b in BENCHMARKS}
+def canonical_runs():
+    return {
+        name: {b: generate_canonical(WORKLOADS[b], cfg, "txn", **kw) for b in BENCHMARKS}
+        for name, (cfg, kw) in INPUTS.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def canonical(canonical_runs):
+    return canonical_runs["figures"]
 
 
 @pytest.mark.parametrize("workload", BENCHMARKS)
 @pytest.mark.parametrize("design", sorted(DESIGNS))
-def test_specialized_equals_direct_generation(canonical, workload, design):
+@pytest.mark.parametrize("inputs", sorted(INPUTS))
+def test_specialized_equals_direct_generation(canonical_runs, inputs, workload, design):
     """Specialize-from-canonical must reproduce direct generation
-    op-for-op: all fields, all numbering, the lock order."""
-    spec = specialize_run(canonical[workload], design)
-    direct = generate_for_design(WORKLOADS[workload], CFG, design, "txn")
+    op-for-op: all fields, all numbering, the lock order, the PM image."""
+    cfg, model_kwargs = INPUTS[inputs]
+    spec = specialize_run(canonical_runs[inputs][workload], design)
+    direct = generate_for_design(WORKLOADS[workload], cfg, design, "txn", **model_kwargs)
     sp, dp = spec.program, direct.program
     assert sp.n_threads == dp.n_threads
     assert sp.lock_order == dp.lock_order
@@ -69,6 +89,7 @@ def test_specialized_equals_direct_generation(canonical, workload, design):
         assert len(st.ops) == len(dt.ops)
         for so, do in zip(st.ops, dt.ops):
             assert so == do, f"{workload}/{design}: {so!r} != {do!r}"
+    assert spec.space.snapshot() == direct.space.snapshot()
 
 
 @pytest.mark.parametrize("workload", BENCHMARKS)
