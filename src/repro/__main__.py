@@ -5,9 +5,7 @@ Usage::
     python -m repro [table1|table2|fig7|fig8|fig9|fig10|models|all] [--ops N] [-j N] [--json]
     python -m repro sweep [--workloads w1,w2|all] [--designs d1,d2|all] [-j N] [--json]
     python -m repro trace <workload> --design <d> [--model m] [--out trace.json]
-    python -m repro bench [--ops N] [--out BENCH_trace.json]
-    python -m repro bench --record [--baseline BENCH_date.json --max-regress PCT]
-    python -m repro profile <workload> --design <d> [--sort cumtime] [--json|--out f]
+    python -m repro bench [--ops N] [--record] [--baseline BENCH_date.json --max-regress PCT]
     python -m repro crashtest <workload> --design <d> --crashes N [--seed S] [--json]
     python -m repro soak <workload> --seeds N [--design <d>] [--seed S] [--json]
     python -m repro lint <workload> [--design <d>|all] [--model m] [--json]
@@ -15,11 +13,14 @@ Usage::
 ``trace`` replays one (workload, design, model) cell with the tracer on
 and writes a Chrome/Perfetto trace-event JSON (open it in
 ui.perfetto.dev) plus, with ``--stats-out``, the machine-readable stats
-document.  ``bench`` runs every (benchmark, design) cell and writes a
-deterministic summary the harness can diff across PRs.  ``crashtest``
+document.  ``bench`` times every figure and prints per-figure wall
+time and cells/second.  ``crashtest``
 crashes the simulator at N seeded fault points, recovers each crash
 image and checks the workload's invariants — ``--design all`` runs the
-differential oracle over every hardware design.  ``lint`` statically
+differential oracle over every hardware design.  ``crashtest`` and
+``soak`` always run the fixed ``CHAOS_CFG`` scale and the ``txn``
+model, so they refuse ``--ops`` and other ``--model`` values.
+``lint`` statically
 analyses the compiled trace for persistency bugs (unflushed persists,
 strand misuse, persistent races, over-serialization, torn writes)
 without running the simulator — ``--design all`` lints every hardware
@@ -38,11 +39,7 @@ crash points, media-fault models and power failures injected *inside*
 recovery, all derived from one master seed — and shrinks any unexpected
 violation to a minimal replayable reproducer (``repro.soak/1``).
 
-``profile`` runs one cell under cProfile with the simulated-cycle phase
-profiler attached and reports both attributions (wall-clock seconds per
-simulator subsystem, simulated cycles per phase) as a table or the
-``repro.prof/1`` JSON document; ``--compare`` diffs against a saved
-document.  ``bench --record`` appends a timed run of every figure to a
+``bench --record`` appends the timed run to a
 ``repro.bench-trajectory/1`` store (git SHA, config fingerprint,
 per-figure wall time, cells/sec); ``bench --baseline F --max-regress P``
 re-measures and exits non-zero past the threshold.  Long campaigns
@@ -66,6 +63,11 @@ from repro.harness import (
     table1,
     table2,
 )
+from repro.workloads import MODELS
+
+#: ``--ops`` when the flag is not given (``bench`` also reads
+#: ``REPRO_BENCH_OPS``; ``crashtest``/``soak`` refuse the flag).
+DEFAULT_OPS = 16
 
 ARTEFACTS = {
     "table1": lambda ops, jobs, cache: table1(),
@@ -80,7 +82,7 @@ ARTEFACTS = {
 }
 
 COMMANDS = sorted(ARTEFACTS) + [
-    "all", "sweep", "trace", "bench", "crashtest", "soak", "lint", "profile",
+    "all", "sweep", "trace", "bench", "crashtest", "soak", "lint",
     "modelcheck", "repair",
 ]
 
@@ -105,8 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="workload to replay ('trace' and 'crashtest'), e.g. 'queue'",
     )
     parser.add_argument(
-        "--ops", type=int, default=16,
-        help="operations per thread (default 16; the paper used ~6250)",
+        "--ops", type=int, default=None,
+        help=f"operations per thread (default {DEFAULT_OPS}; the paper used "
+        "~6250)",
     )
     parser.add_argument(
         "-j", "--jobs", type=int, default=1, metavar="N",
@@ -149,23 +152,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "oracle; 'soak' rotates over every design unless one is pinned)",
     )
     parser.add_argument(
-        "--model", default="txn",
-        help="language-level persistency model for 'trace' (default: txn)",
+        "--model", default="txn", choices=tuple(MODELS),
+        help="language-level persistency model (default: txn)",
     )
     parser.add_argument(
         "--out", default=None,
         help="output path: trace JSON for 'trace' (default trace.json), "
-        "summary JSON for 'bench' (default BENCH_trace.json)",
+        "trajectory store for 'bench --record', repaired trace for "
+        "'repair --apply'",
     )
     parser.add_argument(
         "--stats-out", default=None,
         help="also write the run's stats document to this path ('trace')",
-    )
-    parser.add_argument(
-        "--format", default=None, choices=("text", "json", "sarif"),
-        dest="out_format",
-        help="'lint'/'modelcheck': output format (default text; 'sarif' "
-        "emits a SARIF 2.1.0 document for GitHub code scanning)",
     )
     parser.add_argument(
         "--budget", type=int, default=200_000, metavar="N",
@@ -236,18 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sweep: re-run a failing cell up to N extra times (default 0)",
     )
     parser.add_argument(
-        "--sort", default="tottime", choices=("tottime", "cumtime"),
-        help="profile: hot-function ordering (default tottime)",
-    )
-    parser.add_argument(
-        "--top", type=int, default=15, metavar="N",
-        help="profile: number of hot functions to report (default 15)",
-    )
-    parser.add_argument(
-        "--compare", default=None, metavar="FILE",
-        help="profile: diff this run against a saved repro.prof/1 document",
-    )
-    parser.add_argument(
         "--record", action="store_true",
         help="bench: time every figure and append the run to the "
         "trajectory store (--out, default BENCH_<date>.json)",
@@ -292,10 +278,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 2
     if args.design not in DESIGNS:
         print(f"unknown design {args.design!r}; choose from {sorted(DESIGNS)}",
-              file=sys.stderr)
-        return 2
-    if args.model not in ("txn", "atlas", "sfr"):
-        print(f"unknown model {args.model!r}; choose from ['atlas', 'sfr', 'txn']",
               file=sys.stderr)
         return 2
     if args.ring < 0:
@@ -454,8 +436,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         (not r.errors) if d != "non-atomic" else bool(r.errors)
         for d, r in reports.items()
     )
-    fmt = args.out_format or ("json" if args.json else "text")
-    if fmt == "json":
+    if args.json:
         doc = {
             "schema": LINT_SCHEMA,
             "workload": args.workload,
@@ -464,17 +445,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             "designs": {d: r.to_json() for d, r in reports.items()},
         }
         print(json.dumps(doc, indent=1, sort_keys=True))
-    elif fmt == "sarif":
-        from repro.analysis.sarif import lint_to_sarif
-
-        docs = [
-            lint_to_sarif(r, target=f"{args.workload}@{d}")
-            for d, r in reports.items()
-        ]
-        merged = docs[0]
-        for extra in docs[1:]:
-            merged["runs"].extend(extra["runs"])
-        print(json.dumps(merged, indent=1, sort_keys=True))
     else:
         for design, report in reports.items():
             print(report.render())
@@ -519,7 +489,6 @@ def _modelcheck_targets(args: argparse.Namespace, designs):
 
 def _cmd_modelcheck(args: argparse.Namespace) -> int:
     from repro.analysis import MODELCHECK_SCHEMA, MUTATIONS, check_program
-    from repro.analysis.sarif import modelcheck_to_sarif
     from repro.sim.machine import DESIGNS
 
     if args.workload is None:
@@ -568,8 +537,7 @@ def _cmd_modelcheck(args: argparse.Namespace) -> int:
                 )
             )
     agree = all(r.agree for r in reports)
-    fmt = args.out_format or ("json" if args.json else "text")
-    if fmt == "json":
+    if args.json:
         doc = {
             "schema": MODELCHECK_SCHEMA,
             "target": args.workload,
@@ -580,8 +548,6 @@ def _cmd_modelcheck(args: argparse.Namespace) -> int:
             "reports": [r.to_json() for r in reports],
         }
         print(json.dumps(doc, indent=1, sort_keys=True))
-    elif fmt == "sarif":
-        print(json.dumps(modelcheck_to_sarif(reports), indent=1, sort_keys=True))
     else:
         for r in reports:
             print(r.render())
@@ -776,113 +742,49 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if result.errors == 0 else 1
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.prof.wallclock import (
-        compare_profiles,
-        load_profile_doc,
-        profile_cell,
-        render_profile,
-        write_profile_doc,
-    )
-    from repro.sim.machine import DESIGNS
-    from repro.workloads import WORKLOADS
-
-    if args.design is None:
-        args.design = "strandweaver"
-    if args.workload is None:
-        print("profile requires a workload, e.g.: "
-              "python -m repro profile queue --design strandweaver",
-              file=sys.stderr)
-        return 2
-    if args.workload not in WORKLOADS:
-        print(f"unknown workload {args.workload!r}; choose from {sorted(WORKLOADS)}",
-              file=sys.stderr)
-        return 2
-    if args.design not in DESIGNS:
-        print(f"unknown design {args.design!r}; choose from {sorted(DESIGNS)}",
-              file=sys.stderr)
-        return 2
-    if args.model not in ("txn", "atlas", "sfr"):
-        print(f"unknown model {args.model!r}; choose from ['atlas', 'sfr', 'txn']",
-              file=sys.stderr)
-        return 2
-    if args.top < 1:
-        print("--top must be at least 1", file=sys.stderr)
-        return 2
-    doc = profile_cell(
-        args.workload, args.design, args.model,
-        ops_per_thread=args.ops, sort=args.sort, top=args.top,
-    )
-    comparison = None
-    if args.compare:
-        try:
-            baseline = load_profile_doc(args.compare)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load --compare baseline: {exc}", file=sys.stderr)
-            return 2
-        comparison, _delta = compare_profiles(baseline, doc)
-    if args.out:
-        write_profile_doc(args.out, doc)
-    if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True, allow_nan=False))
-        if comparison:
-            print(comparison, file=sys.stderr)
-    else:
-        print(render_profile(doc))
-        if comparison:
-            print()
-            print(comparison)
-        if args.out:
-            print(f"\nwrote {args.out}")
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs import write_bench_summary
-    from repro.prof.bench import resolve_ops
+    import time as _time
 
-    ops = resolve_ops(args.ops)
-    if args.record or args.baseline:
-        import time as _time
+    from repro.prof.bench import append_run, check_regression, record_run, resolve_ops
 
-        from repro.prof.bench import append_run, check_regression, record_run
-
-        entry = record_run(ops_per_thread=ops)
-        rc = 0
-        if args.json:
-            print(json.dumps(entry, indent=1, sort_keys=True, allow_nan=False))
-        else:
-            figures = entry["figures"]
-            for name, fig in figures.items():
-                print(f"  {name:8s} {fig['wall_s']:8.3f}s  {fig['cells']:3d} cells  "
-                      f"{fig['cells_per_s']:8.2f} cells/s")
-            print(f"  total    {entry['total_wall_s']:8.3f}s  "
-                  f"{entry['total_cells']:3d} cells  "
-                  f"{entry['cells_per_s']:8.2f} cells/s  "
-                  f"(ops={ops}, sha {str(entry['git_sha'])[:12]})")
-        if args.baseline:
-            ok, report = check_regression(args.baseline, entry, args.max_regress)
-            print(report, file=sys.stderr if args.json else sys.stdout)
-            rc = 0 if ok else 1
-        if args.record:
-            out = args.out or _time.strftime("BENCH_%Y-%m-%d.json")
-            doc = append_run(out, entry)
-            print(f"recorded run {len(doc['runs'])} in {out}",
-                  file=sys.stderr if args.json else sys.stdout)
-        return rc
-    out = args.out or "BENCH_trace.json"
-    doc = write_bench_summary(out, ops_per_thread=ops)
+    ops = resolve_ops(args.ops, DEFAULT_OPS)
+    entry = record_run(ops_per_thread=ops)
+    rc = 0
     if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True))
+        print(json.dumps(entry, indent=1, sort_keys=True, allow_nan=False))
     else:
-        print(f"wrote {out}: {len(doc['cells'])} cells "
-              f"({len(doc['benchmarks'])} benchmarks x {len(doc['designs'])} designs, "
-              f"ops_per_thread={doc['ops_per_thread']})")
-    return 0
+        figures = entry["figures"]
+        for name, fig in figures.items():
+            print(f"  {name:8s} {fig['wall_s']:8.3f}s  {fig['cells']:3d} cells  "
+                  f"{fig['cells_per_s']:8.2f} cells/s")
+        print(f"  total    {entry['total_wall_s']:8.3f}s  "
+              f"{entry['total_cells']:3d} cells  "
+              f"{entry['cells_per_s']:8.2f} cells/s  "
+              f"(ops={ops}, sha {str(entry['git_sha'])[:12]})")
+    if args.baseline:
+        ok, report = check_regression(args.baseline, entry, args.max_regress)
+        print(report, file=sys.stderr if args.json else sys.stdout)
+        rc = 0 if ok else 1
+    if args.record:
+        out = args.out or _time.strftime("BENCH_%Y-%m-%d.json")
+        doc = append_run(out, entry)
+        print(f"recorded run {len(doc['runs'])} in {out}",
+              file=sys.stderr if args.json else sys.stdout)
+    return rc
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.artefact in ("crashtest", "soak"):
+        if args.ops is not None or args.model != "txn":
+            from repro.chaos import CHAOS_CFG
+
+            print(f"{args.artefact} runs CHAOS_CFG ({CHAOS_CFG.n_threads} threads x "
+                  f"{CHAOS_CFG.ops_per_thread} ops/thread) with the txn model; "
+                  "--ops and --model are not supported", file=sys.stderr)
+            return 2
+    elif args.artefact != "bench" and args.ops is None:
+        args.ops = DEFAULT_OPS
     if args.artefact == "trace":
         return _cmd_trace(args)
     if args.artefact == "bench":
@@ -899,8 +801,6 @@ def main(argv=None) -> int:
         return _cmd_repair(args)
     if args.artefact == "sweep":
         return _cmd_sweep(args)
-    if args.artefact == "profile":
-        return _cmd_profile(args)
     if args.jobs < 1:
         print("--jobs must be at least 1", file=sys.stderr)
         return 2

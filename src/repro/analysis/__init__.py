@@ -14,8 +14,7 @@ Beyond the linter, the package closes the analyzer/formal-model loop:
   oracle, with seeded-mutation self-tests;
 * :mod:`repro.analysis.repair` — a suggested-fix engine that searches
   minimal primitive edits making a trace lint- and model-check-clean,
-  pricing performance repairs in measured simulator cycles;
-* :mod:`repro.analysis.sarif` — SARIF 2.1.0 export for code scanning.
+  pricing performance repairs in measured simulator cycles.
 """
 
 from repro.analysis.checks import analyze
@@ -49,13 +48,6 @@ from repro.analysis.repair import (
     apply_edits,
     repair,
 )
-from repro.analysis.sarif import (
-    SARIF_VERSION,
-    diagnostics_from_sarif,
-    lint_to_sarif,
-    modelcheck_to_sarif,
-    report_from_sarif,
-)
 from repro.analysis.semantics import (
     SEMANTICS,
     DesignSemantics,
@@ -73,7 +65,6 @@ __all__ = [
     "OVER_SERIALIZATION",
     "PERSIST_RACE",
     "REPAIR_SCHEMA",
-    "SARIF_VERSION",
     "SEMANTICS",
     "STRAND_MISUSE",
     "TORN_WRITE",
@@ -95,11 +86,7 @@ __all__ = [
     "check_corpus",
     "check_litmus",
     "check_program",
-    "diagnostics_from_sarif",
     "effective_program",
-    "lint_to_sarif",
-    "modelcheck_to_sarif",
     "repair",
-    "report_from_sarif",
     "semantics_for",
 ]

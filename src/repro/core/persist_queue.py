@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.obs.tracer import Tracer
-from repro.prof.phases import PhaseProfiler
 
 
 class PersistQueue:
@@ -27,8 +26,6 @@ class PersistQueue:
 
     #: instrumentation is opt-in (see :meth:`instrument`).
     _tracer: Optional[Tracer] = None
-    #: phase profiling is likewise opt-in (see :meth:`profile`).
-    _profiler: Optional[PhaseProfiler] = None
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
@@ -42,12 +39,6 @@ class PersistQueue:
         ``pq.entry`` span until retirement, and occupancy samples."""
         self._tracer = tracer
         self._track = track
-
-    def profile(self, profiler: PhaseProfiler, name: str) -> None:
-        """Attach a phase profiler: each push charges the entry's lifetime
-        to the ``<name>/residency_cycles`` resource."""
-        self._profiler = profiler
-        self._prof_name = name
 
     def earliest_slot(self, t: float) -> float:
         """When a new entry can be allocated (full queue waits on a
@@ -63,12 +54,6 @@ class PersistQueue:
         completion = max(completion, t)
         self._completions.append(completion)
         self._latest = max(self._latest, completion)
-        profiler = self._profiler
-        if profiler is not None and profiler.enabled:
-            profiler.charge_resource(
-                self._prof_name + "/residency_cycles", completion - t
-            )
-            profiler.charge_resource(self._prof_name + "/admissions")
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
             occ = len(self._completions)

@@ -44,8 +44,6 @@ class StrandWeaverDomain(PersistDomain):
         )
         self.pq = PersistQueue(strand_cfg.persist_queue_entries)
         self.pq.instrument(self.tracer, self.track + "/pq")
-        if self.profiler.enabled:
-            self.pq.profile(self.profiler, f"core{self.tid}/persist-queue")
         #: latest issue-to-SBU time of any CLWB dispatched so far; persist
         #: barriers snapshot this into the store gate.
         self._max_issue = 0.0

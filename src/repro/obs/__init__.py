@@ -10,14 +10,11 @@ See README.md ("Tracing & metrics") for the Perfetto walkthrough.
 """
 
 from repro.obs.export import (
-    BENCH_SCHEMA,
     STATS_SCHEMA,
     SWEEP_SCHEMA,
-    bench_summary,
     load_sweep_json,
     stats_to_json,
     sweep_to_json,
-    write_bench_summary,
     write_stats_json,
     write_sweep_json,
 )
@@ -33,7 +30,6 @@ from repro.obs.perfetto import to_perfetto, write_trace
 from repro.obs.tracer import NULL_TRACER, NullTracer, TraceEvent, Tracer, core_track
 
 __all__ = [
-    "BENCH_SCHEMA",
     "Counter",
     "Gauge",
     "Histogram",
@@ -45,14 +41,12 @@ __all__ = [
     "ScopedMetrics",
     "TraceEvent",
     "Tracer",
-    "bench_summary",
     "core_track",
     "load_sweep_json",
     "merge_buckets",
     "stats_to_json",
     "sweep_to_json",
     "to_perfetto",
-    "write_bench_summary",
     "write_stats_json",
     "write_sweep_json",
     "write_trace",

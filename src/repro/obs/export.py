@@ -5,22 +5,19 @@ Two documents are produced:
 * :func:`stats_to_json` — one machine run, schema ``repro.stats/1``:
   the :meth:`~repro.sim.stats.MachineStats.summary` dict, the full
   per-core counter breakdown, and any metrics collected by a tracer.
-* :func:`bench_summary` — schema ``repro.bench/1``: the cycles/stall
-  summary of every (benchmark, design) cell at a fixed scale.  Written
-  as ``BENCH_trace.json`` it is a stable, diffable record the harness
-  can compare across PRs to catch timing regressions.
+* :func:`sweep_to_json` — schema ``repro.sweep/1``: per-cell summaries
+  of a sweep, plus wall times and cache counters unless deterministic.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.sim.stats import CoreStats, MachineStats
 
 STATS_SCHEMA = "repro.stats/1"
-BENCH_SCHEMA = "repro.bench/1"
 SWEEP_SCHEMA = "repro.sweep/1"
 
 #: CoreStats fields exported per core, in declaration order.
@@ -170,46 +167,4 @@ def load_sweep_json(path: str) -> Dict[str, object]:
     doc.setdefault("cache_hits", 0)
     doc.setdefault("cache_misses", 0)
     doc.setdefault("memo_hits", 0)
-    return doc
-
-
-def bench_summary(
-    ops_per_thread: int = 8,
-    model: str = "txn",
-    benchmarks: Optional[Sequence[str]] = None,
-    designs: Optional[Sequence[str]] = None,
-) -> Dict[str, object]:
-    """Run every (benchmark, design) cell and return a diffable summary.
-
-    The simulator is deterministic, so at a fixed ``ops_per_thread`` the
-    resulting document is byte-stable across runs — any diff between PRs
-    is a real timing-model change.
-    """
-    # Imported lazily: the harness imports the simulator, which imports
-    # repro.obs — a module-level import here would be circular.
-    from repro.harness.experiment import ALL_DESIGNS, run_cell
-    from repro.harness.figures import BENCH_ORDER
-
-    benchmarks = tuple(benchmarks or BENCH_ORDER)
-    designs = tuple(designs or ALL_DESIGNS)
-    cells: List[Dict[str, object]] = []
-    for bench in benchmarks:
-        for design in designs:
-            stats = run_cell(bench, design, model, ops_per_thread=ops_per_thread)
-            cell: Dict[str, object] = {"benchmark": bench, "model": model}
-            cell.update(stats.summary())
-            cells.append(cell)
-    return {
-        "schema": BENCH_SCHEMA,
-        "model": model,
-        "ops_per_thread": ops_per_thread,
-        "benchmarks": list(benchmarks),
-        "designs": list(designs),
-        "cells": cells,
-    }
-
-
-def write_bench_summary(path: str, **kwargs) -> Dict[str, object]:
-    doc = bench_summary(**kwargs)
-    dump_json(path, doc)
     return doc

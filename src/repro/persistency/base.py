@@ -20,7 +20,6 @@ from typing import List, Optional
 
 from repro.core.ops import Op
 from repro.obs.tracer import NULL_TRACER, Tracer, core_track
-from repro.prof.phases import NULL_PROF, STALL_PHASE
 from repro.sim.cache import CacheHierarchy
 from repro.sim.config import MachineConfig
 from repro.sim.durability import NULL_DURABILITY, StoreRecord
@@ -45,7 +44,6 @@ class PersistDomain(ABC):
         store_queue: InOrderQueue,
         tracer: Tracer = NULL_TRACER,
         durability=NULL_DURABILITY,
-        profiler=NULL_PROF,
     ) -> None:
         self.tid = tid
         self.cfg = cfg
@@ -54,10 +52,6 @@ class PersistDomain(ABC):
         self.stats = stats
         self.store_queue = store_queue
         self.tracer = tracer
-        #: simulated-cycle phase accumulator (see :mod:`repro.prof.phases`);
-        #: the no-op :data:`~repro.prof.phases.NULL_PROF` unless the
-        #: machine runs under ``repro profile`` or REPRO_PROF_PHASES.
-        self.profiler = profiler
         #: durability tracker fed by this core's persist hardware; the
         #: no-op :data:`~repro.sim.durability.NULL_DURABILITY` unless the
         #: machine runs under a fault plan (see repro.chaos).
@@ -129,8 +123,6 @@ class PersistDomain(ABC):
         if amount <= 0:
             return
         setattr(self.stats, bucket, getattr(self.stats, bucket) + int(round(amount)))
-        if self.profiler.enabled:
-            self.profiler.charge(self.tid, STALL_PHASE[bucket], amount)
         if self.tracer.enabled and start is not None:
             self.tracer.stall(bucket, self.track, start, amount, design=self.name)
 

@@ -1,35 +1,15 @@
-"""``repro.prof`` — performance observability for the simulator itself.
+"""``repro.prof`` — performance tracking for the simulator itself.
 
-Three coordinated parts (see README "Profiling & perf tracking"):
+* :mod:`repro.prof.bench` — the perf trajectory store (``repro bench
+  --record`` / ``--baseline``).
+* :mod:`repro.prof.runlog` — the ``repro.runlog/1`` campaign telemetry
+  behind ``sweep``/``soak`` ``--progress``.
 
-* :mod:`repro.prof.phases` — deterministic simulated-cycle attribution:
-  phase hooks threaded through the sim core bucket every tick into the
-  core-issue / cache / pm-controller / persist-hw / idle taxonomy,
-  bit-invisible when disabled.
-* :mod:`repro.prof.wallclock` — the ``python -m repro profile`` hot-path
-  profiler: cProfile with a curated function->subsystem mapping, so the
-  report answers "which simulator layer burns the wall time".  Emits the
-  ``repro.prof/1`` schema combining both attributions.
-* :mod:`repro.prof.bench` + :mod:`repro.prof.runlog` — the perf
-  trajectory store (``repro bench --record`` / ``--baseline``) and the
-  ``repro.runlog/1`` campaign telemetry behind ``sweep``/``soak``
-  ``--progress``.
-
-Only the dependency-free submodules are re-exported here: importing
-:mod:`repro.prof.wallclock` or :mod:`repro.prof.bench` at package level
-would recurse into the harness (which imports the simulator, which
-imports :mod:`repro.prof.phases`).  Import those submodules directly.
+Only the dependency-free :mod:`repro.prof.runlog` is re-exported here:
+importing :mod:`repro.prof.bench` at package level would recurse into
+the harness.  Import it directly.
 """
 
-from repro.prof.phases import (
-    NULL_PROF,
-    PHASES,
-    PROF_PHASES_ENV,
-    STALL_PHASE,
-    NullPhaseProfiler,
-    PhaseProfiler,
-    active_profiler,
-)
 from repro.prof.runlog import (
     RUNLOG_SCHEMA,
     Progress,
@@ -37,20 +17,9 @@ from repro.prof.runlog import (
     read_runlog,
 )
 
-#: JSON schema tag shared by every profiler export.
-PROF_SCHEMA = "repro.prof/1"
-
 __all__ = [
-    "NULL_PROF",
-    "PHASES",
-    "PROF_PHASES_ENV",
-    "PROF_SCHEMA",
     "Progress",
     "RUNLOG_SCHEMA",
     "RunLog",
-    "NullPhaseProfiler",
-    "PhaseProfiler",
-    "STALL_PHASE",
-    "active_profiler",
     "read_runlog",
 ]

@@ -67,10 +67,11 @@ def config_fingerprint(ops_per_thread: int) -> str:
     })
 
 
-def resolve_ops(cli_ops: int, default_ops: int = 16) -> int:
-    """The bench scale: an explicit ``--ops`` wins, else the
-    :data:`BENCH_OPS_ENV` environment variable, else the default."""
-    if cli_ops != default_ops:
+def resolve_ops(cli_ops: Optional[int], default_ops: int = 16) -> int:
+    """The bench scale: an explicit ``--ops`` (``cli_ops`` not None)
+    wins, else the :data:`BENCH_OPS_ENV` environment variable, else
+    ``default_ops``."""
+    if cli_ops is not None:
         return cli_ops
     env = os.environ.get(BENCH_OPS_ENV)
     if env:
@@ -78,7 +79,7 @@ def resolve_ops(cli_ops: int, default_ops: int = 16) -> int:
             return max(1, int(env))
         except ValueError:
             raise SystemExit(f"{BENCH_OPS_ENV} must be an integer, got {env!r}")
-    return cli_ops
+    return default_ops
 
 
 def record_run(ops_per_thread: int = 16) -> Dict[str, object]:

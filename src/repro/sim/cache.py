@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.prof.phases import NULL_PROF
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.durability import NULL_DURABILITY, SOURCE_WRITEBACK
 from repro.sim.memory import DRAMController, PMController
@@ -117,8 +116,6 @@ class CacheHierarchy:
         #: their "writeback" source so the chaos layer can reason about
         #: them separately from explicit CLWBs).
         self.durability = NULL_DURABILITY
-        #: off-timeline resource accounting (see :mod:`repro.prof.phases`).
-        self.profiler = NULL_PROF
 
     # -- internal helpers -------------------------------------------------
 
@@ -134,12 +131,8 @@ class CacheHierarchy:
             self.durability.line_persisted(
                 line, t, ticket.accepted, source=SOURCE_WRITEBACK
             )
-            if self.profiler.enabled:
-                self.profiler.charge_resource("cache/pm_writebacks")
         else:
             self.dram.access(t)
-            if self.profiler.enabled:
-                self.profiler.charge_resource("cache/dram_writebacks")
 
     def _steal_if_remote_dirty(self, tid: int, line: int, t: float) -> float:
         """Resolve cross-core dirty ownership; returns post-transfer time."""
@@ -158,8 +151,6 @@ class CacheHierarchy:
             victim = self.l2.fill(line, dirty)
             self._writeback_victim(victim, t, to_pm=True)
             self.coherence_transfers += 1
-            if self.profiler.enabled:
-                self.profiler.charge_resource("cache/coherence_transfers")
             t += self.cfg.coherence_transfer
         self._dirty_owner.pop(line, None)
         return t

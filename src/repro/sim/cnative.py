@@ -5,7 +5,7 @@ The simulator has two replay tiers:
 ``native C core`` -> ``reference per-op engine``
 
 :meth:`repro.sim.machine.Machine.run` tries the C core on every
-uninstrumented run (no tracer, profiler, fault plan or media faults).
+uninstrumented run (no tracer, fault plan or media faults).
 Everything else, and every run the core declines, replays on the
 reference engine (:mod:`repro.sim.cpu` plus the persistency domains),
 which the C core ports.  Bit-identity between the two is pinned by
@@ -297,8 +297,8 @@ def run_native(
     """Replay ``program`` on the C core; None means "replay it on the
     reference engine".
 
-    Caller guarantees the run is uninstrumented (no tracer, profiler,
-    fault plan, or media faults).
+    Caller guarantees the run is uninstrumented (no tracer, fault plan,
+    or media faults).
     """
     lib = _load()
     if lib is None:

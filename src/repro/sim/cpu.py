@@ -99,9 +99,6 @@ class CoreEngine:
         self.stats = stats
         self.locks = locks
         self.tracer = tracer
-        #: shared with the persist domain (the machine wires one profiler
-        #: through every layer); NULL_PROF unless profiling is on.
-        self.profiler = domain.profiler
         self.track = core_track(trace.tid)
         self.store_queue = domain.store_queue
         self.rob = InOrderQueue(cfg.core.rob_entries)
@@ -110,9 +107,6 @@ class CoreEngine:
             self.store_queue.instrument(
                 tracer, self.track + "/store-queue", "store-queue"
             )
-        if self.profiler.enabled:
-            self.rob.profile(self.profiler, f"core{self.tid}/rob")
-            self.store_queue.profile(self.profiler, f"core{self.tid}/store-queue")
         #: per-line retire time of the youngest store, so a CLWB cannot
         #: flush a line before the store it persists has reached the L1
         #: (the persist queue's store-queue lookup, Section IV).
@@ -139,11 +133,6 @@ class CoreEngine:
         latency = done - t
         # Out-of-order execution hides part of a miss behind other work.
         visible = latency * (1.0 - self.cfg.core.load_overlap) if not is_write else 0.0
-        if visible > 0.0 and self.profiler.enabled:
-            # Exposed miss latency: the memory-system share of the timeline.
-            self.profiler.charge(
-                self.tid, "pm-controller" if served == "pm" else "cache", visible
-            )
         return t + self.HIT_COST + visible, done
 
     def _do_store(self, op: Op, persistent: bool, t: float) -> Tuple[float, float]:
@@ -152,8 +141,6 @@ class CoreEngine:
         slot = self.store_queue.earliest_slot(t)
         if slot > t:
             self.stats.stall_queue_full += int(round(slot - t))
-            if self.profiler.enabled:
-                self.profiler.charge(self.tid, "persist-hw", slot - t)
             if self.tracer.enabled:
                 self.tracer.stall(
                     "queue_full", self.track, t, slot - t, queue="store-queue"
@@ -189,11 +176,6 @@ class CoreEngine:
         """Execute the next micro-op; returns Blocked if a lock isn't ours yet."""
         op = self.trace[self.pc]
         tracer = self.tracer
-        profiler = self.profiler
-        if profiler.enabled:
-            # Bracket the op so end_op can charge the unclaimed remainder
-            # of its clock advance to core-issue (see repro.prof.phases).
-            profiler.begin_op(self.tid)
         dispatched = self.clock
         t = dispatched + self.DISPATCH_COST
         kind = op.kind
@@ -203,8 +185,6 @@ class CoreEngine:
         rob_slot = self.rob.earliest_slot(t)
         if rob_slot > t:
             self.stats.stall_queue_full += int(round(rob_slot - t))
-            if profiler.enabled:
-                profiler.charge(self.tid, "persist-hw", rob_slot - t)
             if tracer.enabled:
                 tracer.stall("queue_full", self.track, t, rob_slot - t, queue="rob")
             t = rob_slot
@@ -234,16 +214,10 @@ class CoreEngine:
             grant = self.locks.try_acquire(op.lock_id, self.tid, t)
             if grant is None:
                 # Not our turn yet: stay at this op, let the machine park us.
-                if profiler.enabled:
-                    # The clock did not advance; roll back so the retry
-                    # cannot double-charge the ROB stall above.
-                    profiler.abort_op(self.tid)
                 if tracer.enabled:
                     tracer.instant("lock.park", self.track, t, lock=op.lock_id)
                 return Blocked(op.lock_id)
             self.stats.stall_lock += int(round(grant - t))
-            if profiler.enabled:
-                profiler.charge(self.tid, "idle", grant - t)
             if tracer.enabled:
                 if grant > t:
                     tracer.stall("lock", self.track, t, grant - t, lock=op.lock_id)
@@ -277,6 +251,4 @@ class CoreEngine:
             self.clock = self.domain.drain_all(self.clock)
             self.finished = True
             self.stats.cycles = int(round(self.clock))
-        if profiler.enabled:
-            profiler.end_op(self.tid, self.clock - dispatched)
         return None

@@ -14,7 +14,6 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.obs.tracer import Tracer
-from repro.prof.phases import PhaseProfiler
 
 
 class BandwidthResource:
@@ -155,8 +154,6 @@ class SlottedQueue:
     #: instrumentation is opt-in; the class default keeps the hot path to
     #: one attribute check when no tracer was attached.
     _tracer: Optional[Tracer] = None
-    #: phase profiling is likewise opt-in (see :meth:`profile`).
-    _profiler: Optional[PhaseProfiler] = None
 
     def __init__(self, capacity: int, retain_history: bool = False) -> None:
         if capacity <= 0:
@@ -174,12 +171,6 @@ class SlottedQueue:
         self._tracer = tracer
         self._track = track
         self._name = name
-
-    def profile(self, profiler: PhaseProfiler, name: str) -> None:
-        """Attach a phase profiler: each admission charges the entry's
-        slot-holding time to the ``<name>/residency_cycles`` resource."""
-        self._profiler = profiler
-        self._prof_name = name
 
     def occupancy_at(self, t: float) -> int:
         """Entries resident at time ``t``.
@@ -211,12 +202,6 @@ class SlottedQueue:
         heapq.heappush(self._departures, max(departure, entry))
         if self._history is not None:
             self._history.append((entry, max(departure, entry)))
-        profiler = self._profiler
-        if profiler is not None and profiler.enabled:
-            profiler.charge_resource(
-                self._prof_name + "/residency_cycles", max(departure, entry) - entry
-            )
-            profiler.charge_resource(self._prof_name + "/admissions")
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
             occ = len(self._departures)
@@ -241,8 +226,6 @@ class InOrderQueue:
 
     #: see :meth:`SlottedQueue.instrument`; default keeps the path free.
     _tracer: Optional[Tracer] = None
-    #: see :meth:`SlottedQueue.profile`; default keeps the path free.
-    _profiler: Optional[PhaseProfiler] = None
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
@@ -260,12 +243,6 @@ class InOrderQueue:
         self._track = track
         self._name = name
 
-    def profile(self, profiler: PhaseProfiler, name: str) -> None:
-        """Attach a phase profiler: each push charges the entry's queue
-        residency to the ``<name>/residency_cycles`` resource."""
-        self._profiler = profiler
-        self._prof_name = name
-
     def earliest_slot(self, t: float) -> float:
         """When a new entry could be inserted (full queue delays insert)."""
         self._drain(t)
@@ -282,12 +259,6 @@ class InOrderQueue:
         retire = max(ready, self._last_retire, entry_t)
         self._retire_times.append(retire)
         self._last_retire = retire
-        profiler = self._profiler
-        if profiler is not None and profiler.enabled:
-            profiler.charge_resource(
-                self._prof_name + "/residency_cycles", retire - entry_t
-            )
-            profiler.charge_resource(self._prof_name + "/admissions")
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
             occ = len(self._retire_times)

@@ -17,7 +17,6 @@ from repro.core.ops import OpKind, Program
 from repro.core.strandweaver import NoPersistQueueDomain, StrandWeaverDomain
 from repro.obs.tracer import NULL_TRACER, Tracer, core_track
 from repro.persistency.base import PersistDomain
-from repro.prof.phases import PhaseProfiler, active_profiler
 from repro.persistency.hops import HopsDomain
 from repro.persistency.intel_x86 import IntelX86Domain
 from repro.persistency.nonatomic import NonAtomicDomain
@@ -69,17 +68,12 @@ class Machine:
         design: str,
         cfg: MachineConfig = TABLE_I,
         tracer: Tracer = NULL_TRACER,
-        profiler: Optional[PhaseProfiler] = None,
     ) -> None:
         if design not in DESIGNS:
             raise ValueError(f"unknown design {design!r}; choose from {sorted(DESIGNS)}")
         self.design = design
         self.cfg = cfg
         self.tracer = tracer
-        #: simulated-cycle phase attribution (repro.prof); resolves to the
-        #: no-op NULL_PROF unless a profiler was passed explicitly or the
-        #: REPRO_PROF_PHASES environment variable is set.
-        self.profiler = active_profiler(profiler)
 
     def run(
         self, program: Program, warm: bool = True, fault_plan=None,
@@ -116,7 +110,6 @@ class Machine:
                 from repro.faults.model import MediaFaultModel
 
                 media_faults = MediaFaultModel(media_cfg)
-        profiler = self.profiler
 
         # Uninstrumented runs first try the native replay core — a C port
         # of the reference engine loaded via ctypes (repro.sim.cnative).
@@ -129,7 +122,6 @@ class Machine:
             fault_plan is None
             and media_faults is None
             and not tracer.enabled
-            and not profiler.enabled
             and not os.environ.get(REFERENCE_ENGINE_ENV)
         ):
             from repro.sim import cnative
@@ -142,11 +134,9 @@ class Machine:
                 stats.per_core.extend(per_core)
                 return stats
 
-        pm = PMController(self.cfg.pm, tracer, faults=media_faults,
-                          profiler=profiler)
+        pm = PMController(self.cfg.pm, tracer, faults=media_faults)
         dram = DRAMController()
         hierarchy = CacheHierarchy(self.cfg, pm, dram)
-        hierarchy.profiler = profiler
         if warm:
             hierarchy.warm(program.touched_lines())
         locks = LockTable(program.lock_order)
@@ -174,7 +164,7 @@ class Machine:
             kwargs = {} if tracker is None else {"durability": tracker}
             domain = domain_cls(
                 trace.tid, self.cfg, hierarchy, pm, core_stats, store_queue,
-                tracer=tracer, profiler=profiler, **kwargs,
+                tracer=tracer, **kwargs,
             )
             domains.append(domain)
             cores.append(

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.prof.phases import NULL_PROF
 from repro.sim.config import PMConfig
 from repro.sim.engine import BandwidthResource
 
@@ -59,12 +58,9 @@ class PMController:
         cfg: PMConfig,
         tracer: Tracer = NULL_TRACER,
         faults: Optional["MediaFaultModel"] = None,
-        profiler=NULL_PROF,
     ) -> None:
         self.cfg = cfg
         self.tracer = tracer
-        #: off-timeline resource accounting (see :mod:`repro.prof.phases`).
-        self.profiler = profiler
         self.faults = faults if faults is not None and faults.enabled else None
         self._accept = BandwidthResource(cfg.accept_interval)
         #: media sustains one line per this many cycles.
@@ -96,9 +92,6 @@ class PMController:
             if pending is not None and pending > grant:
                 self.coalesced += 1
                 acked = grant + self.cfg.write_to_controller
-                if self.profiler.enabled:
-                    self.profiler.charge_resource("pm/writes")
-                    self.profiler.charge_resource("pm/coalesced_writes")
                 if tracer.enabled:
                     tracer.instant("pm.coalesce", WRITE_QUEUE_TRACK, grant, line=line)
                     tracer.metrics.counter("pm/coalesced").inc()
@@ -117,10 +110,6 @@ class PMController:
         acked = accepted + self.cfg.write_to_controller
         if line >= 0:
             self._queued_line[line] = media_start
-        if self.profiler.enabled:
-            self.profiler.charge_resource("pm/writes")
-            self.profiler.charge_resource("pm/media_busy_cycles",
-                                          media_done - media_start)
         if tracer.enabled:
             # Queue depth ahead of this write, in media-service units.
             backlog = max(0, int(round((media_start - accepted) / self._media_interval)))
@@ -227,10 +216,6 @@ class PMController:
         self.reads += 1
         grant = self._read_bw.reserve(t)
         done = grant + self.cfg.read_latency
-        if self.profiler.enabled:
-            self.profiler.charge_resource("pm/reads")
-            self.profiler.charge_resource("pm/read_busy_cycles",
-                                          self.cfg.read_latency)
         faults = self.faults
         if faults is not None and line >= 0 and faults.read_correctable(line):
             faults.ecc_corrected += 1

@@ -4,6 +4,7 @@ from typing import Dict, Type
 
 from repro.workloads.arrayswap import ArraySwapWorkload
 from repro.workloads.base import (
+    MODELS,
     CheckFailure,
     GeneratedRun,
     Workload,
@@ -44,6 +45,7 @@ __all__ = [
     "GeneratedRun",
     "HashmapWorkload",
     "MICROBENCHMARKS",
+    "MODELS",
     "NStoreBalanced",
     "NStoreReadHeavy",
     "NStoreWorkload",

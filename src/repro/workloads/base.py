@@ -18,7 +18,7 @@ import random
 import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Type
+from typing import Dict, List, Sequence, Type
 
 from repro.core.ops import Program
 from repro.lang.dialect import IsaDialect, dialect_for_design
@@ -102,17 +102,20 @@ class GeneratedRun:
         self.workload.check(DirectAccessor(image))
 
 
+#: language-level persistency models by name.
+MODELS: Dict[str, Type[PersistencyModel]] = {
+    "txn": TxnModel,
+    "atlas": AtlasModel,
+    "sfr": SfrModel,
+    "redo-txn": RedoTxnModel,
+}
+
+
 def make_model(name: str, **kwargs) -> PersistencyModel:
     """Instantiate a language-level persistency model by name."""
-    if name == "txn":
-        return TxnModel(**kwargs)
-    if name == "atlas":
-        return AtlasModel(**kwargs)
-    if name == "sfr":
-        return SfrModel(**kwargs)
-    if name == "redo-txn":
-        return RedoTxnModel(**kwargs)
-    raise ValueError(f"unknown persistency model {name!r}")
+    if name not in MODELS:
+        raise ValueError(f"unknown persistency model {name!r}")
+    return MODELS[name](**kwargs)
 
 
 def generate(

@@ -70,6 +70,14 @@ def test_lint_requires_workload(capsys):
     assert "requires a workload" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["lint", "modelcheck", "repair"])
+def test_unknown_model_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "queue", "--model", "bogus", "--ops", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("design", ["strandweaver", "intel-x86"])
 def test_lint_findings_carry_op_coordinates(capsys, design):
     rc = main(["lint", "hashmap", "--design", design, "--ops", "4", "--json"])

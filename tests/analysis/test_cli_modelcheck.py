@@ -44,16 +44,6 @@ class TestModelcheckCommand:
         assert doc["mutation"] == "drop-barrier"
         assert doc["reports"][0]["divergences"]
 
-    def test_sarif_output(self, capsys):
-        rc = main(
-            ["modelcheck", "unflushed-clean", "--design", "strandweaver",
-             "--format", "sarif", "--samples", "0"]
-        )
-        doc = _json_out(capsys)
-        assert rc == 0
-        assert doc["version"] == "2.1.0"
-        assert doc["runs"][0]["tool"]["driver"]["name"] == "repro-modelcheck"
-
     def test_text_output_summarises(self, capsys):
         rc = main(
             ["modelcheck", "unflushed-clean", "--design", "strandweaver",
@@ -137,17 +127,3 @@ class TestRepairCommand:
         assert rc == 2
         assert "requires a target" in capsys.readouterr().err
 
-
-class TestLintSarif:
-    def test_lint_exports_one_sarif_run_per_design(self, capsys):
-        rc = main(["lint", "queue", "--design", "all", "--ops", "4",
-                   "--format", "sarif"])
-        doc = _json_out(capsys)
-        assert rc == 0  # non-atomic is supposed to error; policy holds
-        assert doc["version"] == "2.1.0"
-        assert len(doc["runs"]) == 5  # one run per design
-        assert all(
-            r["tool"]["driver"]["name"] == "repro-lint" for r in doc["runs"]
-        )
-        # the deliberately unsafe design must surface findings
-        assert any(r["results"] for r in doc["runs"])

@@ -9,6 +9,7 @@ import weakref
 
 import pytest
 
+from repro.__main__ import main
 from repro.chaos import (
     CrashHarness,
     CrashTrigger,
@@ -125,6 +126,20 @@ def test_harness_rejects_unknown_names():
         CrashHarness("queue", "sparc")
     with pytest.raises(ValueError):
         CrashHarness("no-such-workload", "strandweaver")
+
+
+@pytest.mark.parametrize("argv", [
+    ["crashtest", "queue", "--crashes", "1", "--ops", "1024"],
+    ["crashtest", "queue", "--crashes", "1", "--ops", "16"],
+    ["crashtest", "queue", "--crashes", "1", "--model", "atlas"],
+    ["soak", "queue", "--seeds", "1", "--ops", "16"],
+    ["soak", "queue", "--seeds", "1", "--model", "redo-txn"],
+])
+def test_cli_refuses_flags_the_chaos_config_ignores(argv, capsys):
+    """Crash campaigns always run CHAOS_CFG with the txn model, so a
+    scale or model flag is refused instead of silently ignored."""
+    assert main(argv) == 2
+    assert "CHAOS_CFG" in capsys.readouterr().err
 
 
 # -- one functional run per workload, lint only where a verdict reads it ------

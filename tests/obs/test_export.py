@@ -1,4 +1,4 @@
-"""JSON stats schema, bench summary, and CLI surface."""
+"""JSON stats schema, bench timings, and CLI surface."""
 
 import json
 
@@ -6,7 +6,8 @@ import pytest
 
 from repro.__main__ import main
 from repro.harness.experiment import default_config
-from repro.obs import BENCH_SCHEMA, STATS_SCHEMA, Tracer, bench_summary, stats_to_json
+from repro.obs import STATS_SCHEMA, Tracer, stats_to_json
+from repro.prof.bench import BENCH_FIGURES, BENCH_OPS_ENV
 from repro.sim.machine import Machine
 from repro.sim.stats import CoreStats, MachineStats, geomean
 from repro.workloads import WORKLOADS, generate_for_design
@@ -50,17 +51,6 @@ def test_summary_values_are_scalars():
             assert isinstance(value, (int, float)), key
 
 
-def test_bench_summary_is_deterministic_and_diffable():
-    a = bench_summary(ops_per_thread=3, benchmarks=["queue"],
-                      designs=["intel-x86", "strandweaver"])
-    b = bench_summary(ops_per_thread=3, benchmarks=["queue"],
-                      designs=["intel-x86", "strandweaver"])
-    assert a["schema"] == BENCH_SCHEMA
-    assert a == b
-    assert len(a["cells"]) == 2
-    assert {c["design"] for c in a["cells"]} == {"intel-x86", "strandweaver"}
-
-
 def test_cli_trace_writes_perfetto_and_stats(tmp_path):
     trace_path = tmp_path / "trace.json"
     stats_path = tmp_path / "stats.json"
@@ -94,9 +84,18 @@ def test_cli_trace_rejects_unknown_inputs(capsys):
     assert main(["trace"]) == 2
     assert main(["trace", "nope"]) == 2
     assert main(["trace", "queue", "--design", "nope"]) == 2
-    assert main(["trace", "queue", "--model", "nope"]) == 2
     assert main(["trace", "queue", "--ring", "-1"]) == 2
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "queue", "--model", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_cli_trace_runs_redo_txn(tmp_path, capsys):
+    rc = main(["trace", "queue", "--model", "redo-txn", "--ops", "2",
+               "--out", str(tmp_path / "trace.json"), "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["cycles"] > 0
 
 
 def test_cli_json_figure_output(capsys):
@@ -108,15 +107,14 @@ def test_cli_json_figure_output(capsys):
     assert doc["rows"]
 
 
-def test_cli_bench_writes_summary(tmp_path, capsys):
-    out = tmp_path / "BENCH_trace.json"
-    rc = main(["bench", "--ops", "2", "--out", str(out), "--json"])
-    assert rc == 0
-    doc = json.loads(out.read_text())
-    assert doc["schema"] == BENCH_SCHEMA
-    assert len(doc["cells"]) == len(doc["benchmarks"]) * len(doc["designs"])
-    printed = json.loads(capsys.readouterr().out)
-    assert printed == doc
+def test_cli_bench_prints_timings_and_writes_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(BENCH_OPS_ENV, raising=False)
+    assert main(["bench", "--ops", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [*BENCH_FIGURES, "total"]
+    assert "(ops=2," in lines[-1]
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- geomean / merge edge cases (satellite) ------------------------------

@@ -34,14 +34,15 @@ def _entry(total=1.0, ops=16, fingerprint="cfg-a", sha="abc123"):
 
 def test_resolve_ops(monkeypatch):
     monkeypatch.delenv(BENCH_OPS_ENV, raising=False)
-    assert resolve_ops(16) == 16
+    assert resolve_ops(None) == 16
     assert resolve_ops(32) == 32
     monkeypatch.setenv(BENCH_OPS_ENV, "64")
-    assert resolve_ops(16) == 64  # env fills the default
+    assert resolve_ops(None) == 64  # env fills the default
     assert resolve_ops(32) == 32  # explicit flag still wins
+    assert resolve_ops(16) == 16  # even when it equals the default
     monkeypatch.setenv(BENCH_OPS_ENV, "banana")
     with pytest.raises(SystemExit):
-        resolve_ops(16)
+        resolve_ops(None)
 
 
 def test_trajectory_append_and_load(tmp_path):

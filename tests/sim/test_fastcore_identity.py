@@ -26,9 +26,12 @@ from dataclasses import replace
 
 import pytest
 
+from repro.chaos import CrashTrigger, FaultPlan
 from repro.chaos.harness import CHAOS_CFG
 from repro.core.ops import CACHE_LINE, Program, TraceCursor
+from repro.faults import MediaFaultConfig, MediaFaultModel
 from repro.harness.experiment import default_config
+from repro.obs import NULL_TRACER, Tracer
 from repro.sim import cnative
 from repro.sim.config import TABLE_I
 from repro.sim.machine import DESIGNS, PRUNE_PERIOD, Machine
@@ -278,3 +281,44 @@ def test_wrong_fence_exception_identical_across_engines(monkeypatch):
     with pytest.raises(ValueError) as fast_err:
         Machine("strandweaver").run(program)
     assert str(fast_err.value) == str(ref_err.value)
+
+
+@pytest.mark.parametrize("how, native", [
+    ("plain", True),
+    ("prof-phases-env", True),
+    ("tracer", False),
+    ("fault-plan", False),
+    ("media-faults", False),
+    ("reference-env", False),
+])
+def test_only_a_tracer_fault_or_reference_env_skips_the_native_core(
+    monkeypatch, canonical, how, native
+):
+    """A tracer, a fault plan, media faults and REPRO_SIM_REFERENCE send
+    a run to the reference engine; every other run reaches the native
+    core, REPRO_PROF_PHASES included (no hook reads it)."""
+    if not cnative.available():
+        pytest.skip("no C compiler in this environment")
+    monkeypatch.delenv("REPRO_SIM_REFERENCE", raising=False)
+    monkeypatch.delenv("REPRO_PROF_PHASES", raising=False)
+    env = {"reference-env": "REPRO_SIM_REFERENCE",
+           "prof-phases-env": "REPRO_PROF_PHASES"}.get(how)
+    if env is not None:
+        monkeypatch.setenv(env, "1")
+    calls = []
+    run_native = cnative.run_native
+
+    def counting(*args):
+        calls.append(args[0])
+        return run_native(*args)
+
+    monkeypatch.setattr(cnative, "run_native", counting)
+    program = specialize_run(canonical["queue"], "strandweaver").program
+    machine = Machine("strandweaver", tracer=Tracer() if how == "tracer" else NULL_TRACER)
+    run_kw = {
+        "fault-plan": {"fault_plan": FaultPlan(trigger=CrashTrigger("cycle", 1e18))},
+        "media-faults": {"media_faults": MediaFaultModel(
+            MediaFaultConfig(seed=1, write_fail_prob=0.01))},
+    }.get(how, {})
+    machine.run(program, **run_kw)
+    assert calls == (["strandweaver"] if native else [])
