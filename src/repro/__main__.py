@@ -1,53 +1,35 @@
-"""Command-line entry point: regenerate artefacts, trace runs, dump stats.
+"""Command-line entry point: regenerate artefacts, trace runs, check crashes.
 
-Usage::
+Usage (``python -m repro <command> --help`` lists a command's options;
+with no command, ``all`` runs)::
 
-    python -m repro [table1|table2|fig7|fig8|fig9|fig10|models|all] [--ops N] [-j N] [--json]
-    python -m repro sweep [--workloads w1,w2|all] [--designs d1,d2|all] [-j N] [--json]
-    python -m repro trace <workload> --design <d> [--model m] [--out trace.json]
-    python -m repro bench [--ops N] [--record] [--baseline BENCH_date.json --max-regress PCT]
-    python -m repro crashtest <workload> --design <d> --crashes N [--seed S] [--json]
-    python -m repro soak <workload> --seeds N [--design <d>] [--seed S] [--json]
-    python -m repro lint <workload> [--design <d>|all] [--model m] [--json]
+    python -m repro table1 [--json]
+    python -m repro {table2|fig7|fig8|fig9|fig10|models|all} [--ops N] [-j N] [--no-cache] [--cache-dir DIR] [--json]
+    python -m repro sweep [--workloads w1,w2|all] [--designs d1,d2|all] [--models m1,m2|all] [--ops N] [-j N] [--json]
+    python -m repro trace <workload> [--design d] [--model m] [--ops N] [--out trace.json] [--stats-out F] [--ring N]
+    python -m repro bench [--ops N] [--record [FILE]] [--baseline FILE --max-regress PCT] [--json]
+    python -m repro crashtest <workload> [--design d|all] [--crashes N] [--seed S] [--torn] [--json]
+    python -m repro soak <workload> [--design d|all] [--seeds N] [--seed S] [--no-media] [--json]
+    python -m repro lint <workload> [--design d|all] [--model m] [--ops N] [--json]
+    python -m repro modelcheck <litmus|workload|corpus> [--design d|all] [--budget N] [--samples K] [--mutate m] [--json]
+    python -m repro repair <litmus|workload> [--design d] [--budget N] [--apply [FILE]] [--json]
 
-``trace`` replays one (workload, design, model) cell with the tracer on
-and writes a Chrome/Perfetto trace-event JSON (open it in
-ui.perfetto.dev) plus, with ``--stats-out``, the machine-readable stats
-document.  ``bench`` times every figure and prints per-figure wall
-time and cells/second.  ``crashtest``
-crashes the simulator at N seeded fault points, recovers each crash
-image and checks the workload's invariants — ``--design all`` runs the
-differential oracle over every hardware design.  ``crashtest`` and
-``soak`` always run the fixed ``CHAOS_CFG`` scale and the ``txn``
-model, so they refuse ``--ops`` and other ``--model`` values.
-``lint`` statically
-analyses the compiled trace for persistency bugs (unflushed persists,
-strand misuse, persistent races, over-serialization, torn writes)
-without running the simulator — ``--design all`` lints every hardware
-design and additionally fails if the deliberately broken NON-ATOMIC
-design produces *no* errors (the linter must keep its teeth).  ``sweep``
-evaluates an arbitrary (workload x design x model) matrix through the
-parallel sweep engine and emits the ``repro.sweep/1`` artefact; figures
-accept ``-j/--jobs`` to fan their cell lists over worker processes, and
-both reuse results across invocations via the content-addressed on-disk
-cache under ``.repro-cache/`` (disable with ``--no-cache``); ``--timeout``
-and ``--retries`` bound each cell (a hung or killed worker fails only
-its own cell).  Each cell enters the cache as soon as it finishes, so
-rerunning a killed ``sweep`` or figure run resumes where it stopped.
-``soak`` runs a randomized fault campaign — per-case
-crash points, media-fault models and power failures injected *inside*
-recovery, all derived from one master seed — and shrinks any unexpected
-violation to a minimal replayable reproducer (``repro.soak/1``).
+Each command has its own parser, which declares only the options that
+command reads.  Unknown workload and design names, out-of-range numbers,
+a missing target, an option the command does not read and an
+abbreviated option are argparse usage errors: exit status 2, before any
+work runs.
 
-``bench --record`` appends the timed run to a
-``repro.bench-trajectory/1`` store (git SHA, config fingerprint,
-per-figure wall time, cells/sec); ``bench --baseline F --max-regress P``
-re-measures and exits non-zero past the threshold.  Long campaigns
-(``sweep``/``soak``) accept ``--progress`` (live status line) and
-``--runlog F`` (``repro.runlog/1`` JSONL telemetry: per-cell start and
-finish with wall time, heartbeats with ETA, worker pids).  Because the
-run log is wall-clock telemetry it is refused in ``--deterministic``
-sweeps.
+``crashtest`` and ``soak`` always run the fixed ``CHAOS_CFG`` scale and
+the ``txn`` model, so they have no ``--ops`` or ``--model``.  ``lint
+--design all`` also fails if the deliberately broken NON-ATOMIC design
+produces *no* errors (the linter must keep its teeth).  Figures and
+``sweep`` fan their cells over ``-j`` worker processes with
+bit-identical results, and settle each cell into the content-addressed
+cache under ``.repro-cache/`` as it finishes (``--no-cache`` disables
+it), so rerunning a killed run resumes where it stopped.  The
+``--runlog`` and ``--progress`` telemetry of ``sweep``/``soak`` is
+wall-clock data, so a ``--deterministic`` sweep refuses it.
 """
 
 import argparse
@@ -63,22 +45,25 @@ from repro.harness import (
     table1,
     table2,
 )
-from repro.workloads import MODELS
+from repro.harness.experiment import ALL_DESIGNS, ALL_MODELS
+from repro.harness.figures import BENCH_ORDER
+from repro.sim.machine import DESIGNS
+from repro.workloads import MODELS, WORKLOADS
 
 #: ``--ops`` when the flag is not given (``bench`` also reads
-#: ``REPRO_BENCH_OPS``; ``crashtest``/``soak`` refuse the flag).
+#: ``REPRO_BENCH_OPS``; ``crashtest``/``soak`` have no ``--ops``).
 DEFAULT_OPS = 16
 
+#: The artefact commands.  Table I takes no arguments; every other
+#: figure function takes ``ops_per_thread``, ``jobs`` and ``cache``.
 ARTEFACTS = {
-    "table1": lambda ops, jobs, cache: table1(),
-    "table2": lambda ops, jobs, cache: table2(ops_per_thread=ops, jobs=jobs, cache=cache),
-    "fig7": lambda ops, jobs, cache: figure7(ops_per_thread=ops, jobs=jobs, cache=cache),
-    "fig8": lambda ops, jobs, cache: figure8(ops_per_thread=ops, jobs=jobs, cache=cache),
-    "fig9": lambda ops, jobs, cache: figure9(ops_per_thread=ops, jobs=jobs, cache=cache),
-    "fig10": lambda ops, jobs, cache: figure10(ops_per_thread=ops, jobs=jobs, cache=cache),
-    "models": lambda ops, jobs, cache: model_sensitivity(
-        ops_per_thread=ops, jobs=jobs, cache=cache
-    ),
+    "table1": table1,
+    "table2": table2,
+    "fig7": figure7,
+    "fig8": figure8,
+    "fig9": figure9,
+    "fig10": figure10,
+    "models": model_sensitivity,
 }
 
 COMMANDS = sorted(ARTEFACTS) + [
@@ -86,204 +71,344 @@ COMMANDS = sorted(ARTEFACTS) + [
     "modelcheck", "repair",
 ]
 
+CHAOS_NOTE = (
+    "Crash campaigns always run the fixed CHAOS_CFG scale with the txn "
+    "model, so there is no --ops or --model."
+)
+
+
+def _bounded(kind, low, *, above=False):
+    """argparse ``type=``: a ``kind`` number at least ``low``, or above
+    it with ``above``."""
+
+    def parse(text):
+        value = kind(text)
+        if not (value > low if above else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'above' if above else 'at least'} {low}, got {text}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+def _axis(universe, axis):
+    """argparse ``type=`` for a sweep axis: a comma list, or 'all' for the
+    full ordered universe."""
+
+    def parse(raw):
+        if raw == "all":
+            return list(universe)
+        names = [name.strip() for name in raw.split(",") if name.strip()]
+        unknown = [name for name in names if name not in universe]
+        if not names:
+            raise argparse.ArgumentTypeError("must name at least one entry")
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown {axis} {unknown!r}; choose from {sorted(universe)} or 'all'"
+            )
+        return names
+
+    return parse
+
+
+def _parent() -> argparse.ArgumentParser:
+    """A ``parents=`` parser, for arguments shared by several commands."""
+    return argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="StrandWeaver reproduction: regenerate evaluation artefacts",
+    as_json = _parent()
+    as_json.add_argument(
+        "--json", action="store_true",
+        help="emit machine-readable JSON instead of rendered text",
     )
-    parser.add_argument(
-        "artefact",
-        nargs="?",
-        default="all",
-        choices=COMMANDS,
-        help="table/figure to regenerate, or 'trace'/'bench'/'crashtest' "
-        "(default: all)",
-    )
-    parser.add_argument(
-        "workload",
-        nargs="?",
-        default=None,
-        help="workload to replay ('trace' and 'crashtest'), e.g. 'queue'",
-    )
-    parser.add_argument(
-        "--ops", type=int, default=None,
+    ops = _parent()
+    ops.add_argument(
+        "--ops", type=_bounded(int, 1), default=DEFAULT_OPS,
         help=f"operations per thread (default {DEFAULT_OPS}; the paper used "
         "~6250)",
     )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for figures and 'sweep' (default 1 = serial; "
-        "results are bit-identical at any -j)",
+    pool = _parent()
+    pool.add_argument(
+        "-j", "--jobs", type=_bounded(int, 1), default=1, metavar="N",
+        help="worker processes (default 1 = serial; results are "
+        "bit-identical at any -j)",
     )
-    parser.add_argument(
-        "--workloads", default="all",
-        help="'sweep': comma-separated benchmarks, or 'all' (default)",
+    pool.add_argument(
+        "--no-cache", action="store_true", help="disable the on-disk result cache",
     )
-    parser.add_argument(
-        "--designs", default="all",
-        help="'sweep': comma-separated hardware designs, or 'all' (default)",
-    )
-    parser.add_argument(
-        "--models", default="txn",
-        help="'sweep': comma-separated language models, or 'all' (default: txn)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk result cache for figures and 'sweep'",
-    )
-    parser.add_argument(
+    pool.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="result-cache directory (default .repro-cache)",
     )
-    parser.add_argument(
-        "--deterministic", action="store_true",
-        help="'sweep' --json: omit wall-clock and cache-provenance fields "
-        "so output is byte-identical across -j levels and cache states",
+    telemetry = _parent()
+    telemetry.add_argument(
+        "--progress", action="store_true", help="live progress line on stderr",
     )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit machine-readable JSON instead of rendered tables",
+    telemetry.add_argument(
+        "--runlog", default=None, metavar="FILE",
+        help="stream repro.runlog/1 JSONL campaign telemetry to FILE",
     )
-    parser.add_argument(
-        "--design", default=None,
-        help="hardware design for 'trace'/'crashtest'/'soak' (default: "
-        "strandweaver; 'crashtest' also accepts 'all' for the differential "
-        "oracle; 'soak' rotates over every design unless one is pinned)",
-    )
-    parser.add_argument(
+    model = _parent()
+    model.add_argument(
         "--model", default="txn", choices=tuple(MODELS),
         help="language-level persistency model (default: txn)",
     )
-    parser.add_argument(
-        "--out", default=None,
-        help="output path: trace JSON for 'trace' (default trace.json), "
-        "trajectory store for 'bench --record', repaired trace for "
-        "'repair --apply'",
+    seeding = _parent()
+    seeding.add_argument(
+        "--seed", type=int, default=7,
+        help="master seed of the fault schedules (default 7)",
     )
-    parser.add_argument(
-        "--stats-out", default=None,
-        help="also write the run's stats document to this path ('trace')",
+    seeding.add_argument(
+        "--no-shrink", action="store_true",
+        help="skip shrinking failures to minimal reproducers",
     )
-    parser.add_argument(
-        "--budget", type=int, default=200_000, metavar="N",
-        help="modelcheck/repair: bounded-exhaustive crash-state enumeration "
-        "budget; programs whose state space exceeds it degrade to pairwise "
-        "order checking (default 200000)",
+    budget = _parent()
+    budget.add_argument(
+        "--budget", type=_bounded(int, 1), default=200_000, metavar="N",
+        help="bounded-exhaustive crash-state enumeration budget; programs "
+        "whose state space exceeds it degrade to pairwise order checking "
+        "(default 200000)",
     )
-    parser.add_argument(
-        "--samples", type=int, default=5, metavar="N",
-        help="modelcheck: machine-oracle crash points sampled across the "
-        "clean run's makespan (default 5; 0 disables the oracle)",
+    workload = _parent()
+    workload.add_argument("workload", choices=sorted(WORKLOADS))
+    designs = sorted(DESIGNS)
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="StrandWeaver reproduction: regenerate evaluation "
+        "artefacts (default command: all)",
+        allow_abbrev=False,
     )
-    parser.add_argument(
-        "--mutate", default=None, metavar="NAME",
-        help="modelcheck: seed a deliberate semantics bug into the "
-        "operational model (drop-barrier, drop-join, ignore-newstrand) — "
-        "the checker must report a divergence",
+    subparsers = parser.add_subparsers(
+        dest="command", metavar="command", required=True
     )
-    parser.add_argument(
-        "--apply", action="store_true",
-        help="repair: write the repaired op stream as JSON to --out "
-        "(default <target>.repaired.json)",
+
+    def command(name, func, summary, parents=(), epilog=None):
+        sub = subparsers.add_parser(
+            name, help=summary, description=summary, epilog=epilog,
+            parents=[as_json, *parents], allow_abbrev=False,
+        )
+        sub.set_defaults(func=func)
+        return sub
+
+    for name, func in sorted(ARTEFACTS.items()):
+        command(name, _cmd_artefacts, (func.__doc__ or name).splitlines()[0],
+                [] if name == "table1" else [ops, pool])
+    command("all", _cmd_artefacts, "every table and figure above, in name "
+            "order", [ops, pool])
+
+    sweep = command(
+        "sweep", _cmd_sweep, "evaluate a (workload x design x model) matrix "
+        "through the parallel sweep engine (repro.sweep/1)",
+        [ops, pool, telemetry],
     )
-    parser.add_argument(
-        "--ring", type=int, default=0, metavar="N",
+    sweep.add_argument(
+        "--workloads", default="all",
+        type=_axis(tuple(BENCH_ORDER) + tuple(
+            name for name in sorted(WORKLOADS) if name not in BENCH_ORDER
+        ), "workloads"),
+        help="comma-separated benchmarks, or 'all' (default)",
+    )
+    sweep.add_argument(
+        "--designs", default="all", type=_axis(ALL_DESIGNS, "designs"),
+        help="comma-separated hardware designs, or 'all' (default)",
+    )
+    sweep.add_argument(
+        "--models", default="txn", type=_axis(ALL_MODELS, "models"),
+        help="comma-separated language models, or 'all' (default: txn)",
+    )
+    sweep.add_argument(
+        "--deterministic", action="store_true",
+        help="--json: omit wall-clock and cache-provenance fields so output "
+        "is byte-identical across -j levels and cache states (excludes "
+        "--runlog and --progress)",
+    )
+    sweep.add_argument(
+        "--out", default=None, metavar="FILE",
+        help="also write the repro.sweep/1 document to FILE",
+    )
+    sweep.add_argument(
+        "--timeout", type=_bounded(float, 0, above=True), default=None,
+        metavar="SEC",
+        help="per-cell timeout in seconds (a hung cell's worker is killed "
+        "and only that cell fails)",
+    )
+    sweep.add_argument(
+        "--retries", type=_bounded(int, 0), default=0, metavar="N",
+        help="re-run a failing cell up to N extra times (default 0)",
+    )
+
+    trace = command(
+        "trace", _cmd_trace, "replay one cell with the tracer on and write "
+        "a Chrome/Perfetto trace", [workload, ops, model],
+    )
+    trace.add_argument(
+        "--design", default="strandweaver", choices=designs,
+        help="hardware design (default: strandweaver)",
+    )
+    trace.add_argument(
+        "--out", default="trace.json", metavar="FILE",
+        help="trace-event JSON path (default trace.json)",
+    )
+    trace.add_argument(
+        "--stats-out", default=None, metavar="FILE",
+        help="also write the run's repro.stats/1 document to FILE",
+    )
+    trace.add_argument(
+        "--ring", type=_bounded(int, 0), default=0, metavar="N",
         help="keep only the most recent N trace events (0 = unbounded)",
     )
-    parser.add_argument(
-        "--crashes", type=int, default=50, metavar="N",
-        help="number of seeded crash points for 'crashtest' (default 50)",
+
+    bench = command(
+        "bench", _cmd_bench, "time every figure and print per-figure wall "
+        "time and cells/second",
     )
-    parser.add_argument(
-        "--seed", type=int, default=7,
-        help="master seed for 'crashtest' fault schedules (default 7)",
+    bench.add_argument(
+        "--ops", type=_bounded(int, 1), default=None,
+        help=f"operations per thread (default $REPRO_BENCH_OPS, else "
+        f"{DEFAULT_OPS})",
     )
-    parser.add_argument(
-        "--torn", action="store_true",
-        help="crashtest: also tear the latest durable store (checker stress; "
-        "failures become the expected outcome for every design)",
+    bench.add_argument(
+        "--record", nargs="?", const="", default=None, metavar="FILE",
+        help="append the run to the trajectory store FILE (default "
+        "BENCH_<date>.json)",
     )
-    parser.add_argument(
-        "--no-writeback-faults", action="store_true",
-        help="crashtest: disable injected delayed write-backs",
-    )
-    parser.add_argument(
-        "--no-drop-faults", action="store_true",
-        help="crashtest: disable delayed-persist (drop) faults",
-    )
-    parser.add_argument(
-        "--no-shrink", action="store_true",
-        help="crashtest/soak: skip shrinking failures to minimal reproducers",
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=50, metavar="N",
-        help="soak: number of randomized cases to run (default 50)",
-    )
-    parser.add_argument(
-        "--no-media", action="store_true",
-        help="soak: never attach a device-level media fault model",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SEC",
-        help="sweep: per-cell timeout in seconds (a hung cell's worker is "
-        "killed and only that cell fails)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="sweep: re-run a failing cell up to N extra times (default 0)",
-    )
-    parser.add_argument(
-        "--record", action="store_true",
-        help="bench: time every figure and append the run to the "
-        "trajectory store (--out, default BENCH_<date>.json)",
-    )
-    parser.add_argument(
+    bench.add_argument(
         "--baseline", default=None, metavar="FILE",
-        help="bench: compare this run against a committed trajectory "
-        "store and fail on regression (see --max-regress)",
+        help="compare this run against a committed trajectory store and "
+        "fail on regression (see --max-regress)",
     )
-    parser.add_argument(
+    bench.add_argument(
         "--max-regress", type=float, default=300.0, metavar="PCT",
-        help="bench: maximum tolerated total wall-time growth over the "
-        "baseline, in percent (default 300)",
+        help="maximum tolerated total wall-time growth over the baseline, "
+        "in percent (default 300)",
     )
-    parser.add_argument(
-        "--progress", action="store_true",
-        help="sweep/soak: live progress line on stderr",
+
+    crashtest = command(
+        "crashtest", _cmd_crashtest, "crash the simulator at seeded fault "
+        "points, recover each crash image and check the workload's "
+        "invariants", [workload, seeding], epilog=CHAOS_NOTE,
     )
-    parser.add_argument(
-        "--runlog", default=None, metavar="FILE",
-        help="sweep/soak: stream repro.runlog/1 JSONL campaign telemetry "
-        "to FILE (refused with --deterministic)",
+    crashtest.add_argument(
+        "--design", default="strandweaver", choices=designs + ["all"],
+        help="hardware design, or 'all' for the differential oracle "
+        "(default: strandweaver)",
+    )
+    crashtest.add_argument(
+        "--crashes", type=_bounded(int, 1), default=50, metavar="N",
+        help="number of seeded crash points (default 50)",
+    )
+    crashtest.add_argument(
+        "--torn", action="store_true",
+        help="also tear the latest durable store (checker stress; failures "
+        "become the expected outcome for every design)",
+    )
+    crashtest.add_argument(
+        "--no-writeback-faults", action="store_true",
+        help="disable injected delayed write-backs",
+    )
+    crashtest.add_argument(
+        "--no-drop-faults", action="store_true",
+        help="disable delayed-persist (drop) faults",
+    )
+
+    soak = command(
+        "soak", _cmd_soak, "run a randomized fault campaign and shrink any "
+        "unexpected violation (repro.soak/1)", [workload, seeding, telemetry],
+        epilog=CHAOS_NOTE,
+    )
+    soak.add_argument(
+        "--design", default="all", choices=designs + ["all"],
+        help="pin one hardware design (default: rotate over all)",
+    )
+    soak.add_argument(
+        "--seeds", type=_bounded(int, 1), default=50, metavar="N",
+        help="number of randomized cases to run (default 50)",
+    )
+    soak.add_argument(
+        "--no-media", action="store_true",
+        help="never attach a device-level media fault model",
+    )
+
+    lint = command(
+        "lint", _cmd_lint, "statically analyse a workload's compiled trace "
+        "for persistency bugs", [workload, ops, model],
+    )
+    lint.add_argument(
+        "--design", default="strandweaver", choices=designs + ["all"],
+        help="hardware design, or 'all' (default: strandweaver)",
+    )
+
+    modelcheck = command(
+        "modelcheck", _cmd_modelcheck, "check the declarative axioms, the "
+        "operational persist DAG and the machine agree on crash states",
+        [ops, model, budget],
+    )
+    modelcheck.add_argument(
+        "target", help="a litmus case, a workload, or 'corpus'",
+    )
+    modelcheck.add_argument(
+        "--design", default="all", choices=designs + ["all"],
+        help="hardware design, or 'all' (default)",
+    )
+    modelcheck.add_argument(
+        "--samples", type=_bounded(int, 0), default=5, metavar="N",
+        help="machine-oracle crash points sampled across the clean run's "
+        "makespan (default 5; 0 disables the oracle)",
+    )
+    modelcheck.add_argument(
+        "--mutate", default=None, metavar="NAME",
+        help="seed a deliberate semantics bug into the operational model "
+        "(drop-barrier, drop-join, ignore-newstrand) — the checker must "
+        "report a divergence",
+    )
+
+    repair = command(
+        "repair", _cmd_repair, "search minimal fence/flush edits that make "
+        "a trace lint-clean and model-check-clean", [ops, model, budget],
+    )
+    repair.add_argument("target", help="a litmus case or a workload")
+    repair.add_argument(
+        "--design", default=None, choices=designs,
+        help="hardware design (default: a litmus case's own design, else "
+        "strandweaver)",
+    )
+    repair.add_argument(
+        "--apply", nargs="?", const="", default=None, metavar="FILE",
+        help="write the repaired op stream as JSON to FILE (default "
+        "<target>.repaired.json)",
     )
     return parser
+
+
+def _cmd_artefacts(args: argparse.Namespace) -> int:
+    names = sorted(ARTEFACTS) if args.command == "all" else [args.command]
+    cache = None if args.command == "table1" else _make_cache(args)
+    results = (
+        table1() if name == "table1" else ARTEFACTS[name](
+            ops_per_thread=args.ops, jobs=args.jobs, cache=cache
+        )
+        for name in names
+    )
+    if args.json:
+        docs = [result.to_json() for result in results]
+        print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=1, allow_nan=False))
+    else:
+        for result in results:
+            print(result.render())
+            print()
+    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.harness.experiment import default_config
     from repro.obs import Tracer, write_stats_json, write_trace
-    from repro.sim.machine import DESIGNS, Machine
-    from repro.workloads import WORKLOADS, generate_for_design
+    from repro.sim.machine import Machine
+    from repro.workloads import generate_for_design
 
-    if args.design is None:
-        args.design = "strandweaver"
-    if args.workload is None:
-        print("trace requires a workload, e.g.: python -m repro trace queue",
-              file=sys.stderr)
-        return 2
-    if args.workload not in WORKLOADS:
-        print(f"unknown workload {args.workload!r}; choose from {sorted(WORKLOADS)}",
-              file=sys.stderr)
-        return 2
-    if args.design not in DESIGNS:
-        print(f"unknown design {args.design!r}; choose from {sorted(DESIGNS)}",
-              file=sys.stderr)
-        return 2
-    if args.ring < 0:
-        print("--ring must be a positive event count (or 0 for unbounded)",
-              file=sys.stderr)
-        return 2
     tracer = (
         Tracer(mode="ring", capacity=args.ring) if args.ring else Tracer()
     )
@@ -291,15 +416,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         WORKLOADS[args.workload], default_config(args.ops), args.design, args.model
     )
     stats = Machine(args.design, tracer=tracer).run(run.program)
-    out = args.out or "trace.json"
-    doc = write_trace(out, tracer)
+    doc = write_trace(args.out, tracer)
     if args.stats_out:
         write_stats_json(args.stats_out, stats)
     if args.json:
         print(json.dumps(stats.summary(), sort_keys=True))
     else:
         summary = stats.summary()
-        print(f"wrote {out}: {len(doc['traceEvents'])} trace records "
+        print(f"wrote {args.out}: {len(doc['traceEvents'])} trace records "
               f"({tracer.dropped} dropped)")
         print(f"  {args.workload} on {args.design} ({args.model}): "
               f"{summary['cycles']} cycles, {summary['clwbs']} CLWBs, "
@@ -310,26 +434,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_crashtest(args: argparse.Namespace) -> int:
     from repro.chaos import run_crashtest, run_differential
-    from repro.sim.machine import DESIGNS
-    from repro.workloads import WORKLOADS
 
-    if args.design is None:
-        args.design = "strandweaver"
-    if args.workload is None:
-        print("crashtest requires a workload, e.g.: "
-              "python -m repro crashtest queue", file=sys.stderr)
-        return 2
-    if args.workload not in WORKLOADS:
-        print(f"unknown workload {args.workload!r}; choose from {sorted(WORKLOADS)}",
-              file=sys.stderr)
-        return 2
-    if args.design != "all" and args.design not in DESIGNS:
-        print(f"unknown design {args.design!r}; choose from "
-              f"{sorted(DESIGNS) + ['all']}", file=sys.stderr)
-        return 2
-    if args.crashes < 1:
-        print("--crashes must be at least 1", file=sys.stderr)
-        return 2
     kwargs = dict(
         crashes=args.crashes,
         seed=args.seed,
@@ -351,25 +456,7 @@ def _cmd_crashtest(args: argparse.Namespace) -> int:
 
 def _cmd_soak(args: argparse.Namespace) -> int:
     from repro.chaos import run_soak
-    from repro.sim.machine import DESIGNS
-    from repro.workloads import WORKLOADS
 
-    if args.workload is None:
-        print("soak requires a workload, e.g.: python -m repro soak queue",
-              file=sys.stderr)
-        return 2
-    if args.workload not in WORKLOADS:
-        print(f"unknown workload {args.workload!r}; choose from {sorted(WORKLOADS)}",
-              file=sys.stderr)
-        return 2
-    if args.design not in (None, "all") and args.design not in DESIGNS:
-        print(f"unknown design {args.design!r}; choose from "
-              f"{sorted(DESIGNS) + ['all']}", file=sys.stderr)
-        return 2
-    if args.seeds < 1:
-        print("--seeds must be at least 1", file=sys.stderr)
-        return 2
-    designs = None if args.design in (None, "all") else [args.design]
     runlog = progress = None
     if args.runlog:
         from repro.prof.runlog import RunLog
@@ -387,7 +474,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             args.workload,
             seeds=args.seeds,
             seed=args.seed,
-            designs=designs,
+            designs=None if args.design == "all" else [args.design],
             media=not args.no_media,
             shrink=not args.no_shrink,
             runlog=runlog,
@@ -406,23 +493,8 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import LINT_SCHEMA, analyze
     from repro.harness.experiment import default_config
-    from repro.sim.machine import DESIGNS
-    from repro.workloads import WORKLOADS, generate_for_design
+    from repro.workloads import generate_for_design
 
-    if args.design is None:
-        args.design = "strandweaver"
-    if args.workload is None:
-        print("lint requires a workload, e.g.: python -m repro lint queue",
-              file=sys.stderr)
-        return 2
-    if args.workload not in WORKLOADS:
-        print(f"unknown workload {args.workload!r}; choose from {sorted(WORKLOADS)}",
-              file=sys.stderr)
-        return 2
-    if args.design != "all" and args.design not in DESIGNS:
-        print(f"unknown design {args.design!r}; choose from "
-              f"{sorted(DESIGNS) + ['all']}", file=sys.stderr)
-        return 2
     designs = sorted(DESIGNS) if args.design == "all" else [args.design]
     cfg = default_config(args.ops)
     reports = {}
@@ -456,7 +528,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _modelcheck_targets(args: argparse.Namespace, designs):
+def _modelcheck_targets(args: argparse.Namespace):
     """Resolve the modelcheck/repair target into (name, program) pairs.
 
     A target is a litmus case, the whole litmus ``corpus``, or a workload
@@ -465,9 +537,9 @@ def _modelcheck_targets(args: argparse.Namespace, designs):
     """
     from repro.analysis import LITMUS
     from repro.harness.experiment import default_config
-    from repro.workloads import WORKLOADS, generate_for_design
+    from repro.workloads import generate_for_design
 
-    name = args.workload
+    name = args.target
     if name == "corpus":
         return [
             (case_name, lambda d, n=case_name: LITMUS[n].build())
@@ -488,36 +560,16 @@ def _modelcheck_targets(args: argparse.Namespace, designs):
 
 
 def _cmd_modelcheck(args: argparse.Namespace) -> int:
-    from repro.analysis import MODELCHECK_SCHEMA, MUTATIONS, check_program
-    from repro.sim.machine import DESIGNS
+    from repro.analysis import LITMUS, MODELCHECK_SCHEMA, MUTATIONS, check_program
 
-    if args.workload is None:
-        print("modelcheck requires a target, e.g.: python -m repro "
-              "modelcheck corpus --design all", file=sys.stderr)
-        return 2
-    if args.design is None:
-        args.design = "all"
-    if args.design != "all" and args.design not in DESIGNS:
-        print(f"unknown design {args.design!r}; choose from "
-              f"{sorted(DESIGNS) + ['all']}", file=sys.stderr)
-        return 2
     if args.mutate is not None and args.mutate not in MUTATIONS:
         print(f"unknown mutation {args.mutate!r}; choose from "
               f"{sorted(MUTATIONS)}", file=sys.stderr)
         return 2
-    if args.budget < 1:
-        print("--budget must be at least 1", file=sys.stderr)
-        return 2
-    if args.samples < 0:
-        print("--samples must be non-negative", file=sys.stderr)
-        return 2
     designs = sorted(DESIGNS) if args.design == "all" else [args.design]
-    targets = _modelcheck_targets(args, designs)
+    targets = _modelcheck_targets(args)
     if targets is None:
-        from repro.analysis import LITMUS
-        from repro.workloads import WORKLOADS
-
-        print(f"unknown target {args.workload!r}; choose a litmus case "
+        print(f"unknown target {args.target!r}; choose a litmus case "
               f"({', '.join(sorted(LITMUS))}), a workload "
               f"({', '.join(sorted(WORKLOADS))}), or 'corpus'",
               file=sys.stderr)
@@ -540,7 +592,7 @@ def _cmd_modelcheck(args: argparse.Namespace) -> int:
     if args.json:
         doc = {
             "schema": MODELCHECK_SCHEMA,
-            "target": args.workload,
+            "target": args.target,
             "designs": designs,
             "budget": args.budget,
             "mutation": args.mutate,
@@ -559,33 +611,22 @@ def _cmd_modelcheck(args: argparse.Namespace) -> int:
 
 def _cmd_repair(args: argparse.Namespace) -> int:
     from repro.analysis import LITMUS, repair
-    from repro.sim.machine import DESIGNS
 
-    if args.workload is None:
-        print("repair requires a target, e.g.: python -m repro repair "
-              "overser-double-clwb", file=sys.stderr)
-        return 2
     if args.design is None:
         args.design = (
-            LITMUS[args.workload].design
-            if args.workload in LITMUS
-            else "strandweaver"
+            LITMUS[args.target].design if args.target in LITMUS else "strandweaver"
         )
-    if args.design not in DESIGNS:
-        print(f"unknown design {args.design!r}; choose from {sorted(DESIGNS)}",
-              file=sys.stderr)
-        return 2
-    targets = _modelcheck_targets(args, [args.design])
-    if targets is None or args.workload == "corpus":
-        print(f"unknown repair target {args.workload!r}; choose a litmus "
+    targets = _modelcheck_targets(args)
+    if targets is None or args.target == "corpus":
+        print(f"unknown repair target {args.target!r}; choose a litmus "
               f"case or a workload", file=sys.stderr)
         return 2
     (name, build), = targets
     result = repair(
         build(args.design), args.design, target=name, budget=args.budget
     )
-    if args.apply and result.program is not None:
-        out = args.out or f"{name}.repaired.json"
+    if args.apply is not None and result.program is not None:
+        out = args.apply or f"{name}.repaired.json"
         _write_repaired_trace(out, result)
         if not args.json:
             print(f"wrote repaired trace to {out}")
@@ -634,53 +675,11 @@ def _make_cache(args: argparse.Namespace):
     return CellCache(args.cache_dir or DEFAULT_CACHE_DIR)
 
 
-def _parse_matrix_axis(raw: str, universe, axis: str):
-    """Split a comma list, mapping 'all' to the full ordered universe."""
-    if raw == "all":
-        return list(universe), None
-    names = [name.strip() for name in raw.split(",") if name.strip()]
-    unknown = [name for name in names if name not in universe]
-    if not names:
-        return None, f"--{axis} must name at least one entry"
-    if unknown:
-        return None, (
-            f"unknown {axis} {unknown!r}; choose from {sorted(universe)} or 'all'"
-        )
-    return names, None
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.harness.experiment import ALL_DESIGNS, ALL_MODELS
-    from repro.harness.figures import BENCH_ORDER
     from repro.harness.report import render_table
     from repro.harness.sweep import expand_cells, run_sweep
     from repro.obs.export import sweep_to_json, write_sweep_json
-    from repro.workloads import WORKLOADS
 
-    if args.jobs < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return 2
-    bench_universe = tuple(BENCH_ORDER) + tuple(
-        name for name in sorted(WORKLOADS) if name not in BENCH_ORDER
-    )
-    workloads, err = _parse_matrix_axis(args.workloads, bench_universe, "workloads")
-    if err:
-        print(err, file=sys.stderr)
-        return 2
-    designs, err = _parse_matrix_axis(args.designs, ALL_DESIGNS, "designs")
-    if err:
-        print(err, file=sys.stderr)
-        return 2
-    models, err = _parse_matrix_axis(args.models, ALL_MODELS, "models")
-    if err:
-        print(err, file=sys.stderr)
-        return 2
-    if args.retries < 0:
-        print("--retries must be non-negative", file=sys.stderr)
-        return 2
-    if args.timeout is not None and args.timeout <= 0:
-        print("--timeout must be a positive number of seconds", file=sys.stderr)
-        return 2
     if args.deterministic and (args.runlog or args.progress):
         # The run log and progress line are wall-clock telemetry; a
         # deterministic sweep must not produce either (the whole point
@@ -688,7 +687,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("--deterministic excludes --runlog/--progress: the run log "
               "is wall-clock telemetry", file=sys.stderr)
         return 2
-    cells = expand_cells(workloads, designs, models, ops_per_thread=args.ops)
+    cells = expand_cells(
+        args.workloads, args.designs, args.models, ops_per_thread=args.ops
+    )
     runlog = progress = None
     if args.runlog:
         from repro.prof.runlog import RunLog
@@ -765,8 +766,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         ok, report = check_regression(args.baseline, entry, args.max_regress)
         print(report, file=sys.stderr if args.json else sys.stdout)
         rc = 0 if ok else 1
-    if args.record:
-        out = args.out or _time.strftime("BENCH_%Y-%m-%d.json")
+    if args.record is not None:
+        out = args.record or _time.strftime("BENCH_%Y-%m-%d.json")
         doc = append_run(out, entry)
         print(f"recorded run {len(doc['runs'])} in {out}",
               file=sys.stderr if args.json else sys.stdout)
@@ -774,46 +775,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.artefact in ("crashtest", "soak"):
-        if args.ops is not None or args.model != "txn":
-            from repro.chaos import CHAOS_CFG
-
-            print(f"{args.artefact} runs CHAOS_CFG ({CHAOS_CFG.n_threads} threads x "
-                  f"{CHAOS_CFG.ops_per_thread} ops/thread) with the txn model; "
-                  "--ops and --model are not supported", file=sys.stderr)
-            return 2
-    elif args.artefact != "bench" and args.ops is None:
-        args.ops = DEFAULT_OPS
-    if args.artefact == "trace":
-        return _cmd_trace(args)
-    if args.artefact == "bench":
-        return _cmd_bench(args)
-    if args.artefact == "crashtest":
-        return _cmd_crashtest(args)
-    if args.artefact == "soak":
-        return _cmd_soak(args)
-    if args.artefact == "lint":
-        return _cmd_lint(args)
-    if args.artefact == "modelcheck":
-        return _cmd_modelcheck(args)
-    if args.artefact == "repair":
-        return _cmd_repair(args)
-    if args.artefact == "sweep":
-        return _cmd_sweep(args)
-    if args.jobs < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return 2
-    cache = _make_cache(args)
-    names = sorted(ARTEFACTS) if args.artefact == "all" else [args.artefact]
-    if args.json:
-        docs = [ARTEFACTS[name](args.ops, args.jobs, cache).to_json() for name in names]
-        print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=1, allow_nan=False))
-    else:
-        for name in names:
-            print(ARTEFACTS[name](args.ops, args.jobs, cache).render())
-            print()
-    return 0
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(argv or ["all"])
+    return args.func(args)
 
 
 if __name__ == "__main__":

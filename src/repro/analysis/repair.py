@@ -20,7 +20,7 @@ lint-clean *and* model-check-clean, and proves it by re-running both:
 * ``strand-misuse / join-nothing`` — delete the no-op ``JoinStrand``;
 * ``over-serialization / *`` — delete the redundant flush, fence or
   barrier, then re-measure the program on the cycle-accurate simulator
-  (:func:`repro.harness.sweep.measure_program_cycles`) to report the
+  (:class:`repro.sim.machine.Machine`, Table I config) to report the
   cycles actually saved — the repairer doubles as a measurable
   performance optimizer (the paper's motivation).
 
@@ -484,9 +484,10 @@ def repair(
 
 
 def _measure(program: Program, design: str) -> int:
-    """Makespan of the design projection on the cycle-accurate simulator."""
+    """Makespan of the design projection on the cycle-accurate simulator,
+    on the Table I machine the figures run, so savings compare with them."""
     from repro.analysis.modelcheck import _project_for_machine
-    from repro.harness.sweep import measure_program_cycles
+    from repro.sim.machine import Machine
 
     runnable, _ = _project_for_machine(program, semantics_for(design))
-    return measure_program_cycles(runnable, design)
+    return Machine(design).run(runnable).cycles

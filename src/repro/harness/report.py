@@ -1,8 +1,8 @@
-"""Fixed-width table/series rendering for the experiment harness."""
+"""Fixed-width table rendering for the experiment harness."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 
 def render_table(
@@ -29,8 +29,3 @@ def render_table(
         out.append("".join(cells))
     return "\n".join(out)
 
-
-def render_series(title: str, series: Dict[str, List[float]], x_labels: Sequence[str]) -> str:
-    """Render one line per series over labelled x points (figure data)."""
-    rows = [[name] + values for name, values in series.items()]
-    return render_table(title, ["series"] + list(x_labels), rows)

@@ -134,21 +134,6 @@ class SweepMonitor:
             self.progress.close()
 
 
-def measure_program_cycles(
-    program, design: str, machine_cfg: MachineConfig = TABLE_I
-) -> int:
-    """Makespan of one already-compiled program on one design.
-
-    The repair engine (:mod:`repro.analysis.repair`) uses this to price
-    accepted over-serialization edits in real simulated cycles — same
-    machine, same config as the sweep cells, so the numbers are
-    comparable with the headline figures.
-    """
-    from repro.sim.machine import Machine
-
-    return Machine(design, machine_cfg).run(program).cycles
-
-
 @dataclass(frozen=True)
 class SweepCell:
     """One fully-specified simulation: everything that affects its result."""

@@ -111,29 +111,6 @@ class BandwidthResource:
         return len(self._windows)
 
 
-class BankedResource:
-    """``n_banks`` parallel servers, each busy ``service`` cycles per job.
-
-    Used for PM media writes: the controller drains its write queue into
-    a small number of concurrently writable banks.
-    """
-
-    def __init__(self, n_banks: int, service: float) -> None:
-        if n_banks <= 0:
-            raise ValueError("need at least one bank")
-        self.service = service
-        self._free_at: List[float] = [0.0] * n_banks
-        heapq.heapify(self._free_at)
-
-    def reserve(self, t: float) -> float:
-        """Run one job starting at or after ``t``; returns completion time."""
-        earliest = heapq.heappop(self._free_at)
-        start = max(t, earliest)
-        done = start + self.service
-        heapq.heappush(self._free_at, done)
-        return done
-
-
 class SlottedQueue:
     """A queue with ``capacity`` slots; a slot is held until a deadline.
 

@@ -2,7 +2,7 @@
 
 Implements the standard Zipfian generator of Gray et al. (as used by the
 YCSB core workloads) plus a scrambled variant that spreads the hot keys
-across the key space, and a uniform generator for comparison.
+across the key space.
 """
 
 from __future__ import annotations
@@ -21,19 +21,6 @@ def fnv1a_64(value: int) -> int:
         h = (h * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
         value >>= 8
     return h
-
-
-class UniformGenerator:
-    """Uniform key selection over ``[0, n)``."""
-
-    def __init__(self, n: int, rng: random.Random) -> None:
-        if n <= 0:
-            raise ValueError("need a positive key-space size")
-        self.n = n
-        self.rng = rng
-
-    def next(self) -> int:
-        return self.rng.randrange(self.n)
 
 
 class ZipfianGenerator:

@@ -55,19 +55,16 @@ def test_lint_renders_human_output(capsys):
     assert "lint OK" in out
 
 
-def test_lint_rejects_unknown_workload(capsys):
-    assert main(["lint", "nope", "--json"]) == 2
-    assert "unknown workload" in capsys.readouterr().err
+def test_lint_rejects_unknown_workload(usage_error):
+    assert "'nope'" in usage_error(["lint", "nope", "--json"])
 
 
-def test_lint_rejects_unknown_design(capsys):
-    assert main(["lint", "queue", "--design", "tso"]) == 2
-    assert "unknown design" in capsys.readouterr().err
+def test_lint_rejects_unknown_design(usage_error):
+    assert "'tso'" in usage_error(["lint", "queue", "--design", "tso"])
 
 
-def test_lint_requires_workload(capsys):
-    assert main(["lint"]) == 2
-    assert "requires a workload" in capsys.readouterr().err
+def test_lint_requires_workload(usage_error):
+    assert "workload" in usage_error(["lint"])
 
 
 @pytest.mark.parametrize("command", ["lint", "modelcheck", "repair"])

@@ -135,11 +135,16 @@ def test_harness_rejects_unknown_names():
     ["soak", "queue", "--seeds", "1", "--ops", "16"],
     ["soak", "queue", "--seeds", "1", "--model", "redo-txn"],
 ])
-def test_cli_refuses_flags_the_chaos_config_ignores(argv, capsys):
-    """Crash campaigns always run CHAOS_CFG with the txn model, so a
-    scale or model flag is refused instead of silently ignored."""
-    assert main(argv) == 2
-    assert "CHAOS_CFG" in capsys.readouterr().err
+def test_cli_refuses_flags_the_chaos_config_ignores(argv, usage_error, capsys):
+    """Crash campaigns always run CHAOS_CFG with the txn model, so their
+    parsers have no scale or model flag, and ``--help`` says why."""
+    flag = argv[-2]
+    assert flag in usage_error(argv)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert "CHAOS_CFG" in usage and "txn" in usage
 
 
 # -- one functional run per workload, lint only where a verdict reads it ------

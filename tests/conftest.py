@@ -32,3 +32,18 @@ def small_cfg() -> WorkloadConfig:
 def single_thread_program() -> tuple:
     prog = Program(1)
     return prog, TraceCursor(prog, 0)
+
+
+@pytest.fixture
+def usage_error(capsys):
+    """``usage_error(argv)`` runs ``python -m repro argv`` in process,
+    asserts argparse refuses it with exit status 2, and returns stderr."""
+    from repro.__main__ import main
+
+    def run(argv) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    return run

@@ -1,6 +1,6 @@
 """Rendering helper tests."""
 
-from repro.harness.report import render_series, render_table
+from repro.harness.report import render_table
 
 
 def test_render_table_basic():
@@ -13,8 +13,3 @@ def test_render_table_basic():
 def test_render_table_string_cells():
     text = render_table("T", ["k", "v"], [["key", "value"]])
     assert "value" in text
-
-
-def test_render_series():
-    text = render_series("S", {"one": [1.0, 2.0]}, ["p1", "p2"])
-    assert "one" in text and "p1" in text and "2.00" in text

@@ -80,15 +80,20 @@ def test_cli_trace_ring_mode_bounds_events(tmp_path):
     assert doc["otherData"]["dropped_events"] > 0
 
 
-def test_cli_trace_rejects_unknown_inputs(capsys):
-    assert main(["trace"]) == 2
-    assert main(["trace", "nope"]) == 2
-    assert main(["trace", "queue", "--design", "nope"]) == 2
-    assert main(["trace", "queue", "--ring", "-1"]) == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["trace", "queue", "--model", "nope"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'nope'" in capsys.readouterr().err
+def test_cli_trace_rejects_unknown_inputs(usage_error, tmp_path):
+    out = tmp_path / "trace.json"
+    assert "workload" in usage_error(["trace", "--out", str(out)])
+    assert "'nope'" in usage_error(["trace", "nope", "--out", str(out)])
+    assert "'nope'" in usage_error(
+        ["trace", "queue", "--design", "nope", "--out", str(out)]
+    )
+    assert "--ring" in usage_error(
+        ["trace", "queue", "--ring", "-1", "--out", str(out)]
+    )
+    assert "invalid choice: 'nope'" in usage_error(
+        ["trace", "queue", "--model", "nope", "--out", str(out)]
+    )
+    assert not out.exists()
 
 
 def test_cli_trace_runs_redo_txn(tmp_path, capsys):

@@ -7,15 +7,9 @@ import pytest
 
 from repro.workloads.ycsb import (
     ScrambledZipfianGenerator,
-    UniformGenerator,
     ZipfianGenerator,
     fnv1a_64,
 )
-
-
-def test_uniform_in_range():
-    gen = UniformGenerator(100, random.Random(1))
-    assert all(0 <= gen.next() < 100 for _ in range(500))
 
 
 def test_zipfian_in_range():
@@ -48,5 +42,3 @@ def test_invalid_params_rejected():
         ZipfianGenerator(0, random.Random(0))
     with pytest.raises(ValueError):
         ZipfianGenerator(10, random.Random(0), theta=1.5)
-    with pytest.raises(ValueError):
-        UniformGenerator(0, random.Random(0))
