@@ -191,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
             name, help=summary, description=summary, epilog=epilog,
             parents=[as_json, *parents], allow_abbrev=False,
         )
-        sub.set_defaults(func=func)
+        sub.set_defaults(func=func, parser=sub)
         return sub
 
     for name, func in sorted(ARTEFACTS.items()):
@@ -776,7 +776,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser().parse_args(argv or ["all"])
+    args, unread = _build_parser().parse_known_args(argv or ["all"])
+    if unread:
+        # argparse hands a subparser's leftovers to the top-level parser;
+        # report them under the command's own usage line.
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     return args.func(args)
 
 

@@ -27,13 +27,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis import AnalysisReport, analyze
 from repro.chaos.image import ImageInfo, build_crash_image
-from repro.chaos.plan import (
-    DEFAULT_DROP_PROB,
-    DEFAULT_WRITEBACK_PROB,
-    CrashSchedule,
-    FaultPlan,
-    sample_schedules,
-)
+from repro.chaos.plan import CrashSchedule, FaultPlan, sample_schedules
 from repro.core.model import PersistDag
 from repro.faults.recovery import CrashingRecoveryWriter, RecoveryCrashed
 from repro.lang.recovery import RecoveryReport, recover
@@ -80,7 +74,6 @@ class CrashSample:
     info: ImageInfo
     n_rolled_back: int
     n_replayed: int
-    occupancy: Dict[str, object]
     violation: Optional[str] = None  #: failure message, None on success
     #: recovery passes run (1 + crashes injected inside recovery).
     recovery_passes: int = 1
@@ -167,7 +160,6 @@ class CrashHarness:
             info=info,
             n_rolled_back=report.n_rolled_back,
             n_replayed=report.n_replayed,
-            occupancy=crash.occupancy,
             violation=violation,
             recovery_passes=passes,
             media_faults=stats.faults,
@@ -355,9 +347,7 @@ def run_crashtest(
     seed: int = 7,
     torn: bool = False,
     writeback_faults: bool = True,
-    writeback_prob: float = DEFAULT_WRITEBACK_PROB,
     drop_faults: bool = True,
-    drop_prob: float = DEFAULT_DROP_PROB,
     shrink: bool = True,
     cfg: Optional[WorkloadConfig] = None,
     machine_cfg: MachineConfig = TABLE_I,
@@ -370,9 +360,7 @@ def run_crashtest(
         crashes,
         seed,
         writeback_faults=writeback_faults,
-        writeback_prob=writeback_prob,
         drop_faults=drop_faults,
-        drop_prob=drop_prob,
         torn=torn,
     )
     result = CrashTestResult(
@@ -398,9 +386,7 @@ def run_differential(
     seed: int = 7,
     torn: bool = False,
     writeback_faults: bool = True,
-    writeback_prob: float = DEFAULT_WRITEBACK_PROB,
     drop_faults: bool = True,
-    drop_prob: float = DEFAULT_DROP_PROB,
     shrink: bool = False,
     cfg: Optional[WorkloadConfig] = None,
     machine_cfg: MachineConfig = TABLE_I,
@@ -416,9 +402,7 @@ def run_differential(
             seed=seed,
             torn=torn,
             writeback_faults=writeback_faults,
-            writeback_prob=writeback_prob,
             drop_faults=drop_faults,
-            drop_prob=drop_prob,
             shrink=shrink,
             cfg=cfg,
             machine_cfg=machine_cfg,

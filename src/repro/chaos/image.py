@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.chaos.plan import FaultPlan
 from repro.core.model import PersistDag
@@ -55,16 +55,10 @@ _DROP_SALT = 0xD20958A1
 
 @dataclass
 class ImageInfo:
-    """Accounting of how the crash image was assembled."""
+    """The write-back accounting crash reports carry."""
 
-    n_durable: int = 0  #: hardware-durable stores reported by the machine
-    n_in_flight: int = 0  #: retired-but-volatile stores at the crash
-    n_writeback: int = 0  #: natural evictions admitted by the DAG guard
     n_injected: int = 0  #: injected delayed write-backs admitted
     n_guard_blocked: int = 0  #: write-back candidates the guard rejected
-    n_dropped: int = 0  #: durable stores re-timed past the crash (+ successors)
-    n_applied: int = 0  #: stores actually written into the image
-    torn: Optional[str] = None  #: description of the torn store, if any
 
 
 def _satisfaction(dag: PersistDag, included: Set[int]) -> List[bool]:
@@ -85,9 +79,7 @@ def durable_cut(
     crash: CrashState, plan: FaultPlan, dag: PersistDag
 ) -> Tuple[List[Op], ImageInfo]:
     """Compute the stores a crash under ``plan`` exposes, plus accounting."""
-    info = ImageInfo(
-        n_durable=len(crash.durable), n_in_flight=len(crash.in_flight)
-    )
+    info = ImageInfo()
     node_of = dag.node_of_gseq
 
     included: Set[int] = set()
@@ -102,7 +94,7 @@ def durable_cut(
             included.add(idx)
 
     if plan.drop_faults and included:
-        _apply_drops(dag, included, plan, info)
+        _apply_drops(dag, included, plan)
 
     if plan.writeback_faults:
         rng = random.Random(plan.seed)
@@ -127,8 +119,6 @@ def durable_cut(
                 included.add(idx)
                 if source == "injected":
                     info.n_injected += 1
-                else:
-                    info.n_writeback += 1
                 progress = True
             else:
                 still.append((idx, source))
@@ -137,14 +127,11 @@ def durable_cut(
 
     ops = [dag.nodes[i].op for i in sorted(included)]
     if plan.torn:
-        ops = _apply_torn(ops, crash, plan, info)
-    info.n_applied = len(ops)
+        ops = _apply_torn(ops, crash, plan)
     return ops, info
 
 
-def _apply_drops(
-    dag: PersistDag, included: Set[int], plan: FaultPlan, info: ImageInfo
-) -> None:
+def _apply_drops(dag: PersistDag, included: Set[int], plan: FaultPlan) -> None:
     """Re-time seeded durable stores (and their DAG successors) past the
     crash, mutating ``included`` in place."""
     rng = random.Random(plan.seed ^ _DROP_SALT)
@@ -160,13 +147,10 @@ def _apply_drops(
             continue
         dropped.add(idx)
         frontier.extend(succs[idx])
-    info.n_dropped = len(dropped & included)
     included -= dropped
 
 
-def _apply_torn(
-    ops: List[Op], crash: CrashState, plan: FaultPlan, info: ImageInfo
-) -> List[Op]:
+def _apply_torn(ops: List[Op], crash: CrashState, plan: FaultPlan) -> List[Op]:
     """Tear the latest-accepted durable multi-word store to a prefix."""
     applied_gseqs = {op.gseq for op in ops}
     victims = [
@@ -185,9 +169,6 @@ def _apply_torn(
             out.append(op)
         elif keep > 0:
             out.append(replace(op, size=keep, data=op.data[:keep]))
-    info.torn = (
-        f"store@{victim.op.addr:#x} torn to {keep}/{victim.op.size} bytes"
-    )
     return out
 
 

@@ -150,9 +150,7 @@ def sample_schedules(
     n: int,
     seed: int,
     writeback_faults: bool = True,
-    writeback_prob: float = DEFAULT_WRITEBACK_PROB,
     drop_faults: bool = True,
-    drop_prob: float = DEFAULT_DROP_PROB,
     torn: bool = False,
 ) -> List[CrashSchedule]:
     """Sample ``n`` deterministic crash schedules from a master ``seed``.
@@ -160,7 +158,8 @@ def sample_schedules(
     Alternates cycle- and op-count-triggered crashes so both trigger
     paths are exercised; fractions span the whole run, biased nowhere —
     the frontier bias lives in the write-back faults, which resurrect
-    in-flight persists near the crash point.
+    in-flight persists near the crash point.  Faults fire at
+    :data:`DEFAULT_WRITEBACK_PROB` and :data:`DEFAULT_DROP_PROB`.
     """
     rng = random.Random(seed)
     out: List[CrashSchedule] = []
@@ -173,9 +172,7 @@ def sample_schedules(
                 frac=frac,
                 seed=rng.getrandbits(32),
                 writeback_faults=writeback_faults,
-                writeback_prob=writeback_prob,
                 drop_faults=drop_faults,
-                drop_prob=drop_prob,
                 torn=torn,
             )
         )

@@ -64,10 +64,6 @@ class PersistQueue:
             tracer.metrics.histogram(f"{self._track}/residency").observe(completion - t)
         return completion
 
-    def occupancy_at(self, t: float) -> int:
-        """Entries still live at ``t`` (crash-state reporting)."""
-        return sum(1 for x in self._completions if x > t)
-
     def drain_time(self, t: float) -> float:
         """Time when everything ever queued has completed."""
         return max(t, self._latest)

@@ -49,7 +49,6 @@ class StrandBuffer:
         #: line -> retire time of its youngest buffered CLWB (for the
         #: snoop-buffer tail-index stall of Section IV).
         self._line_retire = {}
-        self.clwbs = 0
 
     def _slot_time(self, t: float) -> float:
         """When a new entry can be appended (full buffer waits on retire)."""
@@ -73,7 +72,6 @@ class StrandBuffer:
         self._retire_times.append(retire)
         self._last_retire = retire
         self._line_retire[line] = max(self._line_retire.get(line, 0.0), retire)
-        self.clwbs += 1
         tracer = self._tracer
         if tracer.enabled:
             if issue > t:
@@ -97,10 +95,6 @@ class StrandBuffer:
     def drain_time(self, t: float) -> float:
         """Time when everything currently buffered has persisted."""
         return max(t, self._last_retire)
-
-    def occupancy_at(self, t: float) -> int:
-        """Entries not yet retired at ``t`` (crash-state reporting)."""
-        return sum(1 for x in self._retire_times if x > t)
 
     def line_drain_time(self, line: int, t: float) -> float:
         """Time when this line's pending CLWBs (if any) have persisted."""
@@ -163,15 +157,7 @@ class StrandBufferUnit:
         """Time when all buffers have fully drained to the controller."""
         return max(buf.drain_time(t) for buf in self.buffers)
 
-    def occupancy_at(self, t: float) -> List[int]:
-        """Per-buffer live-entry counts at ``t`` (crash-state reporting)."""
-        return [buf.occupancy_at(t) for buf in self.buffers]
-
     def line_drain_time(self, line: int, t: float) -> float:
         """Snoop stall: wait only for pending CLWBs of ``line`` — the
         per-strand-buffer tail recorded in the snoop buffer (Section IV)."""
         return max(buf.line_drain_time(line, t) for buf in self.buffers)
-
-    @property
-    def total_clwbs(self) -> int:
-        return sum(buf.clwbs for buf in self.buffers)

@@ -96,12 +96,6 @@ class StrandWeaverDomain(PersistDomain):
         self._store_gate = 0.0
         return done
 
-    def occupancy(self, t: float) -> dict:
-        return {
-            "persist_queue": self.pq.occupancy_at(t),
-            "strand_buffers": self.sbu.occupancy_at(t),
-        }
-
     # -- coherence ----------------------------------------------------------
 
     def _snoop_drain_hook(self, owner_tid: int, line: int, t: float) -> float:
@@ -150,6 +144,3 @@ class NoPersistQueueDomain(StrandWeaverDomain):
         self._charge("stall_drain", done - t, start=t)
         self._store_gate = 0.0
         return done
-
-    def occupancy(self, t: float) -> dict:
-        return {"strand_buffers": self.sbu.occupancy_at(t)}

@@ -19,13 +19,7 @@ plans; with neither configured, every hook is absent and the simulator's
 timing is bit-identical to a fault-free build.
 """
 
-from repro.faults.model import (
-    DEGRADED_NONE,
-    DEGRADED_REMAP,
-    DEGRADED_WORN,
-    MediaFaultConfig,
-    MediaFaultModel,
-)
+from repro.faults.model import MediaFaultConfig, MediaFaultModel
 from repro.faults.recovery import (
     CrashingRecoveryWriter,
     DirectWriter,
@@ -33,9 +27,6 @@ from repro.faults.recovery import (
 )
 
 __all__ = [
-    "DEGRADED_NONE",
-    "DEGRADED_REMAP",
-    "DEGRADED_WORN",
     "CrashingRecoveryWriter",
     "DirectWriter",
     "MediaFaultConfig",

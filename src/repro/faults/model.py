@@ -24,12 +24,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Set
 
-#: device health states reported by :meth:`MediaFaultModel.health`.
-DEGRADED_NONE = "healthy"
-DEGRADED_REMAP = "remapping"  #: at least one line moved to a spare
-DEGRADED_WORN = "worn"  #: spare lines exhausted; uncorrectables persist
-
-
 @dataclass(frozen=True)
 class MediaFaultConfig:
     """Seeded fault-injection knobs for the PM media.
@@ -129,13 +123,6 @@ class MediaFaultModel:
         self.remapped_lines.add(line)
         self.remaps += 1
         return True
-
-    def health(self) -> str:
-        if self.remap_denied:
-            return DEGRADED_WORN
-        if self.remapped_lines:
-            return DEGRADED_REMAP
-        return DEGRADED_NONE
 
     def summary(self) -> Dict[str, object]:
         """Flat record of everything the device suffered (JSON-safe)."""

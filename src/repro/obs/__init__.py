@@ -18,20 +18,12 @@ from repro.obs.export import (
     write_stats_json,
     write_sweep_json,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    ScopedMetrics,
-    merge_buckets,
-)
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry, ScopedMetrics
 from repro.obs.perfetto import to_perfetto, write_trace
 from repro.obs.tracer import NULL_TRACER, NullTracer, TraceEvent, Tracer, core_track
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_TRACER",
@@ -43,7 +35,6 @@ __all__ = [
     "Tracer",
     "core_track",
     "load_sweep_json",
-    "merge_buckets",
     "stats_to_json",
     "sweep_to_json",
     "to_perfetto",

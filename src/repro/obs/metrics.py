@@ -1,4 +1,4 @@
-"""Counter / Gauge / Histogram metrics for the simulator.
+"""Counter / Histogram metrics for the simulator.
 
 Metrics complement the event trace (:mod:`repro.obs.tracer`): events say
 *when* something happened, metrics summarise *how often* and *how much*.
@@ -29,37 +29,6 @@ class Counter:
 
     def to_json(self) -> Dict[str, Union[int, float]]:
         return {"type": "counter", "value": self.value}
-
-
-class Gauge:
-    """Last-written value, with min/max envelope and sample count."""
-
-    __slots__ = ("last", "min", "max", "n")
-
-    def __init__(self) -> None:
-        self.last = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.n = 0
-
-    def set(self, value: float) -> None:
-        self.last = value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self.n += 1
-
-    def to_json(self) -> Dict[str, Union[int, float]]:
-        if self.n == 0:
-            return {"type": "gauge", "last": 0.0, "min": 0.0, "max": 0.0, "n": 0}
-        return {
-            "type": "gauge",
-            "last": self.last,
-            "min": self.min,
-            "max": self.max,
-            "n": self.n,
-        }
 
 
 class Histogram:
@@ -129,43 +98,8 @@ class Histogram:
             "p99": self.percentile(99),
         }
 
-    def export_buckets(self) -> Dict[str, int]:
-        """Fixed log2-spaced bucket counts, mergeable across histograms.
 
-        Bucket ``"0"`` counts non-positive samples; bucket ``"2^e"``
-        counts samples in ``(2^(e-1), 2^e]`` (so ``2^0`` covers the
-        half-open ``(0, 1]``).  The boundaries are a property of the
-        scheme, not of the data, so exports from different runs — or
-        different workers of one sweep — merge by summing counts per key
-        (:func:`merge_buckets`).  Export is observation-only: it never
-        sorts or mutates the sample list, so summary statistics computed
-        before and after are identical.
-        """
-        buckets: Dict[str, int] = {}
-        for value in self._values:
-            if value <= 0:
-                key = "0"
-            else:
-                key = f"2^{max(0, math.ceil(math.log2(value)))}"
-            buckets[key] = buckets.get(key, 0) + 1
-        return {key: buckets[key] for key in sorted(buckets, key=_bucket_rank)}
-
-
-def _bucket_rank(key: str) -> float:
-    """Sort key for bucket labels: ``"0"`` first, then by exponent."""
-    return -math.inf if key == "0" else float(key[2:])
-
-
-def merge_buckets(*bucket_maps: Dict[str, int]) -> Dict[str, int]:
-    """Sum any number of :meth:`Histogram.export_buckets` maps."""
-    merged: Dict[str, int] = {}
-    for bucket_map in bucket_maps:
-        for key, count in bucket_map.items():
-            merged[key] = merged.get(key, 0) + count
-    return {key: merged[key] for key in sorted(merged, key=_bucket_rank)}
-
-
-Metric = Union[Counter, Gauge, Histogram]
+Metric = Union[Counter, Histogram]
 
 
 class MetricsRegistry:
@@ -189,9 +123,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
 
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
@@ -227,9 +158,6 @@ class ScopedMetrics:
 
     def counter(self, name: str) -> Counter:
         return self._registry.counter(self._prefix + name)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._registry.gauge(self._prefix + name)
 
     def histogram(self, name: str) -> Histogram:
         return self._registry.histogram(self._prefix + name)

@@ -22,7 +22,7 @@ from repro.core.ops import Op
 from repro.obs.tracer import NULL_TRACER, Tracer, core_track
 from repro.sim.cache import CacheHierarchy
 from repro.sim.config import MachineConfig
-from repro.sim.durability import NULL_DURABILITY, StoreRecord
+from repro.sim.durability import NULL_DURABILITY
 from repro.sim.engine import InOrderQueue
 from repro.sim.memory import PMController
 from repro.sim.stats import CoreStats
@@ -87,29 +87,6 @@ class PersistDomain(ABC):
         """Time when every persist issued so far has completed."""
         return t
 
-    def snoop_drain(self, owner_tid: int, line: int, t: float) -> float:
-        """Read-exclusive stall before surrendering a dirty line."""
-        return t
-
-    # -- crash injection (repro.chaos) -------------------------------------
-
-    def durable_frontier(self, t: float) -> List[StoreRecord]:
-        """This core's stores that are durable at cycle ``t``.
-
-        Derived from the live durability tracker this domain's persist
-        hardware (fill buffers, persist buffer, strand buffers, persist
-        queue) has been feeding: a store is durable once every line it
-        touches was accepted by the ADR-protected PM controller.
-        """
-        return [
-            rec for rec in self.durability.frontier(t) if rec.op.tid == self.tid
-        ]
-
-    def occupancy(self, t: float) -> dict:
-        """Occupancy of this design's persist structures at cycle ``t``
-        (reported in crash states for failure diagnosis)."""
-        return {}
-
     # -- shared helpers ----------------------------------------------------
 
     def _flush_line(self, t: float, line: int) -> float:
@@ -139,10 +116,6 @@ class OutstandingSet:
 
     def prune(self, t: float) -> None:
         self._times = [x for x in self._times if x > t]
-
-    def outstanding_at(self, t: float) -> int:
-        """Entries still in flight at ``t`` (crash-state reporting)."""
-        return sum(1 for x in self._times if x > t)
 
     def earliest(self) -> float:
         return min(self._times) if self._times else 0.0

@@ -83,6 +83,3 @@ class HopsDomain(PersistDomain):
         self._open_epoch = []
         self._epoch_ready = max(self._epoch_ready, done)
         return done
-
-    def occupancy(self, t: float) -> dict:
-        return {"persist_buffer": sum(1 for x in self._buffered if x > t)}

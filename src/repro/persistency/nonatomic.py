@@ -50,6 +50,3 @@ class NonAtomicDomain(PersistDomain):
         self._charge("stall_drain", done - t, start=t)
         self._outstanding.clear()
         return done
-
-    def occupancy(self, t: float) -> dict:
-        return {"fill_buffers": self._outstanding.outstanding_at(t)}

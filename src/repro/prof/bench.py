@@ -29,6 +29,7 @@ import json
 import os
 import platform
 import subprocess
+import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -70,16 +71,21 @@ def config_fingerprint(ops_per_thread: int) -> str:
 def resolve_ops(cli_ops: Optional[int], default_ops: int = 16) -> int:
     """The bench scale: an explicit ``--ops`` (``cli_ops`` not None)
     wins, else the :data:`BENCH_OPS_ENV` environment variable, else
-    ``default_ops``."""
+    ``default_ops``.  An environment value that is not an integer >= 1
+    is a usage error, like ``--ops 0``: exit 2, naming the variable."""
     if cli_ops is not None:
         return cli_ops
     env = os.environ.get(BENCH_OPS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SystemExit(f"{BENCH_OPS_ENV} must be an integer, got {env!r}")
-    return default_ops
+    if not env:
+        return default_ops
+    try:
+        ops = int(env)
+    except ValueError:
+        ops = 0
+    if ops < 1:
+        print(f"{BENCH_OPS_ENV} must be an integer >= 1, got {env!r}", file=sys.stderr)
+        raise SystemExit(2)
+    return ops
 
 
 def record_run(ops_per_thread: int = 16) -> Dict[str, object]:

@@ -61,9 +61,6 @@ class LockTable:
         self._last_release[lock_id] = max(self._last_release[lock_id], t)
         self._held[lock_id] = False
 
-    def holder_pending(self, lock_id: int) -> bool:
-        return self._next_idx[lock_id] < len(self._order[lock_id])
-
     def next_holder(self, lock_id: int) -> Optional[int]:
         """Thread whose turn the lock is waiting for (deadlock reports)."""
         order = self._order[lock_id]

@@ -25,7 +25,7 @@ fault injection disabled are bit-identical to a tracker-free build.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.ops import Op, lines_of
 
@@ -181,37 +181,9 @@ class CrashTrigger:
 
 @dataclass
 class CrashState:
-    """Everything the machine reports when a fault plan fires.
-
-    ``occupancy`` snapshots the live hardware state that produced the
-    frontier — per-core persist-structure occupancy plus the PM write
-    queue — so failure messages can show *why* a store was (not) durable.
-    """
+    """What a crash leaves: the cycle power failed at, the stores durable
+    by then and the retired stores still volatile, both in gseq order."""
 
     cycle: float
-    design: str
     durable: List[StoreRecord]
     in_flight: List[StoreRecord]
-    occupancy: Dict[str, object] = field(default_factory=dict)
-    tracker: Optional[DurabilityTracker] = None
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "cycle": self.cycle,
-            "design": self.design,
-            "durable_stores": len(self.durable),
-            "in_flight_stores": len(self.in_flight),
-            "occupancy": self.occupancy,
-        }
-
-    def durable_keys(self) -> List[Tuple[int, int]]:
-        """Stable ``(tid, seq)`` coordinates of the durable frontier.
-
-        The model checker compares machine frontiers against the formal
-        models by op identity, not by :class:`StoreRecord`.
-        """
-        return [(r.op.tid, r.op.seq) for r in self.durable]
-
-    def in_flight_keys(self) -> List[Tuple[int, int]]:
-        """Stable ``(tid, seq)`` coordinates of retired-but-volatile stores."""
-        return [(r.op.tid, r.op.seq) for r in self.in_flight]

@@ -1,7 +1,7 @@
 """Discrete-event bookkeeping primitives for the timing simulator.
 
 The simulator advances per-core local clocks and lets cores reserve shared
-resources (PM controller bandwidth, write-queue slots, media banks) on
+resources (PM controller bandwidth, store-queue slots, media banks) on
 timelines.  Cores are stepped in minimum-local-clock order by the machine
 (:mod:`repro.sim.machine`), so reservations arrive approximately in global
 time order and simple earliest-available timelines model contention well.
@@ -9,9 +9,8 @@ time order and simple earliest-available timelines model contention well.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional
 
 from repro.obs.tracer import Tracer
 
@@ -111,88 +110,6 @@ class BandwidthResource:
         return len(self._windows)
 
 
-class SlottedQueue:
-    """A queue with ``capacity`` slots; a slot is held until a deadline.
-
-    ``admit`` returns the time the request actually enters the queue: if
-    all slots are occupied at ``t``, entry is delayed until the earliest
-    occupant leaves.  This models back-pressure from bounded hardware
-    queues (PM write queue, persist buffers).
-
-    ``occupancy_at`` is exact for any query time only when the queue was
-    built with ``retain_history=True``: the live heap drops departures as
-    admissions drain it, so without history a query earlier than the
-    last drain undercounts (crash-image snapshots ask about the crash
-    cycle, which precedes later admissions).  History retention keeps
-    one ``(entry, departure)`` pair per admission and answers any ``t``
-    exactly; leave it off for pure forward-timing uses.
-    """
-
-    #: instrumentation is opt-in; the class default keeps the hot path to
-    #: one attribute check when no tracer was attached.
-    _tracer: Optional[Tracer] = None
-
-    def __init__(self, capacity: int, retain_history: bool = False) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._departures: List[float] = []
-        #: (entry, departure) per admission when retain_history is set.
-        self._history: Optional[List[Tuple[float, float]]] = (
-            [] if retain_history else None
-        )
-
-    def instrument(self, tracer: Tracer, track: str, name: str) -> None:
-        """Attach a tracer: each admission emits an occupancy counter
-        sample on ``track`` and feeds the ``<name>/occupancy`` histogram."""
-        self._tracer = tracer
-        self._track = track
-        self._name = name
-
-    def occupancy_at(self, t: float) -> int:
-        """Entries resident at time ``t``.
-
-        Exact for arbitrary ``t`` when history is retained; otherwise
-        exact only for ``t`` at or after the last internal drain (the
-        live heap has already forgotten earlier departures).
-        """
-        history = self._history
-        if history is not None:
-            return sum(1 for entry, dep in history if entry <= t < dep)
-        return sum(1 for d in self._departures if d > t)
-
-    def earliest_admission(self, t: float) -> float:
-        self._drain(t)
-        if len(self._departures) < self.capacity:
-            return t
-        return self._departures[0]
-
-    def admit(self, t: float, departure: float) -> float:
-        """Admit a request at or after ``t``, holding a slot until
-        ``departure`` (if departure precedes admission, the slot is held
-        for zero time).  Returns the admission time."""
-        entry = self.earliest_admission(t)
-        self._drain(entry)
-        if len(self._departures) >= self.capacity:
-            # earliest_admission guaranteed a free slot at `entry`.
-            heapq.heappop(self._departures)
-        heapq.heappush(self._departures, max(departure, entry))
-        if self._history is not None:
-            self._history.append((entry, max(departure, entry)))
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            occ = len(self._departures)
-            tracer.counter(self._name, self._track, entry, occ)
-            tracer.metrics.histogram(f"{self._track}/occupancy").observe(occ)
-            if entry > t:
-                tracer.span(f"{self._name}:backpressure", self._track, t, entry - t)
-        return entry
-
-    def _drain(self, t: float) -> None:
-        while self._departures and self._departures[0] <= t:
-            heapq.heappop(self._departures)
-
-
 class InOrderQueue:
     """A FIFO whose entries *retire in order*; capacity-limited.
 
@@ -201,7 +118,8 @@ class InOrderQueue:
     entry will retire; dispatch must stall when the queue is full.
     """
 
-    #: see :meth:`SlottedQueue.instrument`; default keeps the path free.
+    #: instrumentation is opt-in; the class default keeps the hot path to
+    #: one attribute check when no tracer was attached.
     _tracer: Optional[Tracer] = None
 
     def __init__(self, capacity: int) -> None:

@@ -32,8 +32,7 @@ from repro.sim.stats import CoreStats, MachineStats
 #: future reservation times are bounded below by its local clock, so
 #: once per period the machine forgets bandwidth windows and queued-line
 #: entries below the minimum clock of all live cores — long runs hold a
-#: working set instead of the whole timeline.  Crash-instrumented runs
-#: never prune (the snapshot queries occupancy at an earlier cycle).
+#: working set instead of the whole timeline.
 PRUNE_PERIOD = 4096
 
 #: environment variable: set to any non-empty value to force the
@@ -85,10 +84,10 @@ class Machine:
         ``fault_plan`` (anything exposing ``.trigger`` with ``kind`` of
         ``"cycle"``/``"ops"`` and a threshold ``at`` — see
         :class:`repro.chaos.FaultPlan`) cuts the replay short at the
-        trigger point and attaches a :class:`CrashState` snapshot of the
-        machine's durable frontier and persist-structure occupancy to the
-        returned stats.  Without a plan the durability tracker is the
-        no-op null object, so timing is bit-identical to a plain run.
+        trigger point and attaches the :class:`CrashState` it leaves (the
+        durable frontier and the in-flight stores) to the returned stats.
+        Without a plan the durability tracker is the no-op null object,
+        so timing is bit-identical to a plain run.
 
         ``media_faults`` attaches a :class:`repro.faults.MediaFaultModel`
         to the PM controller (retry/backoff, ECC penalties, spare-line
@@ -151,7 +150,6 @@ class Machine:
             hierarchy.durability = tracker
 
         cores: List[CoreEngine] = []
-        domains: List[PersistDomain] = []
         stats = MachineStats(design=self.design)
         if tracer.enabled:
             stats.metrics = tracer.metrics
@@ -166,7 +164,6 @@ class Machine:
                 trace.tid, self.cfg, hierarchy, pm, core_stats, store_queue,
                 tracer=tracer, **kwargs,
             )
-            domains.append(domain)
             cores.append(
                 CoreEngine(
                     trace, self.cfg, hierarchy, domain, core_stats, locks, tracer
@@ -216,7 +213,7 @@ class Machine:
                     heapq.heappush(ready, (max(waiter.clock, core.clock), waiter.tid))
             if not core.finished:
                 heapq.heappush(ready, (core.clock, core.tid))
-            if tracker is None and dispatched % PRUNE_PERIOD == 0:
+            if dispatched % PRUNE_PERIOD == 0:
                 # Low-water mark over *actual* clocks, not heap keys: a
                 # woken core's key is max(its clock, releaser clock) and
                 # may exceed the clock it will resume stepping from.
@@ -232,25 +229,10 @@ class Machine:
                 # The program outran the trigger: power fails after the
                 # final drain, so the image degrades to full recovery.
                 crash_cycle = max((core.clock for core in cores), default=0.0)
-            durable = [
-                rec
-                for domain in domains
-                for rec in domain.durable_frontier(crash_cycle)
-            ]
-            durable.sort(key=lambda rec: rec.op.gseq)
             stats.crash = CrashState(
                 cycle=crash_cycle,
-                design=self.design,
-                durable=durable,
+                durable=tracker.frontier(crash_cycle),
                 in_flight=tracker.in_flight(crash_cycle),
-                occupancy={
-                    "pm_write_queue": pm.write_queue_depth(crash_cycle),
-                    "cores": {
-                        domain.tid: domain.occupancy(crash_cycle)
-                        for domain in domains
-                    },
-                },
-                tracker=tracker,
             )
         if pm.faults is not None:
             stats.faults = pm.faults.summary()

@@ -190,8 +190,6 @@ class PMController:
         clocks): bandwidth windows below the mark are unreachable, and a
         queued line whose media write started at or before the mark can
         never satisfy the coalescing test ``pending > grant`` again.
-        Callers needing crash-state occupancy must not prune (the crash
-        snapshot queries ``write_queue_depth`` at an earlier cycle).
         """
         self._accept.prune(low_water)
         self._media.prune(low_water)
@@ -200,12 +198,6 @@ class PMController:
         stale = [line for line, start in queued.items() if start <= low_water]
         for line in stale:
             del queued[line]
-
-    def write_queue_depth(self, t: float) -> int:
-        """Lines sitting in the write queue at ``t`` — accepted into the
-        ADR domain but not yet started on the media (crash-state
-        reporting)."""
-        return sum(1 for start in self._queued_line.values() if start > t)
 
     def read(self, t: float, line: int = -1) -> float:
         """Issue one line read at ``t``; returns data-return time.

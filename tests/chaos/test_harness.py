@@ -75,23 +75,25 @@ def test_shrink_finds_smaller_failing_crash_point():
     assert "minimal failing crash point" in shrunk.describe()
 
 
-def test_crash_state_reports_hardware_occupancy():
+def test_crash_state_holds_the_frontier_at_the_trigger():
+    """A cycle trigger stops the machine at that cycle; durable and
+    in-flight stores come in gseq order and never overlap.  The op-count
+    crash is the one that leaves stores in flight at this scale."""
     harness = CrashHarness("queue", "strandweaver", cfg=FAST_CFG)
-    plan = FaultPlan(trigger=CrashTrigger("cycle", harness.horizon * 0.5))
-    stats = Machine("strandweaver", harness.machine_cfg).run(
-        harness.run.program, fault_plan=plan
-    )
-    crash = stats.crash
-    assert crash is not None
-    assert crash.cycle == plan.trigger.at
-    assert "pm_write_queue" in crash.occupancy
-    per_core = crash.occupancy["cores"]
-    assert set(per_core) == {0, 1, 2}
-    for occ in per_core.values():
-        assert set(occ) == {"persist_queue", "strand_buffers"}
-    summary = crash.summary()
-    assert summary["design"] == "strandweaver"
-    assert summary["durable_stores"] == len(crash.durable)
+    at_cycle = FaultPlan(trigger=CrashTrigger("cycle", harness.horizon * 0.5))
+    at_ops = FaultPlan(trigger=CrashTrigger("ops", harness.total_ops // 2))
+    machine = Machine("strandweaver", harness.machine_cfg)
+    cycle_crash = machine.run(harness.run.program, fault_plan=at_cycle).crash
+    assert cycle_crash is not None
+    assert cycle_crash.cycle == at_cycle.trigger.at
+    ops_crash = machine.run(harness.run.program, fault_plan=at_ops).crash
+    assert ops_crash is not None and ops_crash.in_flight
+    for crash in (cycle_crash, ops_crash):
+        durable = [rec.op.gseq for rec in crash.durable]
+        in_flight = [rec.op.gseq for rec in crash.in_flight]
+        assert durable and durable == sorted(durable)
+        assert in_flight == sorted(in_flight)
+        assert not set(durable) & set(in_flight)
 
 
 def test_ops_trigger_crashes_mid_program():

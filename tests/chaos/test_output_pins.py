@@ -13,7 +13,10 @@ closures were rewritten:
   fault accounting, shrink result), which the summary only counts;
 * ``tests/chaos/data/crashtest_queue_all_crashes10_seed7.json`` — the
   output of ``repro crashtest queue --design all --crashes 10 --seed 7
-  --json``.
+  --json``;
+* ``tests/chaos/data/crashtest_tpcc_all_crashes10_seed7.json`` — the
+  same for tpcc, whose program at ``CHAOS_CFG`` outlasts the machine's
+  prune period, so its crash runs prune before they crash.
 
 Re-record (only for a deliberate change to crash-test outcomes)::
 
@@ -40,6 +43,11 @@ CRASHTEST_ARGV = [
     "--json",
 ]
 CRASHTEST_FILE = "crashtest_queue_all_crashes10_seed7.json"
+TPCC_CRASHTEST_ARGV = [
+    "crashtest", "tpcc", "--design", "all", "--crashes", "10", "--seed", "7",
+    "--json",
+]
+TPCC_CRASHTEST_FILE = "crashtest_tpcc_all_crashes10_seed7.json"
 
 
 def run_cli(argv) -> str:
@@ -88,6 +96,10 @@ def test_crashtest_differential_matches_pin():
     assert run_cli(CRASHTEST_ARGV) == _read(CRASHTEST_FILE)
 
 
+def test_pruning_crashtest_matches_pin():
+    assert run_cli(TPCC_CRASHTEST_ARGV) == _read(TPCC_CRASHTEST_FILE)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: test_output_pins.py --record")
@@ -97,6 +109,7 @@ if __name__ == "__main__":
         SOAK_FILE: run_cli(SOAK_ARGV),
         SOAK_CASES_FILE: _cases,
         CRASHTEST_FILE: run_cli(CRASHTEST_ARGV),
+        TPCC_CRASHTEST_FILE: run_cli(TPCC_CRASHTEST_ARGV),
     }
     for name, text in files.items():
         with open(os.path.join(DATA, name), "w", encoding="utf-8") as fh:

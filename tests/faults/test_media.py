@@ -4,7 +4,6 @@ import dataclasses
 import json
 
 from repro.faults import MediaFaultConfig, MediaFaultModel
-from repro.faults.model import DEGRADED_NONE, DEGRADED_REMAP, DEGRADED_WORN
 from repro.sim.config import TABLE_I
 from repro.sim.machine import Machine
 from repro.workloads import WORKLOADS, WorkloadConfig, generate_for_design
@@ -123,15 +122,6 @@ def test_spare_exhaustion_degrades_instead_of_hanging():
     stats = _run(media=media, machine_cfg=no_spares)
     assert stats.faults["remaps"] == 0
     assert stats.faults["remap_denied"] > 0
-
-
-def test_health_states():
-    model = MediaFaultModel(MediaFaultConfig(seed=0, write_fail_prob=0.1))
-    assert model.health() == DEGRADED_NONE
-    assert model.remap(3, spare_lines=1)
-    assert model.health() == DEGRADED_REMAP
-    assert not model.remap(4, spare_lines=1)
-    assert model.health() == DEGRADED_WORN
 
 
 def test_faults_summary_lands_in_stats_json():

@@ -1,8 +1,8 @@
-"""Counter/Gauge/Histogram behaviour, especially percentile math."""
+"""Counter/Histogram behaviour, especially percentile math."""
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, merge_buckets
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -13,22 +13,6 @@ class TestCounter:
         c.inc(5)
         assert c.value == 6
         assert c.to_json() == {"type": "counter", "value": 6}
-
-
-class TestGauge:
-    def test_tracks_last_min_max(self):
-        g = Gauge()
-        for v in (3.0, -1.0, 7.0):
-            g.set(v)
-        assert g.last == 7.0
-        assert g.min == -1.0
-        assert g.max == 7.0
-        assert g.n == 3
-
-    def test_empty_gauge_exports_zeros(self):
-        assert Gauge().to_json() == {
-            "type": "gauge", "last": 0.0, "min": 0.0, "max": 0.0, "n": 0,
-        }
 
 
 class TestHistogramPercentiles:
@@ -111,43 +95,8 @@ class TestRegistry:
     def test_to_json_is_sorted_and_typed(self):
         reg = MetricsRegistry()
         reg.counter("b").inc()
-        reg.gauge("a").set(2.0)
+        reg.histogram("a").observe(2.0)
         doc = reg.to_json()
         assert list(doc) == ["a", "b"]
-        assert doc["a"]["type"] == "gauge"
+        assert doc["a"]["type"] == "histogram"
         assert doc["b"]["type"] == "counter"
-
-
-class TestHistogramBuckets:
-    def test_fixed_log2_boundaries(self):
-        h = Histogram()
-        for v in (0, -3, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 100.0):
-            h.observe(v)
-        buckets = h.export_buckets()
-        # (0,1] -> 2^0, (1,2] -> 2^1, (2,4] -> 2^2, (64,128] -> 2^7
-        assert buckets == {"0": 2, "2^0": 2, "2^1": 2, "2^2": 2, "2^7": 1}
-        assert sum(buckets.values()) == h.count
-
-    def test_export_is_observation_only(self):
-        """Exporting buckets must not perturb summary statistics —
-        the same regression guarantee the tracer makes."""
-        h = Histogram()
-        for v in (5.0, 1.0, 9.0, 3.0, 7.0):
-            h.observe(v)
-        before = (h.mean, h.percentile(50), h.percentile(90), h.total)
-        h.export_buckets()
-        after = (h.mean, h.percentile(50), h.percentile(90), h.total)
-        assert before == after
-
-    def test_buckets_merge_across_histograms(self):
-        a, b = Histogram(), Histogram()
-        merged_direct = Histogram()
-        for i, v in enumerate((0.5, 2.0, 8.0, 3.0, 100.0, 0.0)):
-            (a if i % 2 == 0 else b).observe(v)
-            merged_direct.observe(v)
-        merged = merge_buckets(a.export_buckets(), b.export_buckets())
-        assert merged == merged_direct.export_buckets()
-
-    def test_empty_histogram_exports_empty(self):
-        assert Histogram().export_buckets() == {}
-        assert merge_buckets() == {}

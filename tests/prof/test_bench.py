@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.__main__ import main
 from repro.prof.bench import (
     BENCH_FIGURES,
     BENCH_OPS_ENV,
@@ -32,7 +33,7 @@ def _entry(total=1.0, ops=16, fingerprint="cfg-a", sha="abc123"):
     }
 
 
-def test_resolve_ops(monkeypatch):
+def test_resolve_ops(monkeypatch, capsys):
     monkeypatch.delenv(BENCH_OPS_ENV, raising=False)
     assert resolve_ops(None) == 16
     assert resolve_ops(32) == 32
@@ -40,9 +41,27 @@ def test_resolve_ops(monkeypatch):
     assert resolve_ops(None) == 64  # env fills the default
     assert resolve_ops(32) == 32  # explicit flag still wins
     assert resolve_ops(16) == 16  # even when it equals the default
-    monkeypatch.setenv(BENCH_OPS_ENV, "banana")
-    with pytest.raises(SystemExit):
-        resolve_ops(None)
+    for bad in ("banana", "0", "-5"):
+        monkeypatch.setenv(BENCH_OPS_ENV, bad)
+        with pytest.raises(SystemExit) as exc:
+            resolve_ops(None)
+        assert exc.value.code == 2, bad
+        assert BENCH_OPS_ENV in capsys.readouterr().err, bad
+        assert resolve_ops(32) == 32  # an explicit flag never reads it
+
+
+def test_bench_refuses_a_bad_ops_variable_before_any_figure(monkeypatch, capsys):
+    import repro.prof.bench as bench
+
+    def record_run(**_kwargs):
+        raise AssertionError("a figure ran")
+
+    monkeypatch.setattr(bench, "record_run", record_run)
+    monkeypatch.setenv(BENCH_OPS_ENV, "0")  # once benched at ops=1
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert BENCH_OPS_ENV in capsys.readouterr().err
 
 
 def test_trajectory_append_and_load(tmp_path):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import BandwidthResource, InOrderQueue, SlottedQueue
+from repro.sim.engine import BandwidthResource, InOrderQueue
 
 
 class TestBandwidthResource:
@@ -60,22 +60,3 @@ class TestInOrderQueue:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             InOrderQueue(0)
-
-
-class TestSlottedQueue:
-    def test_admission_immediate_with_space(self):
-        q = SlottedQueue(2)
-        assert q.admit(5.0, 100.0) == 5.0
-
-    def test_admission_delayed_when_full(self):
-        q = SlottedQueue(1)
-        q.admit(0.0, 100.0)
-        assert q.admit(0.0, 200.0) == 100.0
-
-    def test_occupancy(self):
-        q = SlottedQueue(4)
-        q.admit(0.0, 100.0)
-        q.admit(0.0, 50.0)
-        assert q.occupancy_at(10.0) == 2
-        assert q.occupancy_at(60.0) == 1
-        assert q.occupancy_at(150.0) == 0

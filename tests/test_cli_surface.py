@@ -132,6 +132,13 @@ def test_options_the_command_does_not_read_are_refused(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_unread_option_is_reported_under_the_commands_usage(command, usage_error):
+    err = usage_error([command, *TARGET.get(command, []), "--bogus"])
+    assert err.startswith(f"usage: python -m repro {command} "), err
+    assert "--bogus" in err
+
+
 def test_ignored_sweep_flags_are_refused_by_name(usage_error):
     """``--model``/``--design``/``--seed`` are not the sweep's
     ``--models``/``--designs`` axes, and prefixes of them do not match."""
