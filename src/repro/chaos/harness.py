@@ -6,7 +6,8 @@ design, measure the design's clean cycle horizon, then for each schedule
 crash the timing simulator mid-run, materialise the machine-state
 durable frontier into a PM image, run undo/redo recovery and check the
 workload's invariants.  Every design's harness of one workload shares
-one functional run (see :func:`canonical_run`).
+one functional run (see :func:`canonical_run`), and designs of one
+dialect share its program and persist DAG (see :func:`dialect_run`).
 
 ``run_differential`` replays the *same* fractional crash schedules
 across all five hardware designs.  The four correct designs must recover
@@ -23,13 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import AnalysisReport, analyze
 from repro.chaos.image import ImageInfo, build_crash_image
 from repro.chaos.plan import CrashSchedule, FaultPlan, sample_schedules
 from repro.core.model import PersistDag
 from repro.faults.recovery import CrashingRecoveryWriter, RecoveryCrashed
+from repro.lang.dialect import dialect_for_design
 from repro.lang.recovery import RecoveryReport, recover
 from repro.sim.config import TABLE_I, MachineConfig
 from repro.sim.machine import DESIGNS, Machine
@@ -61,6 +63,30 @@ def canonical_run(workload: str, cfg: WorkloadConfig) -> GeneratedRun:
     time, and holding every workload's run would only grow the process.
     """
     return generate_canonical(WORKLOADS[workload], cfg, "txn", durable_commit=True)
+
+
+#: ``{(workload, cfg, dialect): (run, dag)}``, one entry at most.
+_DIALECT_SLOT: Dict[tuple, Tuple[GeneratedRun, PersistDag]] = {}
+
+
+def dialect_run(
+    workload: str, cfg: WorkloadConfig, design: str
+) -> Tuple[GeneratedRun, PersistDag]:
+    """The specialized run of ``design``'s dialect and its persist DAG.
+
+    Designs of one dialect (no-persist-queue and strandweaver) replay
+    the same program, so their harnesses share both.  Like
+    :func:`canonical_run`, the slot holds the most recent pair only, and
+    it drops the old pair before building the next, so a campaign never
+    holds two DAGs of its own at once.
+    """
+    key = (workload, cfg, dialect_for_design(design).name)
+    pair = _DIALECT_SLOT.get(key)
+    if pair is None:
+        _DIALECT_SLOT.clear()
+        run = specialize_run(canonical_run(workload, cfg), design)
+        pair = _DIALECT_SLOT[key] = (run, PersistDag(run.program))
+    return pair
 
 
 @dataclass
@@ -107,8 +133,7 @@ class CrashHarness:
         self.design = design
         self.cfg = cfg or CHAOS_CFG
         self.machine_cfg = machine_cfg
-        self.run = specialize_run(canonical_run(workload, self.cfg), design)
-        self.dag = PersistDag(self.run.program)
+        self.run, self.dag = dialect_run(workload, self.cfg, design)
         baseline = Machine(design, machine_cfg).run(self.run.program)
         #: clean-run cycle count: the horizon fractional schedules scale to.
         self.horizon = float(baseline.cycles)

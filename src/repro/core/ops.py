@@ -224,6 +224,15 @@ _KINDS = tuple(OpKind)
 #: kind byte -> 1 if the kind addresses memory (a bytes.translate table).
 _ADDRESSED_BYTES = bytes(k in ADDRESSED_KINDS for k in range(256))
 
+
+def kind_bytes(kinds: array) -> bytes:
+    """A kinds column one byte per op (every kind is < 256), so it can be
+    counted and masked at C speed."""
+    width = kinds.itemsize
+    low = 0 if sys.byteorder == "little" else width - 1
+    return kinds.tobytes()[low::width]
+
+
 #: fields of one op in :attr:`ColumnTrace.record`, in :class:`Op` order.
 RECORD_FIELDS = ("addr", "size", "data", "gseq", "region", "label")
 _REC = len(RECORD_FIELDS)
@@ -299,15 +308,8 @@ class ColumnTrace(ThreadTrace):
     def append(self, op: Op, gseq: int) -> Op:
         raise TypeError("column traces are written by a ColumnCursor")
 
-    def kind_bytes(self) -> bytes:
-        """Op kinds one byte each (every kind is < 256), so they can be
-        counted and masked at C speed."""
-        width = self.kinds.itemsize
-        low = 0 if sys.byteorder == "little" else width - 1
-        return self.kinds.tobytes()[low::width]
-
     def addressed_lines(self) -> Iterable[int]:
-        return compress(self.lines, self.kind_bytes().translate(_ADDRESSED_BYTES))
+        return compress(self.lines, kind_bytes(self.kinds).translate(_ADDRESSED_BYTES))
 
     def __getstate__(self):
         self.ops  # a derived trace's builder is a closure, which does not pickle

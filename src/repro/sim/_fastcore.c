@@ -3,12 +3,26 @@
  * A port of the reference per-op engine -- repro/sim/cpu.py, the
  * persistency domains (repro/persistency/, repro/core/strandweaver.py,
  * persist_queue.py, strand_buffer.py), repro/sim/cache.py,
- * repro/sim/memory.py and repro/sim/engine.py -- that owns *all*
- * simulator state natively: tag caches, dirty ownership, bandwidth
- * windows, PM/DRAM timing, lock arbitration, per-design persist
- * structures.  Those Python modules are its specification.  The only
- * output is the per-core dynamic stats block -- the Python layer merges
- * it with the replay-invariant op-mix totals (see cnative.trace_columns).
+ * repro/sim/memory.py, repro/sim/engine.py, and for crash runs
+ * repro/sim/machine.py's trigger and repro/sim/durability.py's tracker --
+ * that owns *all* simulator state natively: tag caches, dirty ownership,
+ * bandwidth windows, PM/DRAM timing, lock arbitration, per-design persist
+ * structures.  Those Python modules are its specification.  The output
+ * is the per-core stats block -- the Python layer adds the op-mix totals
+ * of the ops each core dispatched (see cnative.trace_columns).
+ *
+ * Runs: every Machine.run without a tracer or media faults.  A crash run
+ * (a fault plan without media faults; Crash below) stops where the
+ * reference's loop does: a cycle trigger fires when the selected core's
+ * key reaches `at`, before it steps (so also when it would park); an
+ * op-count trigger fires after the at-th dispatch, at that core's clock;
+ * a program that outruns the trigger ends at the last clock.  Along the
+ * way it records each persistent STORE's retire time and matches each PM
+ * acceptance of a line -- by CLWB, or by a dirty L2 victim's write-back
+ * -- against the line's uncovered stores, in the reference's call order.
+ * The tracker waits for every line a store touches; this core sees one
+ * line per op, so a program with a STORE outside one line (line-crossing
+ * or empty) crashes on the reference engine.  Media faults stay there too.
  *
  * Bit-identity contract: every floating-point expression mirrors the
  * reference engine's CPython arithmetic operation-for-operation.  Build
@@ -514,12 +528,34 @@ static void bw_prune(BW *b, double low) {
  * the machine context
  * ===================================================================== */
 
-#define OUT_STRIDE 8
-/* out[tid*8 + ...] */
+#define OUT_STRIDE 9
+/* out[tid*9 + ...]; O_CYCLES is 0 for a core a crash cut short, as the
+ * reference engine sets a core's cycles only when its trace ends */
 enum {
     O_CYCLES = 0, O_L1H = 1, O_L1M = 2, O_PMR = 3,
-    O_STQ = 4, O_STF = 5, O_STD = 6, O_STL = 7,
+    O_STQ = 4, O_STF = 5, O_STD = 6, O_STL = 7, O_OPS = 8,
 };
+
+/* A crash run: Machine.run under a fault plan without media faults.
+ * The caller allocates the store records, one per STORE of the program
+ * at most.  rs_run stops at the trigger, as the reference's loop does,
+ * and fills in what DurabilityTracker records: each persistent store's
+ * retire time and, once the PM controller accepted its line with the
+ * store's bytes in it, that acceptance time and its source. */
+enum { TRIG_CYCLE = 0, TRIG_OPS = 1 };
+enum { SRC_NONE = -1, SRC_CLWB = 0, SRC_WRITEBACK = 1 };
+
+typedef struct {
+    i64 kind;              /* in: TRIG_CYCLE or TRIG_OPS */
+    double at;             /* in: the trigger point */
+    i64 cap;               /* in: room in the record arrays */
+    i64 *rec_op;           /* flat op index (offs[tid] + pc) of each store */
+    double *rec_retire;
+    double *rec_durable;   /* INFINITY while its line is not covered */
+    int8_t *rec_src;       /* SRC_*: what covered the line */
+    double cycle;          /* out: when power failed */
+    i64 n_rec;             /* out: stores noted, in the reference's order */
+} Crash;
 
 typedef struct {
     /* config */
@@ -569,6 +605,11 @@ typedef struct {
     /* stats */
     i64 *dyn;   /* n * OUT_STRIDE */
     int err;
+
+    /* crash runs only (cr is NULL on a plain run) */
+    Crash *cr;
+    Map pending;            /* line -> newest noted store still uncovered */
+    i64 *pend_next;         /* record -> next uncovered store of its line */
 } Ctx;
 
 static i64 lock_index(const Ctx *c, i32 lock_id) {
@@ -577,18 +618,68 @@ static i64 lock_index(const Ctx *c, i32 lock_id) {
     return -1;
 }
 
+/* PMController.write; returns ticket.accepted (the ADR persist point):
+ * the acknowledgement is accepted + w2c on both of its paths */
 static double pm_write(Ctx *c, double t, i64 line) {
     double grant = bw_reserve(&c->accept, t, &c->err);
     if (line >= 0 && c->coalesce) {
         double pending;
         if (map_get(&c->queued, line, &pending) && pending > grant)
-            return grant + c->w2c;
+            return grant;
     }
     double ms = bw_reserve(&c->media, grant, &c->err);
     double accepted = grant;
     if (ms - grant > c->max_backlog) accepted = ms - c->max_backlog;
     if (line >= 0 && map_put(&c->queued, line, ms)) c->err = 1;
-    return accepted + c->w2c;
+    return accepted;
+}
+
+/* DurabilityTracker.note_store: a persistent STORE retired to the cache */
+static int note_store(Ctx *c, i64 op, i64 line, double retire) {
+    Crash *cr = c->cr;
+    i64 i = cr->n_rec;
+    if (i >= cr->cap) return -1;
+    double head;
+    c->pend_next[i] = map_get(&c->pending, line, &head) ? (i64)head : -1;
+    if (map_put(&c->pending, line, (double)i)) return -1;
+    cr->rec_op[i] = op;
+    cr->rec_retire[i] = retire;
+    cr->rec_durable[i] = INFINITY;
+    cr->rec_src[i] = SRC_NONE;
+    cr->n_rec = i + 1;
+    return 0;
+}
+
+/* DurabilityTracker.line_persisted: the controller accepted `line` at
+ * `accepted` with the bytes the cache held at `content`, so it covers
+ * every uncovered store of the line that retired by then.  The tracker
+ * keeps its uncovered stores in note order; this keeps them newest
+ * first, which covers the same stores, since each is tested alone. */
+static void line_persisted(Ctx *c, i64 line, double content, double accepted,
+                           int8_t src) {
+    i64 slot = map_find(&c->pending, line);
+    if (slot < 0) return;
+    Crash *cr = c->cr;
+    i64 head = -1, *tail = &head;
+    for (i64 i = (i64)c->pending.s[slot].val; i >= 0; i = c->pend_next[i]) {
+        if (cr->rec_retire[i] <= content) {
+            cr->rec_durable[i] = accepted;
+            cr->rec_src[i] = src;
+        } else {
+            *tail = i;
+            tail = &c->pend_next[i];
+        }
+    }
+    *tail = -1;
+    if (head < 0) map_del_at(&c->pending, slot);
+    else c->pending.s[slot].val = (double)head;
+}
+
+/* CacheHierarchy._writeback_victim to PM: a dirty L2 victim written back
+ * at t (its ticket is discarded) */
+static void pm_writeback(Ctx *c, double t, i64 line) {
+    double accepted = pm_write(c, t, line);
+    if (c->cr) line_persisted(c, line, t, accepted, SRC_WRITEBACK);
 }
 
 static double pm_read(Ctx *c, double t) {
@@ -626,7 +717,7 @@ static double steal(Ctx *c, int tid, i64 line, double t) {
         tc_remove(ol1, set, w);   /* invalidate; dirty known true */
         i64 vl; u8 vd;
         if (tc_fill(&c->l2, line, 1, &vl, &vd) && vd)
-            pm_write(c, t, vl);   /* to_pm=True; ticket discarded */
+            pm_writeback(c, t, vl);
         t += c->coh;
     }
     map_del(&c->downer, line);
@@ -662,7 +753,7 @@ static double access_mem(Ctx *c, int tid, i64 line, int is_write, double t,
         else { done = dram_access(c, t1 + c->l2_lat); *served = 1; }
         i64 vl; u8 vd;
         if (tc_fill(&c->l2, line, 0, &vl, &vd) && vd) {
-            if (persistent) pm_write(c, done, vl);
+            if (persistent) pm_writeback(c, done, vl);
             else dram_access(c, done);
         }
     }
@@ -670,7 +761,7 @@ static double access_mem(Ctx *c, int tid, i64 line, int is_write, double t,
     if (tc_fill(l1, line, (u8)is_write, &vl1, &vd1)) {
         i64 vl2; u8 vd2;
         if (tc_fill(&c->l2, vl1, vd1, &vl2, &vd2) && vd2) {
-            if (persistent) pm_write(c, done, vl2);
+            if (persistent) pm_writeback(c, done, vl2);
             else dram_access(c, done);
         }
     }
@@ -722,6 +813,7 @@ static void ctx_free(Ctx *c) {
     free(c->ongoing); free(c->store_gate); free(c->max_issue); free(c->pq_latest);
     free(c->lk_next); free(c->lk_rel); free(c->lk_held);
     free(c->dyn);
+    map_free(&c->pending); free(c->pend_next);
 }
 
 /* =====================================================================
@@ -735,10 +827,11 @@ int rs_run(
     const i32 *lock_keys, const i32 *lock_offs, const i32 *lock_tids,
     i64 n_locks,
     const i64 *warm_lines, i64 n_warm,
-    i64 *out)
+    i64 *out, Crash *cr)
 {
     Ctx cx; memset(&cx, 0, sizeof(cx));
     Ctx *c = &cx;
+    c->cr = cr;
     c->des = (int)icfg[0];
     c->n = (int)icfg[1];
     c->rob_cap = icfg[2]; c->sq_cap = icfg[3];
@@ -816,6 +909,11 @@ int rs_run(
             if (map_init(&c->b_linert[i], 64)) goto fail;
         }
     }
+    if (cr) {
+        cr->n_rec = 0;
+        c->pend_next = (i64 *)malloc((size_t)(cr->cap > 0 ? cr->cap : 1) * sizeof(i64));
+        if (!c->pend_next || map_init(&c->pending, 256)) goto fail;
+    }
     c->lk_next = (i64 *)calloc((size_t)(n_locks ? n_locks : 1), sizeof(i64));
     c->lk_rel = (double *)calloc((size_t)(n_locks ? n_locks : 1), sizeof(double));
     c->lk_held = (u8 *)calloc((size_t)(n_locks ? n_locks : 1), 1);
@@ -847,6 +945,19 @@ int rs_run(
                 for (int i = 0; i < n; i++) if (c->st[i] == 1) parked = 1;
                 rc = parked ? RC_DEADLOCK : RC_OK;
                 if (parked) goto fail;
+                /* the program outran the trigger: power fails after the
+                 * final drain */
+                if (cr) {
+                    cr->cycle = 0.0;
+                    for (int i = 0; i < n; i++)
+                        if (c->clock[i] > cr->cycle) cr->cycle = c->clock[i];
+                }
+                break;
+            }
+            if (cr && cr->kind == TRIG_CYCLE && bk >= cr->at) {
+                /* no core can dispatch before `at` any more (a parked
+                 * core resumes no earlier than its releaser) */
+                cr->cycle = cr->at;
                 break;
             }
 
@@ -890,6 +1001,9 @@ int rs_run(
                 double retire = done > c->sq_last[tid] ? done : c->sq_last[tid];
                 if (ring_push(sq, retire)) goto fail;
                 c->sq_last[tid] = retire;
+                if (kind == K_STORE && c->cr &&
+                    note_store(c, offs[tid] + pc, line, retire))
+                    goto fail;
                 double prev;
                 if (!map_get(&c->lsr[tid], line, &prev) || retire > prev)
                     if (map_put(&c->lsr[tid], line, retire)) goto fail;
@@ -953,7 +1067,9 @@ int rs_run(
                 } else if (des == 2 || des == 3) {
                     if (c->b_dep[bidx] > depart) depart = c->b_dep[bidx];
                 }
-                double acked = pm_write(c, depart, line);
+                double accepted = pm_write(c, depart, line);
+                if (c->cr) line_persisted(c, line, flush_t, accepted, SRC_CLWB);
+                double acked = accepted + c->w2c;
                 if (des == 0 || des == 4) {
                     if (sarr_insert(oset, acked)) goto fail;
                     if (acked > c->out_latest[tid]) c->out_latest[tid] = acked;
@@ -1167,6 +1283,10 @@ int rs_run(
             }
 
             dispatched++;
+            if (cr && cr->kind == TRIG_OPS && (double)dispatched >= cr->at) {
+                cr->cycle = clock;
+                break;
+            }
             if (dispatched >= next_prune) {
                 next_prune = dispatched + c->prune_period;
                 double low = clock;
@@ -1184,9 +1304,9 @@ int rs_run(
     /* ---- output ----------------------------------------------------- */
     for (int i = 0; i < n; i++) {
         i64 *dyn = c->dyn + (i64)i * OUT_STRIDE;
-        out[i * OUT_STRIDE + O_CYCLES] = llrint(c->clock[i]);
-        for (int j = 1; j < OUT_STRIDE; j++)
-            out[i * OUT_STRIDE + j] = dyn[j];
+        dyn[O_CYCLES] = c->st[i] == 2 ? llrint(c->clock[i]) : 0;
+        dyn[O_OPS] = c->pc[i];
+        memcpy(out + (i64)i * OUT_STRIDE, dyn, OUT_STRIDE * sizeof(i64));
     }
     ctx_free(c);
     return RC_OK;

@@ -4,11 +4,18 @@ The simulator has two replay tiers:
 
 ``native C core`` -> ``reference per-op engine``
 
-:meth:`repro.sim.machine.Machine.run` tries the C core on every
-uninstrumented run (no tracer, fault plan or media faults).
-Everything else, and every run the core declines, replays on the
-reference engine (:mod:`repro.sim.cpu` plus the persistency domains),
-which the C core ports.  Bit-identity between the two is pinned by
+:meth:`repro.sim.machine.Machine.run` tries the C core on every run
+without a tracer or media faults.  That includes crash runs under a
+fault plan without media faults, whose program's STOREs each lie inside
+one cache line (every generated program's do): the core stops at the
+plan's trigger and records what the durability tracker
+(:mod:`repro.sim.durability`) records, and :func:`run_native` returns
+the cut run's stats with its :class:`CrashState`.  Everything else —
+a tracer, media faults, ``REPRO_SIM_REFERENCE``, a crash run of a
+program with a line-crossing or empty STORE — and every run the core
+declines, replays on the reference engine (:mod:`repro.sim.cpu` plus
+the persistency domains), which the C core ports.  Bit-identity
+between the two, crash states included, is pinned by
 ``tests/sim/test_fastcore_identity.py`` and the engine-identity pins.
 
 The core is compiled on demand from the single-file source next to
@@ -43,11 +50,19 @@ import tempfile
 import threading
 import warnings
 from array import array
+from bisect import bisect_right
+from itertools import compress
+from operator import attrgetter
 from typing import List, Optional
 
-from repro.core.ops import CACHE_LINE, ColumnTrace, OpKind, Program, ThreadTrace
+from repro.core.ops import (
+    CACHE_LINE, ColumnTrace, OpKind, Program, ThreadTrace, kind_bytes,
+)
 from repro.sim.config import MachineConfig
-from repro.sim.stats import CoreStats
+from repro.sim.durability import (
+    SOURCE_CLWB, SOURCE_WRITEBACK, CrashState, CrashTrigger, StoreRecord,
+)
+from repro.sim.stats import CoreStats, MachineStats
 
 #: environment variable: override the shared-library build directory.
 BUILD_DIR_ENV = "REPRO_CC_CACHE"
@@ -69,7 +84,29 @@ _lib_failed = False
 #: runs, so concurrent callers take turns.
 _run_lock = threading.Lock()
 
-_OUT_STRIDE = 8  # per-core dynamic stats slots (see _fastcore.c)
+_OUT_STRIDE = 9  # per-core stats slots (see _fastcore.c)
+
+
+class _Crash(ctypes.Structure):
+    """The C core's ``Crash`` block: a crash run's trigger in, and what
+    the durability tracker would record out (see _fastcore.c)."""
+
+    _fields_ = [
+        ("kind", ctypes.c_int64),
+        ("at", ctypes.c_double),
+        ("cap", ctypes.c_int64),
+        ("rec_op", ctypes.POINTER(ctypes.c_int64)),
+        ("rec_retire", ctypes.POINTER(ctypes.c_double)),
+        ("rec_durable", ctypes.POINTER(ctypes.c_double)),
+        ("rec_src", ctypes.POINTER(ctypes.c_int8)),
+        ("cycle", ctypes.c_double),
+        ("n_rec", ctypes.c_int64),
+    ]
+
+
+#: the C core's trigger kinds and record sources.
+_TRIGGER_KINDS = {"cycle": 0, "ops": 1}
+_SOURCES = (SOURCE_CLWB, SOURCE_WRITEBACK)
 
 
 def _build_dir() -> str:
@@ -158,6 +195,7 @@ def _load():
             ctypes.POINTER(ctypes.c_int64),    # warm_lines
             ctypes.c_int64,                    # n_warm
             ctypes.POINTER(ctypes.c_int64),    # out
+            ctypes.POINTER(_Crash),            # crash (NULL: a plain run)
         ]
         _lib = lib
         return lib
@@ -189,49 +227,38 @@ def _ptr(arr, ctype):
     return ctypes.cast(addr, ctypes.POINTER(ctype))
 
 
-def _op_mix(trace: ColumnTrace) -> dict:
-    """Replay-invariant op-mix totals of one thread, counted at C speed
-    (every op executes exactly once, so the core needs no per-op
-    counters); equal to the ``static`` of :func:`compile_trace`."""
-    count = trace.kind_bytes().count
+#: kind byte -> 1 for COMPUTE, the one kind whose cycles replay reads.
+_COMPUTE_BYTES = bytes(k == OpKind.COMPUTE for k in range(256))
+
+
+def _op_mix(kinds: array, cycles: array) -> dict:
+    """Op-mix totals of the ops of a kinds/cycles column pair, counted at
+    C speed: every op dispatched executes exactly once, so the core needs
+    no per-op counters."""
+    kinds_b = kind_bytes(kinds)
+    count = kinds_b.count
     return {
         "stores": count(OpKind.STORE) + count(OpKind.VSTORE),
         "loads": count(OpKind.LOAD) + count(OpKind.VLOAD),
         "clwbs": count(OpKind.CLWB),
         "fences": sum(count(k) for k in range(OpKind.SFENCE, OpKind.DFENCE + 1)),
-        "compute_cycles": sum(trace.cycles),  # only COMPUTE ops carry cycles
+        "compute_cycles": sum(compress(cycles, kinds_b.translate(_COMPUTE_BYTES))),
     }
-
-
-#: op kinds by the op-mix total they count towards.
-_MIX_OF = {
-    OpKind.STORE: "stores", OpKind.VSTORE: "stores",
-    OpKind.LOAD: "loads", OpKind.VLOAD: "loads",
-    OpKind.CLWB: "clwbs",
-    **{k: "fences" for k in OpKind if OpKind.SFENCE <= k <= OpKind.DFENCE},
-}
 
 
 def compile_trace(trace: ThreadTrace):
     """Replay columns ``(kinds, lines, cycles, lock_ids, static)`` of a
-    hand-built op-list trace (litmus cases, repairs, tests), with the
-    op-mix totals ``static`` counted op by op."""
+    hand-built op-list trace (litmus cases, repairs, tests), with its
+    op-mix totals ``static``."""
     ops = trace.ops
-    static = dict.fromkeys(("stores", "loads", "clwbs", "fences"), 0)
-    compute_cycles = 0
-    for op in ops:
-        mix = _MIX_OF.get(op.kind)
-        if mix is not None:
-            static[mix] += 1
-        elif op.kind is OpKind.COMPUTE:
-            compute_cycles += op.cycles
-    static["compute_cycles"] = compute_cycles
+    kinds = array("i", [int(op.kind) for op in ops])
+    cycles = array("i", [op.cycles for op in ops])
     return (
-        array("i", [int(op.kind) for op in ops]),
+        kinds,
         array("q", [op.addr // CACHE_LINE for op in ops]),
-        array("i", [op.cycles for op in ops]),
+        cycles,
         array("i", [op.lock_id for op in ops]),
-        static,
+        _op_mix(kinds, cycles),
     )
 
 
@@ -247,7 +274,8 @@ def trace_columns(trace: ThreadTrace):
     if cached is None:
         if isinstance(trace, ColumnTrace):
             cached = (
-                trace.kinds, trace.lines, trace.cycles, trace.lock_ids, _op_mix(trace)
+                trace.kinds, trace.lines, trace.cycles, trace.lock_ids,
+                _op_mix(trace.kinds, trace.cycles),
             )
         else:
             cached = compile_trace(trace)
@@ -293,12 +321,17 @@ def run_native(
     cfg: MachineConfig,
     warm: bool,
     prune_period: int,
-) -> Optional[List[CoreStats]]:
+    trigger: Optional[CrashTrigger] = None,
+) -> Optional[MachineStats]:
     """Replay ``program`` on the C core; None means "replay it on the
     reference engine".
 
-    Caller guarantees the run is uninstrumented (no tracer, fault plan,
-    or media faults).
+    With a ``trigger`` the replay stops where the reference engine's would
+    under a fault plan with that trigger, and the stats are the cut run's:
+    its partial per-core counters and its :class:`CrashState`.  The caller
+    guarantees the run has no tracer and no media faults, and, under a
+    trigger, that every STORE touches one cache line
+    (:func:`one_line_stores`).
     """
     lib = _load()
     if lib is None:
@@ -368,6 +401,19 @@ def run_native(
     ])
 
     out = array("q", bytes(8 * n * _OUT_STRIDE))
+    crash: Optional[_Crash] = None
+    records: tuple = ()
+    if trigger is not None:
+        # One record per STORE at most; VSTOREs make a loose bound.
+        cap = sum(static["stores"] for static in statics)
+        records = (array("q", [0]) * cap, array("d", [0.0]) * cap,
+                   array("d", [0.0]) * cap, array("b", [0]) * cap)
+        rec_op, rec_retire, rec_durable, rec_src = records
+        crash = _Crash(
+            _TRIGGER_KINDS[trigger.kind], float(trigger.at), cap,
+            _ptr(rec_op, ctypes.c_int64), _ptr(rec_retire, ctypes.c_double),
+            _ptr(rec_durable, ctypes.c_double), _ptr(rec_src, ctypes.c_int8),
+        )
     with _run_lock:
         rc = lib.rs_run(
             _ptr(fcfg, ctypes.c_double),
@@ -384,31 +430,88 @@ def run_native(
             _ptr(warm_arr, ctypes.c_int64),
             len(warm_arr),
             _ptr(out, ctypes.c_int64),
+            crash,
         )
     if rc != 0:
         # Deadlock or unsupported shape: the reference engine reproduces
         # the exact exception/result, so just decline.
         return None
 
-    per_core: List[CoreStats] = []
+    stats = MachineStats(design=design)
     for t in range(n):
-        static = statics[t]
-        stats = CoreStats()
         base = t * _OUT_STRIDE
-        stats.cycles = out[base + 0]
-        stats.ops = offs[t + 1] - offs[t]
-        stats.stores = static["stores"]
-        stats.loads = static["loads"]
-        stats.clwbs = static["clwbs"]
-        stats.fences = static["fences"]
-        stats.compute_cycles = static["compute_cycles"]
-        stats.pm_writes = static["clwbs"]
-        stats.l1_hits = out[base + 1]
-        stats.l1_misses = out[base + 2]
-        stats.pm_reads = out[base + 3]
-        stats.stall_queue_full = out[base + 4]
-        stats.stall_fence = out[base + 5]
-        stats.stall_drain = out[base + 6]
-        stats.stall_lock = out[base + 7]
-        per_core.append(stats)
-    return per_core
+        ops = out[base + 8]
+        static = statics[t]
+        if ops < offs[t + 1] - offs[t]:  # a crash cut this core short
+            lo = offs[t]
+            static = _op_mix(ks[lo:lo + ops], cs[lo:lo + ops])
+        core = CoreStats()
+        core.cycles = out[base + 0]
+        core.ops = ops
+        core.stores = static["stores"]
+        core.loads = static["loads"]
+        core.clwbs = static["clwbs"]
+        core.fences = static["fences"]
+        core.compute_cycles = static["compute_cycles"]
+        core.pm_writes = static["clwbs"]
+        core.l1_hits = out[base + 1]
+        core.l1_misses = out[base + 2]
+        core.pm_reads = out[base + 3]
+        core.stall_queue_full = out[base + 4]
+        core.stall_fence = out[base + 5]
+        core.stall_drain = out[base + 6]
+        core.stall_lock = out[base + 7]
+        stats.per_core.append(core)
+    if crash is not None:
+        stats.crash = _crash_state(program, offs, crash.cycle, crash.n_rec, *records)
+    return stats
+
+
+def _crash_state(
+    program: Program, offs: array, cycle: float, n_rec: int,
+    rec_op: array, rec_retire: array, rec_durable: array, rec_src: array,
+) -> CrashState:
+    """The :class:`CrashState` of a native crash run: of the first
+    ``n_rec`` store records, those durable by ``cycle`` and those retired
+    by then but not durable, each list in gseq order, as
+    :meth:`DurabilityTracker.frontier` and ``in_flight`` select them."""
+    durable: List[StoreRecord] = []
+    in_flight: List[StoreRecord] = []
+    ops = [trace.ops for trace in program.threads]
+    records = zip(rec_op[:n_rec], rec_retire[:n_rec], rec_durable[:n_rec], rec_src[:n_rec])
+    for flat, retire, when, source in records:
+        if when <= cycle:
+            into = durable
+        elif retire <= cycle:
+            into = in_flight
+        else:
+            continue
+        tid = bisect_right(offs, flat) - 1
+        into.append(StoreRecord.one_line(
+            ops[tid][flat - offs[tid]], retire, when,
+            None if source < 0 else _SOURCES[source],
+        ))
+    durable.sort(key=_BY_GSEQ)
+    in_flight.sort(key=_BY_GSEQ)
+    return CrashState(cycle=cycle, durable=durable, in_flight=in_flight)
+
+
+_BY_GSEQ = attrgetter("op.gseq")
+
+
+def one_line_stores(program: Program) -> bool:
+    """True when every STORE of ``program`` lies inside one cache line;
+    cached on the program.  The tracker waits for every line a store
+    touches (two or more for a line-crossing STORE, none for an empty
+    one), while the C core records one line per op, so a crash run of a
+    program with any other STORE replays on the reference engine."""
+    fits = getattr(program, "_one_line_stores", None)
+    if fits is None:
+        fits = all(
+            0 < op.size <= CACHE_LINE - op.addr % CACHE_LINE
+            for trace in program.threads
+            for op in trace.ops
+            if op.kind is OpKind.STORE
+        )
+        program._one_line_stores = fits
+    return fits

@@ -20,14 +20,19 @@ recovery against the workload's invariants.
 Tracking is opt-in: :data:`NULL_DURABILITY` is installed by default and
 makes every hook a no-op, so cycle counts and allocation behaviour with
 fault injection disabled are bit-identical to a tracker-free build.
+
+This tracker serves the reference engine.  A crash run on the native
+core (a fault plan without media faults) records the same hooks in C,
+in the same order, and :mod:`repro.sim.cnative` builds the same records
+from them with :meth:`StoreRecord.one_line`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.ops import Op, lines_of
+from repro.core.ops import CACHE_LINE, Op, lines_of
 
 INF = float("inf")
 
@@ -51,6 +56,19 @@ class StoreRecord:
     lines: Tuple[int, ...]
     covered: Dict[int, float] = field(default_factory=dict)
     sources: Dict[int, str] = field(default_factory=dict)
+
+    @classmethod
+    def one_line(
+        cls, op: Op, retire: float, durable: float, source: Optional[str]
+    ) -> "StoreRecord":
+        """Record of a store inside one cache line whose durability was
+        settled outside a tracker (the native core): ``durable`` is the
+        acceptance that covered its line and ``source`` what wrote it
+        back, or INF and None while the line is uncovered."""
+        line = op.addr // CACHE_LINE
+        if source is None:
+            return cls(op, retire, (line,))
+        return cls(op, retire, (line,), {line: durable}, {line: source})
 
     @property
     def durable(self) -> float:

@@ -96,6 +96,15 @@ class Machine:
         implicitly; ``stats.faults`` then records what the device
         suffered.  With neither, timing is bit-identical to a build
         without the fault layer.
+
+        Which engine runs: the native C core (:mod:`repro.sim.cnative`)
+        replays every run without a tracer or media faults, fault plans
+        included, and returns the same stats and crash state.  The
+        reference engine below replays a run with a tracer, with media
+        faults (passed in, or enabled in the plan's ``media``), with
+        ``REPRO_SIM_REFERENCE`` set, a crash run of a program with a
+        STORE that does not lie inside one cache line, and every run the
+        core declines or cannot be built for.
         """
         if program.n_threads > self.cfg.n_cores:
             raise ValueError(
@@ -110,28 +119,28 @@ class Machine:
 
                 media_faults = MediaFaultModel(media_cfg)
 
-        # Uninstrumented runs first try the native replay core — a C port
-        # of the reference engine loaded via ctypes (repro.sim.cnative).
-        # It owns all simulator state itself, so on success the Python
+        trigger = fault_plan.trigger if fault_plan is not None else None
+        # Runs without a tracer or media faults first try the native
+        # replay core — a C port of the reference engine and its
+        # durability tracker, loaded via ctypes (repro.sim.cnative).  It
+        # owns all simulator state itself, so on success the Python
         # hierarchy/controller/domain objects are never built.  Any
         # decline (no compiler, replay deadlock, a fence foreign to the
         # design) falls through to the reference engine below, which
         # reproduces the exact result or exception.
         if (
-            fault_plan is None
-            and media_faults is None
+            media_faults is None
             and not tracer.enabled
             and not os.environ.get(REFERENCE_ENGINE_ENV)
         ):
             from repro.sim import cnative
 
-            per_core = cnative.run_native(
-                self.design, program, self.cfg, warm, PRUNE_PERIOD
-            )
-            if per_core is not None:
-                stats = MachineStats(design=self.design)
-                stats.per_core.extend(per_core)
-                return stats
+            if trigger is None or cnative.one_line_stores(program):
+                stats = cnative.run_native(
+                    self.design, program, self.cfg, warm, PRUNE_PERIOD, trigger
+                )
+                if stats is not None:
+                    return stats
 
         pm = PMController(self.cfg.pm, tracer, faults=media_faults)
         dram = DRAMController()
@@ -141,7 +150,6 @@ class Machine:
         locks = LockTable(program.lock_order)
         domain_cls = DESIGNS[self.design]
 
-        trigger = fault_plan.trigger if fault_plan is not None else None
         tracker = None
         if fault_plan is not None:
             tracker = DurabilityTracker()

@@ -170,8 +170,10 @@ def calls(monkeypatch):
     for name in counts:
         counting(name)
     canonical_run.cache_clear()
+    chaos_harness._DIALECT_SLOT.clear()
     yield counts
     canonical_run.cache_clear()
+    chaos_harness._DIALECT_SLOT.clear()
 
 
 def test_soak_over_every_design_generates_once_and_never_lints(calls):
@@ -206,6 +208,7 @@ def test_lint_runs_on_first_read_only(calls):
 
 def test_slot_holds_only_the_latest_workload():
     canonical_run.cache_clear()
+    chaos_harness._DIALECT_SLOT.clear()
     CrashHarness("queue", "strandweaver", cfg=FAST_CFG)
     queue_run = weakref.ref(canonical_run("queue", FAST_CFG))
     CrashHarness("hashmap", "strandweaver", cfg=FAST_CFG)
@@ -217,3 +220,34 @@ def test_slot_holds_only_the_latest_workload():
     assert canonical_run.cache_info().hits == info.hits + 1
     canonical_run.cache_clear()
 
+
+def test_designs_of_one_dialect_share_one_run_and_dag():
+    """no-persist-queue and strandweaver both replay the strand dialect,
+    so back-to-back harnesses of the two share its program and DAG."""
+    chaos_harness._DIALECT_SLOT.clear()
+    npq = CrashHarness("queue", "no-persist-queue", cfg=FAST_CFG)
+    sw = CrashHarness("queue", "strandweaver", cfg=FAST_CFG)
+    assert sw.run is npq.run and sw.dag is npq.dag
+    x86 = CrashHarness("queue", "intel-x86", cfg=FAST_CFG)
+    assert x86.dag is not sw.dag
+    chaos_harness._DIALECT_SLOT.clear()
+
+
+def test_differential_builds_one_dag_per_dialect_one_at_a_time(monkeypatch):
+    """Five designs, four dialects: a differential builds four DAGs, and
+    by the time it builds one, no earlier one is alive."""
+    chaos_harness._DIALECT_SLOT.clear()
+    real = chaos_harness.PersistDag
+    built = []
+
+    def building(program):
+        gc.collect()
+        assert [ref for ref in built if ref() is not None] == [], "an older DAG is alive"
+        dag = real(program)
+        built.append(weakref.ref(dag))
+        return dag
+
+    monkeypatch.setattr(chaos_harness, "PersistDag", building)
+    assert run_differential("queue", crashes=1, seed=11, cfg=FAST_CFG).ok
+    assert len(built) == 4
+    chaos_harness._DIALECT_SLOT.clear()

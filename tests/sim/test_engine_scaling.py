@@ -148,7 +148,9 @@ class TestWindowPruning:
         """Crash runs prune like every run.  Crashing every design at 0.9
         of the run — by cycle, and by op count under media faults — with
         an aggressive prune period leaves the same crash as an unpruned
-        replay, and the controller's window maps end small."""
+        replay, on the reference engine and on the default tier (the
+        native core, for the plan without media faults), and the
+        reference controller's window maps end small."""
         captured = {}
 
         class SpyPM(PMController):
@@ -170,16 +172,19 @@ class TestWindowPruning:
                 crashes = []
                 for period in (64, 1 << 30):
                     monkeypatch.setattr(machine_mod, "PRUNE_PERIOD", period)
-                    stats = Machine(design).run(program, fault_plan=plan)
-                    crash = stats.crash
-                    crashes.append((
-                        crash.cycle,
-                        [(r.op.tid, r.op.seq, r.source, r.durable) for r in crash.durable],
-                        [(r.op.tid, r.op.seq) for r in crash.in_flight],
-                        stats.faults,
-                    ))
-                    if period == 64:
-                        pm = captured["pm"]
-                        assert pm._accept.n_windows < 200, (design, schedule.kind)
-                        assert pm._media.n_windows < 200, (design, schedule.kind)
-                assert crashes[0] == crashes[1], (design, schedule.kind)
+                    for reference in ("1", ""):
+                        monkeypatch.setenv("REPRO_SIM_REFERENCE", reference)
+                        stats = Machine(design).run(program, fault_plan=plan)
+                        crash = stats.crash
+                        crashes.append((
+                            crash.cycle,
+                            [(r.op.tid, r.op.seq, r.source, r.durable)
+                             for r in crash.durable],
+                            [(r.op.tid, r.op.seq) for r in crash.in_flight],
+                            stats.faults,
+                        ))
+                        if period == 64 and reference:
+                            pm = captured.pop("pm")
+                            assert pm._accept.n_windows < 200, (design, schedule.kind)
+                            assert pm._media.n_windows < 200, (design, schedule.kind)
+                assert crashes[1:] == crashes[:1] * 3, (design, schedule.kind)

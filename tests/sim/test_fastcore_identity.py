@@ -13,7 +13,10 @@ bit-identical:
 * the specialized program's replay columns (what the native core
   replays) equal a fresh compile of its built ops;
 * the default tier reproduces the reference engine's ``MachineStats``
-  exactly, per core and per field, across all five designs.
+  exactly, per core and per field, across all five designs;
+* under a fault plan without media faults the default tier crashes
+  where the reference engine does and leaves the same ``CrashState``
+  and the same partial per-core stats.
 
 Engine selection pins: ``REPRO_SIM_REFERENCE=1`` forces the reference
 engine; unset, the native core runs when a C compiler is available and
@@ -21,19 +24,23 @@ the reference engine runs otherwise — both must agree, so these tests
 pass with or without a toolchain.
 """
 
+import random
 import warnings
 from dataclasses import replace
 
 import pytest
 
+from repro.analysis.litmus import LITMUS
 from repro.chaos import CrashTrigger, FaultPlan
 from repro.chaos.harness import CHAOS_CFG
+from repro.chaos.plan import sample_schedules
 from repro.core.ops import CACHE_LINE, Program, TraceCursor
 from repro.faults import MediaFaultConfig, MediaFaultModel
 from repro.harness.experiment import default_config
 from repro.obs import NULL_TRACER, Tracer
 from repro.sim import cnative
 from repro.sim.config import TABLE_I
+from repro.sim.durability import SOURCE_CLWB, SOURCE_WRITEBACK
 from repro.sim.machine import DESIGNS, PRUNE_PERIOD, Machine
 from repro.workloads import WORKLOADS
 from repro.workloads.base import (
@@ -123,9 +130,9 @@ def test_fast_engines_match_reference(monkeypatch, canonical, workload, design):
     assert native.summary() == ref.summary()
     assert _stats_fields(native) == _stats_fields(ref)
     if cnative.available():
-        per_core = cnative.run_native(design, program, TABLE_I, True, PRUNE_PERIOD)
-        assert per_core is not None, f"native core declined {workload}/{design}"
-        assert [c.__dict__ for c in per_core] == _stats_fields(ref)
+        stats = cnative.run_native(design, program, TABLE_I, True, PRUNE_PERIOD)
+        assert stats is not None, f"native core declined {workload}/{design}"
+        assert _stats_fields(stats) == _stats_fields(ref)
 
 
 def test_native_core_declines_cleanly(monkeypatch, tmp_path, canonical):
@@ -237,9 +244,9 @@ def test_native_prune_period_is_result_neutral(monkeypatch, canonical, design, n
     ref = _stats_fields(Machine(design).run(program))
     by_period = {}
     for period in (1, 64, 1 << 30):
-        per_core = cnative.run_native(design, program, TABLE_I, True, period)
-        assert per_core is not None, f"native core declined at period {period}"
-        by_period[period] = [c.__dict__ for c in per_core]
+        stats = cnative.run_native(design, program, TABLE_I, True, period)
+        assert stats is not None, f"native core declined at period {period}"
+        by_period[period] = _stats_fields(stats)
     assert by_period[1] == by_period[64] == by_period[1 << 30] == ref
 
 
@@ -287,16 +294,21 @@ def test_wrong_fence_exception_identical_across_engines(monkeypatch):
     ("plain", True),
     ("prof-phases-env", True),
     ("tracer", False),
-    ("fault-plan", False),
+    ("fault-plan", True),
+    ("media-plan", False),
+    ("line-crossing-store", False),
     ("media-faults", False),
     ("reference-env", False),
 ])
-def test_only_a_tracer_fault_or_reference_env_skips_the_native_core(
+def test_only_a_tracer_media_faults_or_reference_env_skips_the_native_core(
     monkeypatch, canonical, how, native
 ):
-    """A tracer, a fault plan, media faults and REPRO_SIM_REFERENCE send
-    a run to the reference engine; every other run reaches the native
-    core, REPRO_PROF_PHASES included (no hook reads it)."""
+    """A tracer, media faults (passed in, or enabled in a fault plan) and
+    REPRO_SIM_REFERENCE send a run to the reference engine, and so does a
+    crash run of a program whose STORE crosses a cache line (the C core
+    records one line per op, the tracker waits for every line a store
+    touches); every other run reaches the native core, fault plans and
+    REPRO_PROF_PHASES included."""
     if not cnative.available():
         pytest.skip("no C compiler in this environment")
     monkeypatch.delenv("REPRO_SIM_REFERENCE", raising=False)
@@ -308,17 +320,213 @@ def test_only_a_tracer_fault_or_reference_env_skips_the_native_core(
     calls = []
     run_native = cnative.run_native
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args[0])
-        return run_native(*args)
+        return run_native(*args, **kwargs)
 
     monkeypatch.setattr(cnative, "run_native", counting)
     program = specialize_run(canonical["queue"], "strandweaver").program
+    if how == "line-crossing-store":
+        # one 128-byte STORE across two lines (on_line_cross="allow")
+        program = LITMUS["torn-store"].build()
     machine = Machine("strandweaver", tracer=Tracer() if how == "tracer" else NULL_TRACER)
+    trigger = CrashTrigger("cycle", 1e18)
+    media = MediaFaultConfig(seed=1, write_fail_prob=0.01)
     run_kw = {
-        "fault-plan": {"fault_plan": FaultPlan(trigger=CrashTrigger("cycle", 1e18))},
-        "media-faults": {"media_faults": MediaFaultModel(
-            MediaFaultConfig(seed=1, write_fail_prob=0.01))},
+        "fault-plan": {"fault_plan": FaultPlan(trigger=trigger)},
+        "media-plan": {"fault_plan": FaultPlan(trigger=trigger, media=media)},
+        "line-crossing-store": {"fault_plan": FaultPlan(trigger=trigger)},
+        "media-faults": {"media_faults": MediaFaultModel(media)},
     }.get(how, {})
-    machine.run(program, **run_kw)
+    stats = machine.run(program, **run_kw)
     assert calls == (["strandweaver"] if native else [])
+    assert (stats.crash is not None) == ("fault_plan" in run_kw)
+
+
+def _crash_fields(stats):
+    """What a crash run returns: the crash cycle, each durable and
+    in-flight record (gseq, retire, durable time, source) in order, and
+    the cut run's per-core stats."""
+    crash = stats.crash
+
+    def records(recs):
+        return [(r.op.gseq, r.retire, r.durable, r.source) for r in recs]
+
+    return (
+        crash.cycle, records(crash.durable), records(crash.in_flight),
+        _stats_fields(stats),
+    )
+
+
+@pytest.fixture
+def native_accepts(monkeypatch):
+    """Designs of the runs the native core accepted (returned stats for)."""
+    if not cnative.available():
+        pytest.skip("no C compiler in this environment: both tiers are the reference")
+    accepted = []
+    run_native = cnative.run_native
+
+    def counting(*args, **kwargs):
+        stats = run_native(*args, **kwargs)
+        if stats is not None:
+            accepted.append(args[0])
+        return stats
+
+    monkeypatch.setattr(cnative, "run_native", counting)
+    return accepted
+
+
+def _assert_crashes_match(
+    monkeypatch, accepted, design, program, triggers, cfg=TABLE_I
+):
+    """Crash ``program`` at each trigger on the default tier and on the
+    reference engine: equal crash states and partial stats, and the
+    native core accepted every default-tier run.  Returns the crashes."""
+    crashes = []
+    for trigger in triggers:
+        plan = FaultPlan(trigger=trigger)
+        monkeypatch.delenv("REPRO_SIM_REFERENCE", raising=False)
+        native = Machine(design, cfg).run(program, fault_plan=plan)
+        monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
+        ref = Machine(design, cfg).run(program, fault_plan=plan)
+        assert _crash_fields(native) == _crash_fields(ref), trigger.describe()
+        crashes.append(ref.crash)
+    assert accepted == [design] * len(triggers)
+    return crashes
+
+
+def _schedule_triggers(design, program, cfg, seeds):
+    """The triggers of ``sample_schedules(10, seed)`` concretised on
+    ``program`` as a crash harness concretises them."""
+    horizon = float(Machine(design, cfg).run(program).cycles)
+    total_ops = sum(len(t) for t in program.threads)
+    return horizon, [
+        schedule.concretise(horizon, total_ops).trigger
+        for seed in seeds
+        for schedule in sample_schedules(10, seed)
+    ]
+
+
+@pytest.mark.parametrize("workload", BENCHMARKS)
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_native_crash_runs_match_reference(
+    monkeypatch, canonical_runs, native_accepts, workload, design
+):
+    """Every crash schedule of a soak or crashtest campaign at
+    ``CHAOS_CFG`` (seeds 7 and 11, concretised as a harness does), plus
+    the edge triggers (the first op, cycle 1, and one past the end, where
+    power fails after the final drain), crashes the native core exactly
+    where the reference engine crashes."""
+    program = specialize_run(canonical_runs["chaos"][workload], design).program
+    horizon, triggers = _schedule_triggers(design, program, TABLE_I, (7, 11))
+    native_accepts.clear()
+    triggers += [
+        CrashTrigger("ops", 1),
+        CrashTrigger("cycle", 1.0),
+        CrashTrigger("cycle", 2 * horizon),
+    ]
+    _assert_crashes_match(monkeypatch, native_accepts, design, program, triggers)
+
+
+#: a machine whose caches are small enough that random traffic over a
+#: few hundred lines evicts dirty lines from the L2 all the time.
+SMALL_CACHES = replace(
+    TABLE_I,
+    l1d=replace(TABLE_I.l1d, size_bytes=1024),
+    l2=replace(TABLE_I.l2, size_bytes=8 * 1024, assoc=4),
+)
+
+
+def random_program(seed, n_threads=3, n_ops=100, n_lines=400):
+    """Fence-free random traffic over ``n_lines`` PM lines, which every
+    design replays: stores, CLWBs (half of them of the thread's last
+    stored line), loads and compute, in a seeded interleaving."""
+    rng = random.Random(seed)
+    program = Program(n_threads)
+    cursors = [TraceCursor(program, t) for t in range(n_threads)]
+    last = [0] * n_threads
+    for _ in range(n_ops * n_threads):
+        tid = rng.randrange(n_threads)
+        cursor = cursors[tid]
+        addr = rng.randrange(n_lines) * CACHE_LINE
+        roll = rng.random()
+        if roll < 0.5:
+            cursor.store(addr + 8 * rng.randrange(8), rng.randbytes(8))
+            last[tid] = addr
+        elif roll < 0.7:
+            cursor.clwb(last[tid] if rng.random() < 0.5 else addr)
+        elif roll < 0.9:
+            cursor.load(addr, 8)
+        else:
+            cursor.compute(rng.randrange(1, 200))
+    return program
+
+
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_native_crash_runs_match_reference_on_random_traffic(
+    monkeypatch, native_accepts, design
+):
+    """The crash workloads flush each store at once, on its own core, so
+    two durability paths hardly occur in them.  Random traffic over 400
+    lines on 1 KiB L1s and an 8 KiB L2 writes dirty L2 victims back to
+    PM all the time, so stores owe durability to write-backs.  Random
+    traffic over 8 lines on Table I makes cores store to lines that
+    other cores are flushing, so a CLWB's content time (its slot, not
+    its departure) decides which stores it covers.  On both, the native
+    core's crashes must match the tracker's."""
+    crashes = []
+    for n_lines, cfg in ((400, SMALL_CACHES), (8, TABLE_I)):
+        for seed in range(3):
+            program = random_program(seed, n_lines=n_lines)
+            horizon, triggers = _schedule_triggers(design, program, cfg, (7,))
+            native_accepts.clear()
+            crashes += _assert_crashes_match(
+                monkeypatch, native_accepts, design, program,
+                triggers + [CrashTrigger("cycle", 2 * horizon)], cfg,
+            )
+    sources = {rec.source for crash in crashes for rec in crash.durable}
+    assert sources == {SOURCE_CLWB, SOURCE_WRITEBACK}
+
+
+def handoff_program(compute=1000):
+    """Core 1 holds lock 0 through ``compute`` cycles while core 0 parks
+    on it; the release wakes core 0 keyed at the release time, far above
+    its own clock (0, as parking commits nothing)."""
+    program = Program(2)
+    waiter, holder = TraceCursor(program, 0), TraceCursor(program, 1)
+    holder.lock(0)  # first in lock 0's order
+    holder.compute(compute)
+    holder.unlock(0)
+    waiter.lock(0)
+    waiter.store(0, b"\x01" * 8)
+    waiter.clwb(0)
+    waiter.unlock(0)
+    return program
+
+
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_native_crash_while_a_core_is_parked(monkeypatch, native_accepts, design):
+    """Cycle triggers that fire while a core is parked on a lock: on the
+    parked-core program at cycles 500 and 1 M (core 1 holds the lock
+    through 2 M cycles of compute), and on the hand-off program exactly
+    at the release, when the woken core is selected by its key (the
+    release time) while its clock is still 0.  Both tiers leave the same
+    crash, with the waiting core cut short at its lock acquisition."""
+    program = parked_core_program()
+    triggers = [CrashTrigger("cycle", at) for at in (500.0, 1_000_000.0)]
+    _assert_crashes_match(monkeypatch, native_accepts, design, program, triggers)
+    stats = Machine(design).run(program, fault_plan=FaultPlan(trigger=triggers[0]))
+    assert stats.crash.cycle == 500.0
+    assert [c.ops for c in stats.per_core] == [2, 2]  # store + CLWB; lock + compute
+    assert [c.cycles for c in stats.per_core] == [0, 0]
+    assert len(stats.crash.durable) == 1
+
+    handoff = handoff_program()
+    after_release = FaultPlan(trigger=CrashTrigger("ops", 3))  # core 1's 3 ops
+    release = Machine(design).run(handoff, fault_plan=after_release).crash.cycle
+    native_accepts.clear()
+    trigger = CrashTrigger("cycle", release)
+    _assert_crashes_match(monkeypatch, native_accepts, design, handoff, [trigger])
+    stats = Machine(design).run(handoff, fault_plan=FaultPlan(trigger=trigger))
+    assert stats.crash.cycle == release > 1000
+    assert [c.ops for c in stats.per_core] == [0, 3]
