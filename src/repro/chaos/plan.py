@@ -53,10 +53,11 @@ class RecoveryCrash:
 class FaultPlan:
     """One crash experiment: trigger + post-crash fault injection.
 
-    ``Machine.run`` reads only ``trigger`` and ``media`` (a plan with
-    media faults enabled replays on the reference engine, any other on
-    the native core); the chaos image builder reads the rest.  ``seed`` makes the injected faults deterministic — it is
-    echoed in every failure message so a run can be replayed verbatim.
+    ``Machine.run`` reads only ``trigger`` and ``media`` (with media
+    faults or without, the plan replays on the native core); the chaos
+    image builder reads the rest.  ``seed`` makes the injected faults
+    deterministic — it is echoed in every failure message so a run can
+    be replayed verbatim.
     """
 
     trigger: CrashTrigger

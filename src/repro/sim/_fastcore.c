@@ -6,23 +6,31 @@
  * repro/sim/memory.py, repro/sim/engine.py, and for crash runs
  * repro/sim/machine.py's trigger and repro/sim/durability.py's tracker --
  * that owns *all* simulator state natively: tag caches, dirty ownership,
- * bandwidth windows, PM/DRAM timing, lock arbitration, per-design persist
- * structures.  Those Python modules are its specification.  The output
- * is the per-core stats block -- the Python layer adds the op-mix totals
- * of the ops each core dispatched (see cnative.trace_columns).
+ * bandwidth windows, PM/DRAM timing, media-fault policy, lock
+ * arbitration, per-design persist structures.  Those Python modules are
+ * its specification.  The output is the per-core stats block -- the
+ * Python layer adds the op-mix totals of the ops each core dispatched
+ * (see cnative.trace_columns).
  *
- * Runs: every Machine.run without a tracer or media faults.  A crash run
- * (a fault plan without media faults; Crash below) stops where the
- * reference's loop does: a cycle trigger fires when the selected core's
- * key reaches `at`, before it steps (so also when it would park); an
- * op-count trigger fires after the at-th dispatch, at that core's clock;
- * a program that outruns the trigger ends at the last clock.  Along the
- * way it records each persistent STORE's retire time and matches each PM
- * acceptance of a line -- by CLWB, or by a dirty L2 victim's write-back
- * -- against the line's uncovered stores, in the reference's call order.
- * The tracker waits for every line a store touches; this core sees one
- * line per op, so a program with a STORE outside one line (line-crossing
- * or empty) crashes on the reference engine.  Media faults stay there too.
+ * Runs: every Machine.run without a tracer, media faults included.  A
+ * crash run (a fault plan; Crash below) stops where the reference's loop
+ * does: a cycle trigger fires when the selected core's key reaches `at`,
+ * before it steps (so also when it would park); an op-count trigger
+ * fires after the at-th dispatch, at that core's clock; a program that
+ * outruns the trigger ends at the last clock.  Along the way it records
+ * each persistent STORE's retire time and matches each PM acceptance of
+ * a line -- by CLWB, or by a dirty L2 victim's write-back -- against the
+ * line's uncovered stores, in the reference's call order.  The tracker
+ * waits for every line a store touches; this core sees one line per op,
+ * so a program with a STORE outside one line (line-crossing or empty)
+ * crashes on the reference engine.
+ *
+ * Media faults (Media below) follow PMController's policy and draw from
+ * the fault model's own Mersenne Twister stream, handed over as CPython's
+ * random.Random state and continued here with CPython's genrand_uint32 and
+ * 53-bit random(): the same draws, in the same order, give the same
+ * faults.  The caller writes the stream and the counters back only when
+ * the run succeeds.
  *
  * Bit-identity contract: every floating-point expression mirrors the
  * reference engine's CPython arithmetic operation-for-operation.  Build
@@ -80,10 +88,11 @@
  *    because a scan over a machine's few cores is cheap.
  *
  * Error protocol: rs_run returns 0 on success, 1 on replay deadlock and
- * 2 on any unsupported/internal condition.  Non-zero means the Python
- * caller silently re-runs on the reference engine, which reproduces the
- * exact exception (or result) -- so the C core never needs to replicate
- * diagnostics, only fault-free timing.
+ * 2 on any unsupported/internal condition (among them a retry past the
+ * caller's backoff table).  Non-zero means the Python caller silently
+ * re-runs on the reference engine, which reproduces the exact exception
+ * (or result) from the same fault stream -- so the C core never needs to
+ * replicate diagnostics, only timing.
  */
 
 #include <math.h>
@@ -536,12 +545,12 @@ enum {
     O_STQ = 4, O_STF = 5, O_STD = 6, O_STL = 7, O_OPS = 8,
 };
 
-/* A crash run: Machine.run under a fault plan without media faults.
- * The caller allocates the store records, one per STORE of the program
- * at most.  rs_run stops at the trigger, as the reference's loop does,
- * and fills in what DurabilityTracker records: each persistent store's
- * retire time and, once the PM controller accepted its line with the
- * store's bytes in it, that acceptance time and its source. */
+/* A crash run: Machine.run under a fault plan.  The caller allocates
+ * the store records, one per STORE of the program at most.  rs_run
+ * stops at the trigger, as the reference's loop does, and fills in what
+ * DurabilityTracker records: each persistent store's retire time and,
+ * once the PM controller accepted its line with the store's bytes in
+ * it, that acceptance time and its source. */
 enum { TRIG_CYCLE = 0, TRIG_OPS = 1 };
 enum { SRC_NONE = -1, SRC_CLWB = 0, SRC_WRITEBACK = 1 };
 
@@ -556,6 +565,31 @@ typedef struct {
     double cycle;          /* out: when power failed */
     i64 n_rec;             /* out: stores noted, in the reference's order */
 } Crash;
+
+/* Media faults: Machine.run with an enabled MediaFaultModel.  The caller
+ * allocates every array and writes mt/mti, the counters and new_lines
+ * back into the model only when rs_run succeeds. */
+enum {
+    F_WRITE_FAULTS, F_RETRIES, F_ECC_CORRECTED, F_ECC_UNCORRECTABLE,
+    F_REMAPS, F_REMAP_DENIED, F_EXHAUSTED_RETRIES, F_N,
+};
+
+typedef struct {
+    double p_fail, p_corr, p_unc;  /* draw only when > 0 */
+    double w2m, remap_lat, ecc_pen;
+    i64 max_retries, spare_lines;
+    i64 n_backoff;                 /* backoff[a - 1]: before retry a */
+    const double *backoff;
+    uint32_t *mt;                  /* in/out: the generator's 624 words */
+    i64 mti;                       /* in/out: its index, 0..624 */
+    const i64 *remapped;           /* lines the model had remapped */
+    i64 n_remapped;
+    i64 cap_new;
+    i64 *new_lines;                /* out: lines remapped, in order */
+    i64 n_new;                     /* out */
+    i64 count[F_N];                /* in/out: the model's counters */
+    double backoff_cycles;         /* in/out */
+} Media;
 
 typedef struct {
     /* config */
@@ -610,12 +644,92 @@ typedef struct {
     Crash *cr;
     Map pending;            /* line -> newest noted store still uncovered */
     i64 *pend_next;         /* record -> next uncovered store of its line */
+
+    /* media faults only (mf is NULL without them) */
+    Media *mf;
+    Map remapped;           /* lines in the spare region (value unused) */
 } Ctx;
 
 static i64 lock_index(const Ctx *c, i32 lock_id) {
     for (i64 i = 0; i < c->n_locks; i++)
         if (c->lock_keys[i] == lock_id) return i;
     return -1;
+}
+
+/* CPython's _randommodule.c genrand_uint32: MT19937 */
+static uint32_t mt_next(Media *m) {
+    enum { N = 624, M = 397 };
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y, *mt = m->mt;
+    if (m->mti >= N) {
+        int kk;
+        for (kk = 0; kk < N - M; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < N - 1; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + (M - N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[N - 1] = mt[M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        m->mti = 0;
+    }
+    y = mt[m->mti++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* MediaFaultModel's draws (write_fails, write_uncorrectable,
+ * read_correctable): random.Random.random() < p, with no draw at a zero
+ * probability or for a line already in the spare region */
+static int media_draw(Ctx *c, double p, i64 line) {
+    if (p <= 0.0 || map_find(&c->remapped, line) >= 0) return 0;
+    uint32_t a = mt_next(c->mf) >> 5, b = mt_next(c->mf) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0) < p;
+}
+
+/* PMController._remap_write: the media start of the write redirected
+ * into the spare region at t (MediaFaultModel.remap books the spare) */
+static double remap_write(Ctx *c, double t, i64 line) {
+    Media *m = c->mf;
+    if (m->n_remapped + m->n_new >= m->spare_lines) {
+        m->count[F_REMAP_DENIED]++;
+    } else if (m->n_new >= m->cap_new || map_put(&c->remapped, line, 0.0)) {
+        c->err = 1;
+    } else {
+        m->new_lines[m->n_new++] = line;
+        m->count[F_REMAPS]++;
+    }
+    return bw_reserve(&c->media, t + m->remap_lat, &c->err);
+}
+
+/* PMController._media_write's fault policy for the media write that
+ * started at ms: the media start of the attempt that stuck */
+static double media_write(Ctx *c, double ms, i64 line) {
+    Media *m = c->mf;
+    double md = ms + m->w2m;
+    if (media_draw(c, m->p_unc, line)) {
+        m->count[F_ECC_UNCORRECTABLE]++;
+        return remap_write(c, md, line);
+    }
+    for (i64 attempt = 1; media_draw(c, m->p_fail, line); attempt++) {
+        m->count[F_WRITE_FAULTS]++;
+        if (attempt > m->max_retries) {
+            m->count[F_EXHAUSTED_RETRIES]++;
+            return remap_write(c, md, line);
+        }
+        if (attempt > m->n_backoff) { c->err = 1; return ms; }
+        double backoff = m->backoff[attempt - 1];
+        m->count[F_RETRIES]++;
+        m->backoff_cycles += backoff;
+        ms = bw_reserve(&c->media, md + backoff, &c->err);
+        md = ms + m->w2m;
+    }
+    return ms;
 }
 
 /* PMController.write; returns ticket.accepted (the ADR persist point):
@@ -628,6 +742,7 @@ static double pm_write(Ctx *c, double t, i64 line) {
             return grant;
     }
     double ms = bw_reserve(&c->media, grant, &c->err);
+    if (c->mf && line >= 0) ms = media_write(c, ms, line);
     double accepted = grant;
     if (ms - grant > c->max_backlog) accepted = ms - c->max_backlog;
     if (line >= 0 && map_put(&c->queued, line, ms)) c->err = 1;
@@ -682,8 +797,14 @@ static void pm_writeback(Ctx *c, double t, i64 line) {
     if (c->cr) line_persisted(c, line, t, accepted, SRC_WRITEBACK);
 }
 
-static double pm_read(Ctx *c, double t) {
-    return bw_reserve(&c->readbw, t, &c->err) + c->read_lat;
+/* PMController.read: a correctable ECC error adds the correction penalty */
+static double pm_read(Ctx *c, double t, i64 line) {
+    double done = bw_reserve(&c->readbw, t, &c->err) + c->read_lat;
+    if (c->mf && line >= 0 && media_draw(c, c->mf->p_corr, line)) {
+        c->mf->count[F_ECC_CORRECTED]++;
+        done += c->mf->ecc_pen;
+    }
+    return done;
 }
 
 static double dram_access(Ctx *c, double t) {
@@ -749,7 +870,7 @@ static double access_mem(Ctx *c, int tid, i64 line, int is_write, double t,
         done = t1 + c->l2_lat;
         *served = 1;
     } else {
-        if (persistent) { done = pm_read(c, t1 + c->l2_lat); *served = 2; }
+        if (persistent) { done = pm_read(c, t1 + c->l2_lat, line); *served = 2; }
         else { done = dram_access(c, t1 + c->l2_lat); *served = 1; }
         i64 vl; u8 vd;
         if (tc_fill(&c->l2, line, 0, &vl, &vd) && vd) {
@@ -814,6 +935,7 @@ static void ctx_free(Ctx *c) {
     free(c->lk_next); free(c->lk_rel); free(c->lk_held);
     free(c->dyn);
     map_free(&c->pending); free(c->pend_next);
+    map_free(&c->remapped);
 }
 
 /* =====================================================================
@@ -827,11 +949,12 @@ int rs_run(
     const i32 *lock_keys, const i32 *lock_offs, const i32 *lock_tids,
     i64 n_locks,
     const i64 *warm_lines, i64 n_warm,
-    i64 *out, Crash *cr)
+    i64 *out, Crash *cr, Media *mf)
 {
     Ctx cx; memset(&cx, 0, sizeof(cx));
     Ctx *c = &cx;
     c->cr = cr;
+    c->mf = mf;
     c->des = (int)icfg[0];
     c->n = (int)icfg[1];
     c->rob_cap = icfg[2]; c->sq_cap = icfg[3];
@@ -913,6 +1036,13 @@ int rs_run(
         cr->n_rec = 0;
         c->pend_next = (i64 *)malloc((size_t)(cr->cap > 0 ? cr->cap : 1) * sizeof(i64));
         if (!c->pend_next || map_init(&c->pending, 256)) goto fail;
+    }
+    if (mf) {
+        mf->n_new = 0;
+        if (mf->mti < 0 || mf->mti > 624) goto fail;
+        if (map_init(&c->remapped, 2 * (mf->n_remapped + mf->cap_new))) goto fail;
+        for (i64 i = 0; i < mf->n_remapped; i++)
+            if (map_put(&c->remapped, mf->remapped[i], 0.0)) goto fail;
     }
     c->lk_next = (i64 *)calloc((size_t)(n_locks ? n_locks : 1), sizeof(i64));
     c->lk_rel = (double *)calloc((size_t)(n_locks ? n_locks : 1), sizeof(double));

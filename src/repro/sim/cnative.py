@@ -5,17 +5,20 @@ The simulator has two replay tiers:
 ``native C core`` -> ``reference per-op engine``
 
 :meth:`repro.sim.machine.Machine.run` tries the C core on every run
-without a tracer or media faults.  That includes crash runs under a
-fault plan without media faults, whose program's STOREs each lie inside
-one cache line (every generated program's do): the core stops at the
-plan's trigger and records what the durability tracker
-(:mod:`repro.sim.durability`) records, and :func:`run_native` returns
-the cut run's stats with its :class:`CrashState`.  Everything else —
-a tracer, media faults, ``REPRO_SIM_REFERENCE``, a crash run of a
-program with a line-crossing or empty STORE — and every run the core
-declines, replays on the reference engine (:mod:`repro.sim.cpu` plus
-the persistency domains), which the C core ports.  Bit-identity
-between the two, crash states included, is pinned by
+without a tracer.  That includes runs under media faults: the core
+applies the PM controller's fault policy, drawing from the fault model's
+own generator state, and on success leaves the model as the reference
+would.  It includes crash runs under a fault plan, with or without media
+faults, whose program's STOREs each lie inside one cache line (every
+generated program's do): the core stops at the plan's trigger and
+records what the durability tracker (:mod:`repro.sim.durability`)
+records, and :func:`run_native` returns the cut run's stats with its
+:class:`CrashState`.  Everything else — a tracer,
+``REPRO_SIM_REFERENCE``, a crash run of a program with a line-crossing
+or empty STORE — and every run the core declines, replays on the
+reference engine (:mod:`repro.sim.cpu` plus the persistency domains and
+:mod:`repro.sim.memory`), which the C core ports.  Bit-identity between
+the two, crash states and fault models included, is pinned by
 ``tests/sim/test_fastcore_identity.py`` and the engine-identity pins.
 
 The core is compiled on demand from the single-file source next to
@@ -34,10 +37,11 @@ changes double rounding, and the core itself mirrors the reference
 engine's arithmetic operation-for-operation (see the C file header).
 
 Error protocol: the core returns non-zero for *anything* it does not
-model (replay deadlock, a fence foreign to the design, allocation
-failure) and :func:`run_native` then returns ``None``, silently — the
-reference engine re-runs the program and raises the exact exception,
-or produces the result.
+model (replay deadlock, a fence foreign to the design, a retry past the
+backoff table, allocation failure) and :func:`run_native` then returns
+``None``, silently, with any fault model untouched — the reference
+engine re-runs the program from the same fault stream and raises the
+exact exception, or produces the result.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from array import array
 from bisect import bisect_right
 from itertools import compress
 from operator import attrgetter
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.ops import (
     CACHE_LINE, ColumnTrace, OpKind, Program, ThreadTrace, kind_bytes,
@@ -63,6 +67,9 @@ from repro.sim.durability import (
     SOURCE_CLWB, SOURCE_WRITEBACK, CrashState, CrashTrigger, StoreRecord,
 )
 from repro.sim.stats import CoreStats, MachineStats
+
+if TYPE_CHECKING:  # no runtime import: faults is an optional layer
+    from repro.faults.model import MediaFaultModel
 
 #: environment variable: override the shared-library build directory.
 BUILD_DIR_ENV = "REPRO_CC_CACHE"
@@ -104,9 +111,50 @@ class _Crash(ctypes.Structure):
     ]
 
 
-#: the C core's trigger kinds and record sources.
+#: the C core's trigger kinds, and its record sources: SRC_CLWB (0),
+#: SRC_WRITEBACK (1), and SRC_NONE (-1), an uncovered store, which reads
+#: as a CLWB like a tracker's record does.
 _TRIGGER_KINDS = {"cycle": 0, "ops": 1}
-_SOURCES = (SOURCE_CLWB, SOURCE_WRITEBACK)
+_SOURCES = (SOURCE_CLWB, SOURCE_WRITEBACK, SOURCE_CLWB)
+
+
+#: MediaFaultModel's integer counters, in the C core's F_* order.
+_FAULT_COUNTERS = (
+    "write_faults", "retries", "ecc_corrected", "ecc_uncorrectable",
+    "remaps", "remap_denied", "exhausted_retries",
+)
+
+#: retries the backoff table covers; a write that fails more often than
+#: this (and has retries left) makes the core decline.
+MAX_BACKOFF_ATTEMPTS = 64
+
+
+class _Media(ctypes.Structure):
+    """The C core's ``Media`` block: a media-fault model's probabilities,
+    controller policy and generator state in, its advanced state and
+    counters out (see _fastcore.c)."""
+
+    _fields_ = [
+        ("p_fail", ctypes.c_double),
+        ("p_corr", ctypes.c_double),
+        ("p_unc", ctypes.c_double),
+        ("w2m", ctypes.c_double),
+        ("remap_lat", ctypes.c_double),
+        ("ecc_pen", ctypes.c_double),
+        ("max_retries", ctypes.c_int64),
+        ("spare_lines", ctypes.c_int64),
+        ("n_backoff", ctypes.c_int64),
+        ("backoff", ctypes.POINTER(ctypes.c_double)),
+        ("mt", ctypes.POINTER(ctypes.c_uint32)),
+        ("mti", ctypes.c_int64),
+        ("remapped", ctypes.POINTER(ctypes.c_int64)),
+        ("n_remapped", ctypes.c_int64),
+        ("cap_new", ctypes.c_int64),
+        ("new_lines", ctypes.POINTER(ctypes.c_int64)),
+        ("n_new", ctypes.c_int64),
+        ("count", ctypes.c_int64 * len(_FAULT_COUNTERS)),
+        ("backoff_cycles", ctypes.c_double),
+    ]
 
 
 def _build_dir() -> str:
@@ -196,6 +244,7 @@ def _load():
             ctypes.c_int64,                    # n_warm
             ctypes.POINTER(ctypes.c_int64),    # out
             ctypes.POINTER(_Crash),            # crash (NULL: a plain run)
+            ctypes.POINTER(_Media),            # media (NULL: perfect media)
         ]
         _lib = lib
         return lib
@@ -322,16 +371,21 @@ def run_native(
     warm: bool,
     prune_period: int,
     trigger: Optional[CrashTrigger] = None,
+    media: Optional["MediaFaultModel"] = None,
 ) -> Optional[MachineStats]:
     """Replay ``program`` on the C core; None means "replay it on the
     reference engine".
 
     With a ``trigger`` the replay stops where the reference engine's would
     under a fault plan with that trigger, and the stats are the cut run's:
-    its partial per-core counters and its :class:`CrashState`.  The caller
-    guarantees the run has no tracer and no media faults, and, under a
-    trigger, that every STORE touches one cache line
-    (:func:`one_line_stores`).
+    its partial per-core counters and its :class:`CrashState`.  With an
+    enabled ``media`` model the PM controller runs its fault policy on
+    the model's generator, and on success the model is left as the
+    reference engine leaves it (generator state, counters, remapped
+    lines) and ``stats.faults`` is its summary; on a decline it is
+    untouched, so the reference engine draws the same faults.  The
+    caller guarantees the run has no tracer and, under a trigger, that
+    every STORE touches one cache line (:func:`one_line_stores`).
     """
     lib = _load()
     if lib is None:
@@ -414,6 +468,11 @@ def run_native(
             _ptr(rec_op, ctypes.c_int64), _ptr(rec_retire, ctypes.c_double),
             _ptr(rec_durable, ctypes.c_double), _ptr(rec_src, ctypes.c_int8),
         )
+    fault_block: Optional[_Media] = None
+    if media is not None and media.enabled:
+        fault_block = _media_block(media, cfg, len(program.touched_lines()))
+        if fault_block is None:
+            return None
     with _run_lock:
         rc = lib.rs_run(
             _ptr(fcfg, ctypes.c_double),
@@ -431,6 +490,7 @@ def run_native(
             len(warm_arr),
             _ptr(out, ctypes.c_int64),
             crash,
+            fault_block,
         )
     if rc != 0:
         # Deadlock or unsupported shape: the reference engine reproduces
@@ -464,7 +524,63 @@ def run_native(
         stats.per_core.append(core)
     if crash is not None:
         stats.crash = _crash_state(program, offs, crash.cycle, crash.n_rec, *records)
+    if fault_block is not None:
+        _commit_media(media, fault_block)
+        stats.faults = media.summary()
     return stats
+
+
+def _media_block(model: "MediaFaultModel", cfg: MachineConfig, n_lines: int):
+    """The C core's :class:`_Media` block for ``model`` on ``cfg``'s PM
+    controller, whose arrays it keeps alive; None when the core cannot
+    take the model.
+
+    The generator is a copy of ``model``'s Mersenne Twister state, and
+    the backoff before each retry is computed here with the reference's
+    own arithmetic, up to :data:`MAX_BACKOFF_ATTEMPTS` retries (fewer if
+    a later one would overflow, as the reference would).  The run can
+    remap at most ``n_lines`` lines, the lines its program touches.
+    """
+    pm = cfg.pm
+    state = model._rng.getstate()
+    mt = array("I", state[1][:624])
+    if mt.itemsize != 4:
+        return None
+    backoff = array("d")
+    for attempt in range(1, min(pm.max_write_retries, MAX_BACKOFF_ATTEMPTS) + 1):
+        try:
+            backoff.append(pm.retry_backoff_base * (pm.retry_backoff_mult ** (attempt - 1)))
+        except OverflowError:
+            break
+    remapped = array("q", model.remapped_lines)
+    new_lines = array("q", bytes(8 * max(0, min(pm.spare_lines - len(remapped), n_lines))))
+    block = _Media(
+        p_fail=float(model.cfg.write_fail_prob),
+        p_corr=float(model.cfg.ecc_correctable_prob),
+        p_unc=float(model.cfg.ecc_uncorrectable_prob),
+        w2m=pm.write_to_media, remap_lat=pm.remap_latency, ecc_pen=pm.ecc_penalty,
+        max_retries=pm.max_write_retries, spare_lines=pm.spare_lines,
+        n_backoff=len(backoff), backoff=_ptr(backoff, ctypes.c_double),
+        mt=_ptr(mt, ctypes.c_uint32), mti=state[1][624],
+        remapped=_ptr(remapped, ctypes.c_int64), n_remapped=len(remapped),
+        cap_new=len(new_lines), new_lines=_ptr(new_lines, ctypes.c_int64),
+        count=tuple(getattr(model, name) for name in _FAULT_COUNTERS),
+        backoff_cycles=model.backoff_cycles,
+    )
+    block.keep = (state, mt, backoff, remapped, new_lines)
+    return block
+
+
+def _commit_media(model: "MediaFaultModel", block: _Media) -> None:
+    """Leave ``model`` as the reference engine's controller would after
+    the run the core just made: the generator where the core left it,
+    every counter, and the lines remapped, in the order it remapped them."""
+    (version, _, gauss), mt, _, _, new_lines = block.keep
+    model._rng.setstate((version, tuple(mt) + (block.mti,), gauss))
+    for name, value in zip(_FAULT_COUNTERS, block.count):
+        setattr(model, name, value)
+    model.backoff_cycles = block.backoff_cycles
+    model.remapped_lines.update(new_lines[:block.n_new])
 
 
 def _crash_state(
@@ -487,9 +603,8 @@ def _crash_state(
         else:
             continue
         tid = bisect_right(offs, flat) - 1
-        into.append(StoreRecord.one_line(
-            ops[tid][flat - offs[tid]], retire, when,
-            None if source < 0 else _SOURCES[source],
+        into.append(StoreRecord(
+            ops[tid][flat - offs[tid]], retire, when, _SOURCES[source]
         ))
     durable.sort(key=_BY_GSEQ)
     in_flight.sort(key=_BY_GSEQ)

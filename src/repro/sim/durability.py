@@ -22,17 +22,17 @@ makes every hook a no-op, so cycle counts and allocation behaviour with
 fault injection disabled are bit-identical to a tracker-free build.
 
 This tracker serves the reference engine.  A crash run on the native
-core (a fault plan without media faults) records the same hooks in C,
-in the same order, and :mod:`repro.sim.cnative` builds the same records
-from them with :meth:`StoreRecord.one_line`.
+core (any fault plan, media faults included, of a program whose STOREs
+each lie inside one cache line) records the same hooks in C, in the same
+order, and :mod:`repro.sim.cnative` builds the same records from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
-from repro.core.ops import CACHE_LINE, Op, lines_of
+from repro.core.ops import Op, lines_of
 
 INF = float("inf")
 
@@ -41,49 +41,26 @@ SOURCE_CLWB = "clwb"
 SOURCE_WRITEBACK = "writeback"
 
 
-@dataclass
 class StoreRecord:
     """Durability lifecycle of one persistent store.
 
-    ``covered`` maps each touched cache line to the acceptance time of
-    the earliest PM-controller write that included this store's bytes
-    (i.e. whose cache read-out happened after the store retired).  The
-    store is durable once every touched line is covered.
+    ``durable`` is the cycle at which the PM controller had accepted every
+    cache line the store touches with the store's bytes in it (INF until
+    then, and for a store that touches no line); ``source`` is
+    ``"writeback"`` once any of those lines owes its acceptance to a cache
+    eviction rather than an explicit persist operation, else ``"clwb"``.
     """
 
-    op: Op
-    retire: float
-    lines: Tuple[int, ...]
-    covered: Dict[int, float] = field(default_factory=dict)
-    sources: Dict[int, str] = field(default_factory=dict)
+    __slots__ = ("op", "retire", "durable", "source")
 
-    @classmethod
-    def one_line(
-        cls, op: Op, retire: float, durable: float, source: Optional[str]
-    ) -> "StoreRecord":
-        """Record of a store inside one cache line whose durability was
-        settled outside a tracker (the native core): ``durable`` is the
-        acceptance that covered its line and ``source`` what wrote it
-        back, or INF and None while the line is uncovered."""
-        line = op.addr // CACHE_LINE
-        if source is None:
-            return cls(op, retire, (line,))
-        return cls(op, retire, (line,), {line: durable}, {line: source})
-
-    @property
-    def durable(self) -> float:
-        """Cycle at which the whole store is durable (INF if it never is)."""
-        if len(self.covered) < len(self.lines):
-            return INF
-        return max(self.covered.values())
-
-    @property
-    def source(self) -> str:
-        """``"writeback"`` when any line owes durability to a cache
-        eviction rather than an explicit persist operation."""
-        if any(s == SOURCE_WRITEBACK for s in self.sources.values()):
-            return SOURCE_WRITEBACK
-        return SOURCE_CLWB
+    def __init__(
+        self, op: Op, retire: float, durable: float = INF,
+        source: str = SOURCE_CLWB,
+    ) -> None:
+        self.op = op
+        self.retire = retire
+        self.durable = durable
+        self.source = source
 
 
 class DurabilityTracker:
@@ -101,14 +78,19 @@ class DurabilityTracker:
         self.records: List[StoreRecord] = []
         #: line -> records with that line still uncovered, FIFO by retire.
         self._pending: Dict[int, List[StoreRecord]] = {}
+        #: store touching several lines -> (how many, the acceptance
+        #: times of those covered so far).
+        self._partial: Dict[StoreRecord, Tuple[int, List[float]]] = {}
 
     # -- event hooks -------------------------------------------------------
 
     def note_store(self, op: Op, retire: float) -> None:
         """A persistent STORE retired to the cache at ``retire``."""
         lines = lines_of(op.addr, op.size)
-        rec = StoreRecord(op=op, retire=retire, lines=lines)
+        rec = StoreRecord(op, retire)
         self.records.append(rec)
+        if len(lines) > 1:
+            self._partial[rec] = (len(lines), [])
         for line in lines:
             self._pending.setdefault(line, []).append(rec)
 
@@ -129,8 +111,17 @@ class DurabilityTracker:
         remaining: List[StoreRecord] = []
         for rec in pending:
             if rec.retire <= content_time:
-                rec.covered[line] = durable_time
-                rec.sources[line] = source
+                if source == SOURCE_WRITEBACK:
+                    rec.source = SOURCE_WRITEBACK
+                partial = self._partial.get(rec)
+                if partial is None:
+                    rec.durable = durable_time
+                    continue
+                n_lines, covered = partial
+                covered.append(durable_time)
+                if len(covered) == n_lines:
+                    rec.durable = max(covered)
+                    del self._partial[rec]
             else:
                 remaining.append(rec)
         if remaining:

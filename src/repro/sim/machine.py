@@ -98,10 +98,10 @@ class Machine:
         without the fault layer.
 
         Which engine runs: the native C core (:mod:`repro.sim.cnative`)
-        replays every run without a tracer or media faults, fault plans
-        included, and returns the same stats and crash state.  The
-        reference engine below replays a run with a tracer, with media
-        faults (passed in, or enabled in the plan's ``media``), with
+        replays every run without a tracer, fault plans and media faults
+        included, and returns the same stats, crash state and fault
+        summary, leaving a passed-in model as the reference would.  The
+        reference engine below replays a run with a tracer, with
         ``REPRO_SIM_REFERENCE`` set, a crash run of a program with a
         STORE that does not lie inside one cache line, and every run the
         core declines or cannot be built for.
@@ -120,24 +120,22 @@ class Machine:
                 media_faults = MediaFaultModel(media_cfg)
 
         trigger = fault_plan.trigger if fault_plan is not None else None
-        # Runs without a tracer or media faults first try the native
-        # replay core — a C port of the reference engine and its
+        # Runs without a tracer first try the native replay core — a C
+        # port of the reference engine, its media-fault policy and its
         # durability tracker, loaded via ctypes (repro.sim.cnative).  It
         # owns all simulator state itself, so on success the Python
         # hierarchy/controller/domain objects are never built.  Any
         # decline (no compiler, replay deadlock, a fence foreign to the
-        # design) falls through to the reference engine below, which
-        # reproduces the exact result or exception.
-        if (
-            media_faults is None
-            and not tracer.enabled
-            and not os.environ.get(REFERENCE_ENGINE_ENV)
-        ):
+        # design) leaves the fault model untouched and falls through to
+        # the reference engine below, which reproduces the exact result
+        # or exception.
+        if not tracer.enabled and not os.environ.get(REFERENCE_ENGINE_ENV):
             from repro.sim import cnative
 
             if trigger is None or cnative.one_line_stores(program):
                 stats = cnative.run_native(
-                    self.design, program, self.cfg, warm, PRUNE_PERIOD, trigger
+                    self.design, program, self.cfg, warm, PRUNE_PERIOD,
+                    trigger, media_faults,
                 )
                 if stats is not None:
                     return stats

@@ -50,7 +50,9 @@ class PMController:
     budget — or proves ECC-uncorrectable — is remapped into the spare
     region, degrading the device once spares run out.  Without a model
     every fault path is dead code and timing is bit-identical to the
-    fault-free build.
+    fault-free build.  The native replay core (``_fastcore.c``) ports
+    this policy draw for draw, so a change to which draws are made, or
+    in what order, must be made there too.
     """
 
     def __init__(

@@ -1,9 +1,13 @@
-"""Media fault model: determinism, null-model identity, policy visibility."""
+"""Media fault model: determinism, null-model identity, policy visibility,
+on both engine tiers."""
 
 import dataclasses
 import json
 
+import pytest
+
 from repro.faults import MediaFaultConfig, MediaFaultModel
+from repro.sim import cnative
 from repro.sim.config import TABLE_I
 from repro.sim.machine import Machine
 from repro.workloads import WORKLOADS, WorkloadConfig, generate_for_design
@@ -14,6 +18,31 @@ FAULTY = MediaFaultConfig(
     seed=42, write_fail_prob=0.2, ecc_correctable_prob=0.1,
     ecc_uncorrectable_prob=0.01,
 )
+
+
+@pytest.fixture(params=["default", "reference"])
+def tier(request, monkeypatch):
+    """The engine tier ``_run`` replays on.  The reference engine is the
+    oracle of the native core's media policy, so both must pass these
+    tests; where the native core can be built, the default tier must
+    replay every run on it."""
+    if request.param == "reference":
+        monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
+        yield
+        return
+    monkeypatch.delenv("REPRO_SIM_REFERENCE", raising=False)
+    declined = []
+    run_native = cnative.run_native
+
+    def counting(*args, **kwargs):
+        stats = run_native(*args, **kwargs)
+        if stats is None:
+            declined.append(args[0])
+        return stats
+
+    monkeypatch.setattr(cnative, "run_native", counting)
+    yield
+    assert declined == [] or not cnative.available()
 
 
 def _run(design="strandweaver", media=None, machine_cfg=TABLE_I):
@@ -29,7 +58,7 @@ def _dump(stats):
 # -- determinism ---------------------------------------------------------
 
 
-def test_same_seed_bit_identical():
+def test_same_seed_bit_identical(tier):
     """One (workload, design, seed) triple -> byte-identical stats."""
     a = _run(media=FAULTY)
     b = _run(media=FAULTY)
@@ -37,7 +66,7 @@ def test_same_seed_bit_identical():
     assert _dump(a) == _dump(b)
 
 
-def test_different_seed_different_fault_sequence():
+def test_different_seed_different_fault_sequence(tier):
     a = _run(media=FAULTY)
     b = _run(media=dataclasses.replace(FAULTY, seed=43))
     assert a.faults != b.faults
@@ -46,7 +75,7 @@ def test_different_seed_different_fault_sequence():
 # -- the null model is invisible -----------------------------------------
 
 
-def test_zero_prob_config_identical_to_no_model():
+def test_zero_prob_config_identical_to_no_model(tier):
     """An attached all-zeros fault model must not perturb anything.
 
     Neither the timing nor the stats document may change: the controller
@@ -85,7 +114,7 @@ def test_remapped_line_is_fault_free_without_consuming_randomness():
 # -- controller policy is timing-visible ---------------------------------
 
 
-def test_write_retries_cost_cycles():
+def test_write_retries_cost_cycles(tier):
     """Retries occupy media slots longer; under a small write queue the
     extra occupancy back-pressures acceptance and slows the whole run."""
     tight_queue = dataclasses.replace(
@@ -106,14 +135,14 @@ def test_write_retries_cost_cycles():
     assert faulty.cycles > clean.cycles
 
 
-def test_uncorrectable_wearout_remaps_to_spares():
+def test_uncorrectable_wearout_remaps_to_spares(tier):
     media = MediaFaultConfig(seed=9, ecc_uncorrectable_prob=0.3)
     stats = _run(media=media)
     assert stats.faults["remaps"] > 0
     assert stats.faults["remap_denied"] == 0
 
 
-def test_spare_exhaustion_degrades_instead_of_hanging():
+def test_spare_exhaustion_degrades_instead_of_hanging(tier):
     """With zero spare lines every wear-out is denied, not retried forever."""
     no_spares = dataclasses.replace(
         TABLE_I, pm=dataclasses.replace(TABLE_I.pm, spare_lines=0)
@@ -124,7 +153,7 @@ def test_spare_exhaustion_degrades_instead_of_hanging():
     assert stats.faults["remap_denied"] > 0
 
 
-def test_faults_summary_lands_in_stats_json():
+def test_faults_summary_lands_in_stats_json(tier):
     from repro.obs.export import stats_to_json
 
     stats = _run(media=FAULTY)

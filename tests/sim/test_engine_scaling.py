@@ -149,8 +149,8 @@ class TestWindowPruning:
         of the run — by cycle, and by op count under media faults — with
         an aggressive prune period leaves the same crash as an unpruned
         replay, on the reference engine and on the default tier (the
-        native core, for the plan without media faults), and the
-        reference controller's window maps end small."""
+        native core, for both plans), and the reference controller's
+        window maps end small."""
         captured = {}
 
         class SpyPM(PMController):

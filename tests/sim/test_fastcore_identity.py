@@ -14,9 +14,12 @@ bit-identical:
   replays) equal a fresh compile of its built ops;
 * the default tier reproduces the reference engine's ``MachineStats``
   exactly, per core and per field, across all five designs;
-* under a fault plan without media faults the default tier crashes
-  where the reference engine does and leaves the same ``CrashState``
-  and the same partial per-core stats.
+* under a fault plan the default tier crashes where the reference
+  engine does and leaves the same ``CrashState`` and the same partial
+  per-core stats;
+* under media faults, clean or crashed, the default tier draws the same
+  faults as the reference engine, reports the same fault summary and
+  leaves a passed-in fault model in the same state.
 
 Engine selection pins: ``REPRO_SIM_REFERENCE=1`` forces the reference
 engine; unset, the native core runs when a C compiler is available and
@@ -26,6 +29,7 @@ pass with or without a toolchain.
 
 import random
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -34,6 +38,7 @@ from repro.analysis.litmus import LITMUS
 from repro.chaos import CrashTrigger, FaultPlan
 from repro.chaos.harness import CHAOS_CFG
 from repro.chaos.plan import sample_schedules
+from repro.chaos.soak import sample_case_schedule
 from repro.core.ops import CACHE_LINE, Program, TraceCursor
 from repro.faults import MediaFaultConfig, MediaFaultModel
 from repro.harness.experiment import default_config
@@ -295,20 +300,20 @@ def test_wrong_fence_exception_identical_across_engines(monkeypatch):
     ("prof-phases-env", True),
     ("tracer", False),
     ("fault-plan", True),
-    ("media-plan", False),
+    ("media-plan", True),
     ("line-crossing-store", False),
-    ("media-faults", False),
+    ("media-faults", True),
     ("reference-env", False),
 ])
-def test_only_a_tracer_media_faults_or_reference_env_skips_the_native_core(
+def test_only_a_tracer_line_crossing_store_or_reference_env_skips_the_native_core(
     monkeypatch, canonical, how, native
 ):
-    """A tracer, media faults (passed in, or enabled in a fault plan) and
-    REPRO_SIM_REFERENCE send a run to the reference engine, and so does a
-    crash run of a program whose STORE crosses a cache line (the C core
-    records one line per op, the tracker waits for every line a store
-    touches); every other run reaches the native core, fault plans and
-    REPRO_PROF_PHASES included."""
+    """A tracer and REPRO_SIM_REFERENCE send a run to the reference
+    engine, and so does a crash run of a program whose STORE crosses a
+    cache line (the C core records one line per op, the tracker waits
+    for every line a store touches); every other run reaches the native
+    core, fault plans, media faults (passed in, or enabled in a fault
+    plan) and REPRO_PROF_PHASES included."""
     if not cnative.available():
         pytest.skip("no C compiler in this environment")
     monkeypatch.delenv("REPRO_SIM_REFERENCE", raising=False)
@@ -530,3 +535,196 @@ def test_native_crash_while_a_core_is_parked(monkeypatch, native_accepts, design
     stats = Machine(design).run(handoff, fault_plan=FaultPlan(trigger=trigger))
     assert stats.crash.cycle == release > 1000
     assert [c.ops for c in stats.per_core] == [0, 3]
+
+
+# -- media faults ---------------------------------------------------------
+
+
+def _soak_media_schedules(n=10):
+    """The first ``n`` soak case plans, over case seeds 0, 1, ..., that
+    attach a media fault model, as ``sample_case_schedule`` draws them."""
+    schedules = (sample_case_schedule(seed, media=True) for seed in range(10 * n))
+    return [schedule for schedule in schedules if schedule.media is not None][:n]
+
+
+SOAK_MEDIA_SCHEDULES = _soak_media_schedules()
+
+
+@pytest.mark.parametrize("workload", BENCHMARKS)
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_native_media_crash_runs_match_reference(
+    monkeypatch, canonical_runs, native_accepts, workload, design
+):
+    """Ten soak case plans that carry media faults, concretised on every
+    cell at ``CHAOS_CFG`` as a harness concretises them, crash the native
+    core where the reference engine crashes, under the same faults."""
+    program = specialize_run(canonical_runs["chaos"][workload], design).program
+    horizon = float(Machine(design).run(program).cycles)
+    total_ops = sum(len(t) for t in program.threads)
+    native_accepts.clear()
+    write_faults = 0
+    for schedule in SOAK_MEDIA_SCHEDULES:
+        plan = schedule.concretise(horizon, total_ops)
+        monkeypatch.delenv("REPRO_SIM_REFERENCE", raising=False)
+        native = Machine(design).run(program, fault_plan=plan)
+        monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
+        ref = Machine(design).run(program, fault_plan=plan)
+        assert _crash_fields(native) == _crash_fields(ref), plan.describe()
+        assert native.faults == ref.faults, plan.describe()
+        write_faults += ref.faults["write_faults"]
+    assert native_accepts == [design] * len(SOAK_MEDIA_SCHEDULES)
+    assert write_faults > 0
+
+
+#: media far worse than a real device's, so that every policy path fires.
+STRESS_MEDIA = MediaFaultConfig(
+    seed=3, write_fail_prob=0.6, ecc_correctable_prob=0.3,
+    ecc_uncorrectable_prob=0.05,
+)
+
+
+def _stress_cfg(cfg, retries, spares):
+    """``cfg`` with a 4-entry PM write queue, ``retries`` write retries
+    and ``spares`` spare lines."""
+    pm = replace(
+        cfg.pm, write_queue_entries=4, max_write_retries=retries,
+        spare_lines=spares,
+    )
+    return replace(cfg, pm=pm)
+
+
+def _model_state(model):
+    """Everything a run leaves in a fault model."""
+    return (
+        model.summary(), model.backoff_cycles, model.remapped_lines,
+        model._rng.getstate(),
+    )
+
+
+def _media_fields(stats):
+    """A media-fault run's stats: the crash (with the cut run's per-core
+    stats) or the per-core stats, the summary and the fault summary."""
+    run = _crash_fields(stats) if stats.crash is not None else _stats_fields(stats)
+    return run, stats.summary(), stats.faults
+
+
+def _media_runs(monkeypatch, design, program, models, cfg=TABLE_I, plan=None):
+    """Run ``program`` with ``models[0]`` on the default tier and with
+    ``models[1]`` on the reference engine; returns both stats."""
+    runs = []
+    for model, reference in zip(models, ("", "1")):
+        monkeypatch.setenv("REPRO_SIM_REFERENCE", reference)
+        runs.append(Machine(design, cfg).run(program, fault_plan=plan, media_faults=model))
+    return runs
+
+
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_native_media_policy_matches_reference_under_stress(
+    monkeypatch, native_accepts, design
+):
+    """Random traffic under media faults far worse than the soak's, with
+    0 or 4 write retries, 0 or 2 spare lines and a 4-entry write queue,
+    clean and crashed: on 1 KiB L1s and an 8 KiB L2, PM reads miss and
+    draw ECC errors; on Table I, cores contend for 8 lines.  Each run
+    leaves the same stats and the same model on both tiers, and across
+    the matrix every counter of the fault summary fires."""
+    totals = Counter()
+    runs = 0
+    for n_lines, base in ((400, SMALL_CACHES), (8, TABLE_I)):
+        program = random_program(1, n_lines=n_lines)
+        for retries in (0, 4):
+            for spares in (0, 2):
+                cfg = _stress_cfg(base, retries, spares)
+                plans = [None]
+                for trigger in (CrashTrigger("ops", 150), CrashTrigger("cycle", 4e4)):
+                    plans.append(FaultPlan(trigger=trigger))
+                for plan in plans:
+                    models = [MediaFaultModel(STRESS_MEDIA) for _ in range(2)]
+                    native, ref = _media_runs(monkeypatch, design, program, models, cfg, plan)
+                    label = (n_lines, retries, spares, plan and plan.describe())
+                    assert _media_fields(native) == _media_fields(ref), label
+                    assert _model_state(models[0]) == _model_state(models[1]), label
+                    totals.update(ref.faults)
+                    runs += 1
+    assert native_accepts == [design] * runs
+    del totals["seed"]
+    assert sorted(name for name, total in totals.items() if not total) == []
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**70 + 11])
+def test_native_media_leaves_the_model_as_the_reference_does(
+    monkeypatch, native_accepts, seed
+):
+    """A passed-in model ends a run with the reference engine's counters,
+    backoff total, remapped lines and generator state, for seed 0 and
+    for seeds too wide for one 32-bit key word.  Reused for a second run
+    (crashed), the model starts from where the first left it: its
+    stream, its counters, and its spare lines, both already taken."""
+    program = random_program(2, n_lines=400)
+    cfg = _stress_cfg(SMALL_CACHES, 4, 2)
+    media = replace(STRESS_MEDIA, seed=seed)
+    models = [MediaFaultModel(media) for _ in range(2)]
+    _media_runs(monkeypatch, "strandweaver", program, models, cfg)
+    assert _model_state(models[0]) == _model_state(models[1])
+    assert len(models[0].remapped_lines) == 2
+    first = _model_state(models[0])
+
+    plan = FaultPlan(trigger=CrashTrigger("ops", 200))
+    native, ref = _media_runs(monkeypatch, "strandweaver", program, models, cfg, plan)
+    assert _media_fields(native) == _media_fields(ref)
+    assert _model_state(models[0]) == _model_state(models[1])
+    assert models[0].remaps == 2 and models[0].remap_denied > first[0]["remap_denied"]
+    assert models[0]._rng.getstate() != first[3]
+    assert native_accepts == ["strandweaver"] * 2
+
+
+def test_native_decline_leaves_the_media_model_untouched(
+    monkeypatch, tmp_path, canonical
+):
+    """Without a C compiler (as in ``test_native_core_declines_cleanly``)
+    ``run_native`` returns None and leaves a passed-in fault model as it
+    was: no draw, no counter, no remap.  The run then replays on the
+    reference engine, which draws from the model's own stream."""
+    program = specialize_run(canonical["queue"], "strandweaver").program
+    models = [MediaFaultModel(STRESS_MEDIA) for _ in range(3)]
+    untouched = _model_state(models[2])
+    monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
+    ref = Machine("strandweaver").run(program, media_faults=models[1])
+    monkeypatch.delenv("REPRO_SIM_REFERENCE")
+
+    monkeypatch.setattr(cnative, "_find_cc", lambda: None)
+    monkeypatch.setattr(cnative, "_lib", None)
+    monkeypatch.setattr(cnative, "_lib_failed", False)
+    monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert cnative.run_native(
+            "strandweaver", program, TABLE_I, True, PRUNE_PERIOD, media=models[0]
+        ) is None
+        assert _model_state(models[0]) == untouched
+        stats = Machine("strandweaver").run(program, media_faults=models[0])
+    assert _media_fields(stats) == _media_fields(ref)
+    assert _model_state(models[0]) == _model_state(models[1]) != untouched
+
+
+def test_native_decline_mid_run_leaves_the_media_model_untouched(
+    monkeypatch, native_accepts
+):
+    """A write that fails more often than the backoff table covers makes
+    the core decline after it has drawn other faults.  The model is left
+    as it was, and the default tier's reference replay draws the same
+    faults as a reference run."""
+    monkeypatch.setattr(cnative, "MAX_BACKOFF_ATTEMPTS", 1)
+    program = random_program(0, n_lines=400)
+    cfg = _stress_cfg(SMALL_CACHES, 4, 2)
+    models = [MediaFaultModel(STRESS_MEDIA) for _ in range(3)]
+    untouched = _model_state(models[2])
+    assert cnative.run_native(
+        "intel-x86", program, cfg, True, PRUNE_PERIOD, media=models[0]
+    ) is None
+    assert _model_state(models[0]) == untouched
+    native, ref = _media_runs(monkeypatch, "intel-x86", program, models[:2], cfg)
+    assert native_accepts == []
+    assert _media_fields(native) == _media_fields(ref)
+    assert _model_state(models[0]) == _model_state(models[1])
+    assert models[0].retries > 0
