@@ -54,8 +54,7 @@ def main() -> None:
     replayed = 0
     # Random cuts, plus targeted "crash right after a group's marker
     # persisted" cuts — the case recovery must repair by replaying.
-    markers = [n.idx for n in dag.nodes
-               if n.op is not None and n.op.label == "commit-marker"]
+    markers = [i for i, op in enumerate(dag.ops) if op.label == "commit-marker"]
     cuts = [random_cut(dag, rng, 0.5) for _ in range(25)]
     cuts += [dag.downward_close({m}) for m in markers]
     for cut in cuts:

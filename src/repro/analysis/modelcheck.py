@@ -45,7 +45,7 @@ from repro.analysis.semantics import (
     semantics_for,
 )
 from repro.core.crash import enumerate_cuts
-from repro.core.model import PersistDag
+from repro.core.model import STORE, PersistDag
 from repro.core.ops import FENCE_KINDS, OpKind, Program
 
 MODELCHECK_SCHEMA = "repro.modelcheck/1"
@@ -186,18 +186,19 @@ def _store_ancestors(dag: PersistDag) -> Dict[StoreKey, FrozenSet[StoreKey]]:
     one pass because predecessor indices are always smaller than the
     node's own (nodes are created in visibility order).
     """
+    keys = [(op.tid, op.seq) if kind == STORE else None for kind, op in zip(dag.kinds, dag.ops)]
     anc: List[Set[StoreKey]] = []
     out: Dict[StoreKey, FrozenSet[StoreKey]] = {}
-    for node in dag.nodes:
+    for idx, key in enumerate(keys):
         mine: Set[StoreKey] = set()
-        for p in node.preds:
+        for p in dag.preds(idx):
             mine |= anc[p]
-            pred = dag.nodes[p]
-            if pred.is_store:
-                mine.add((pred.op.tid, pred.op.seq))
+            pred_key = keys[p]
+            if pred_key is not None:
+                mine.add(pred_key)
         anc.append(mine)
-        if node.is_store:
-            out[(node.op.tid, node.op.seq)] = frozenset(mine)
+        if key is not None:
+            out[key] = frozenset(mine)
     return out
 
 
@@ -218,11 +219,7 @@ def _operational_states(
     out: Set[FrozenSet[StoreKey]] = set()
     for cut in enumerate_cuts(dag, limit=limit):
         out.add(
-            frozenset(
-                (dag.nodes[i].op.tid, dag.nodes[i].op.seq)
-                for i in cut
-                if dag.nodes[i].is_store
-            )
+            frozenset((dag.ops[i].tid, dag.ops[i].seq) for i in cut if dag.kinds[i] == STORE)
         )
     return out
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import List, Set, Tuple
 
 from repro.chaos.plan import FaultPlan
@@ -61,17 +62,17 @@ class ImageInfo:
     n_guard_blocked: int = 0  #: write-back candidates the guard rejected
 
 
-def _satisfaction(dag: PersistDag, included: Set[int]) -> List[bool]:
+def _satisfaction(dag: PersistDag, included: Set[int]) -> bytearray:
     """Per-node satisfaction: store nodes must be in ``included``; virtual
     drain/acquire nodes carry no data and are satisfied when all their
-    predecessors are.  One linear pass suffices because predecessor
-    indices are always smaller (nodes are created in visibility order)."""
-    sat = [False] * len(dag)
-    for node in dag.nodes:
-        if node.is_store:
-            sat[node.idx] = node.idx in included
-        else:
-            sat[node.idx] = all(sat[p] for p in node.preds)
+    predecessors are.  One ascending pass over the virtual nodes suffices
+    because predecessor indices are always smaller."""
+    sat = bytearray(len(dag))
+    for idx in included:
+        sat[idx] = 1
+    pred, start, is_sat = dag.pred, dag.pred_start, sat.__getitem__
+    for idx in compress(range(len(dag)), dag.kinds):  # the non-store nodes
+        sat[idx] = all(map(is_sat, pred[start[idx] : start[idx + 1]]))
     return sat
 
 
@@ -115,7 +116,7 @@ def durable_cut(
         for idx, source in pending:
             if idx in included:
                 continue
-            if all(sat[p] for p in dag.nodes[idx].preds):
+            if all(map(sat.__getitem__, dag.preds(idx))):
                 included.add(idx)
                 if source == "injected":
                     info.n_injected += 1
@@ -125,7 +126,7 @@ def durable_cut(
         pending = still
     info.n_guard_blocked = len(pending)
 
-    ops = [dag.nodes[i].op for i in sorted(included)]
+    ops = [dag.ops[i] for i in sorted(included)]
     if plan.torn:
         ops = _apply_torn(ops, crash, plan)
     return ops, info
@@ -136,18 +137,7 @@ def _apply_drops(dag: PersistDag, included: Set[int], plan: FaultPlan) -> None:
     crash, mutating ``included`` in place."""
     rng = random.Random(plan.seed ^ _DROP_SALT)
     seeds = [idx for idx in sorted(included) if rng.random() < plan.drop_prob]
-    if not seeds:
-        return
-    succs = dag.successors
-    dropped: Set[int] = set()
-    frontier = list(seeds)
-    while frontier:
-        idx = frontier.pop()
-        if idx in dropped:
-            continue
-        dropped.add(idx)
-        frontier.extend(succs[idx])
-    included -= dropped
+    included -= dag.upward_close(seeds)
 
 
 def _apply_torn(ops: List[Op], crash: CrashState, plan: FaultPlan) -> List[Op]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable, Iterator, List, Set, Tuple
 
-from repro.core.model import PersistDag
+from repro.core.model import STORE, PersistDag
 from repro.pmem.space import PersistentMemory
 
 
@@ -54,7 +54,7 @@ def enumerate_cuts(dag: PersistDag, limit: int = 200_000) -> Iterator[Set[int]]:
             node, was_included = decisions.pop()
             if was_included:
                 included.remove(node)
-            elif all(p in included for p in dag.nodes[node].preds):
+            elif included.issuperset(dag.preds(node)):
                 included.add(node)
                 decisions.append((node, True))
                 idx = node + 1
@@ -81,26 +81,16 @@ def prefix_cut(dag: PersistDag, k: int) -> Set[int]:
 def frontier_cut(dag: PersistDag, rng: random.Random, drop: float = 0.3) -> Set[int]:
     """Sample a cut biased towards "almost everything persisted".
 
-    Walk nodes in reverse visibility order, dropping each with
-    probability ``drop``; a dropped node forces all its successors out.
-    This produces the adversarial near-crash-at-the-end states where
-    recovery bugs hide.
+    Every node draws once, in reverse visibility order, and is dropped
+    with probability ``drop``; a dropped node forces all its successors
+    out.  Successors sit above their source, so no node is forced out
+    before its draw, and one ascending pass then settles the cut.  This
+    produces the adversarial near-crash-at-the-end states where recovery
+    bugs hide.
     """
     n = len(dag)
-    excluded: Set[int] = set()
-    succs = dag.successors
-    for idx in range(n - 1, -1, -1):
-        if idx in excluded:
-            continue
-        if rng.random() < drop:
-            stack = [idx]
-            while stack:
-                cur = stack.pop()
-                if cur in excluded:
-                    continue
-                excluded.add(cur)
-                stack.extend(succs[cur])
-    return set(range(n)) - excluded
+    dropped = [idx for idx in range(n - 1, -1, -1) if rng.random() < drop]
+    return set(range(n)) - dag.upward_close(dropped)
 
 
 def materialise(
@@ -110,7 +100,7 @@ def materialise(
 
     Virtual drain/acquire nodes in the cut carry no data and are skipped.
     """
-    ops = [dag.nodes[idx].op for idx in cut if dag.nodes[idx].is_store]
+    ops = [dag.ops[idx] for idx in cut if dag.kinds[idx] == STORE]
     return space.crash_image(ops)
 
 

@@ -43,38 +43,21 @@ validates every design in the evaluation.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.ops import CACHE_LINE, Op, OpKind, Program
 
 #: op kinds that synchronously drain all prior persists of the thread.
 SYNC_DRAIN_KINDS = frozenset({OpKind.JOIN_STRAND, OpKind.SFENCE, OpKind.DFENCE})
 
-
-@dataclass
-class PersistNode:
-    """One node of the persist DAG.
-
-    ``kind`` is ``"store"`` for real persists, or ``"drain"``/``"acquire"``
-    for the virtual synchronization nodes described in the module docs.
-    Virtual nodes participate in cut closure but write nothing to PM.
-    """
-
-    idx: int
-    kind: str
-    op: Optional[Op]
-    tid: int
-    strand: int = 0
-    sub_epoch: int = 0
-    js_epoch: int = 0
-    preds: List[int] = field(default_factory=list)
-
-    @property
-    def is_store(self) -> bool:
-        return self.kind == "store"
+#: node kinds, one byte per node in :attr:`PersistDag.kinds`.  Only
+#: ``STORE`` nodes write PM; the virtual ``DRAIN`` and ``ACQUIRE`` nodes
+#: described in the module docs take part in cut closure only.
+STORE, DRAIN, ACQUIRE = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -119,147 +102,127 @@ def annotate_thread(ops: Sequence[Op]) -> List[Optional[StrandLabel]]:
     return labels
 
 
-class _ThreadTracker:
-    """Per-thread state while building the DAG in visibility order."""
-
-    def __init__(self, tid: int) -> None:
-        self.tid = tid
-        self.strand = 0
-        self.next_strand = 1
-        self.sub_epoch = 0
-        self.js_epoch = 0
-        # (strand) -> (previous non-empty sub-epoch nodes, current epoch id,
-        #              current epoch nodes)
-        self.strand_groups: Dict[int, Tuple[List[int], int, List[int]]] = {}
-        self.prev_js_nodes: List[int] = []
-        self.cur_js_id = 0
-        self.cur_js_nodes: List[int] = []
-        self.stores_since_drain: List[int] = []
-        self.last_drain: Optional[int] = None
-        self.last_sync: Optional[int] = None
-
-
 class PersistDag:
     """Persist DAG of a program: stores + virtual sync nodes, edges = PMO.
 
+    Nodes are indices into flat arrays.  Node ``i`` has the kind byte
+    ``kinds[i]`` (:data:`STORE`, :data:`DRAIN` or :data:`ACQUIRE`), the
+    op ``ops[i]`` it stands for (the store, the draining op or the lock
+    acquire) and the direct predecessors :meth:`preds` ``(i)``: the slice
+    ``pred[pred_start[i]:pred_start[i + 1]]`` of one ``array('i')``,
+    ascending and free of duplicates.
+
     **Forward-edge invariant.**  Nodes are numbered in visibility order
-    and every edge points to a lower index: ``p < n.idx`` for each ``p``
-    in ``n.preds``.  Consumers rely on it to stay linear —
-    :func:`repro.chaos.image._satisfaction` and
-    ``repro.analysis.modelcheck._store_ancestors`` settle each node in
-    one ascending pass, :meth:`downward_close` stops at an index floor,
-    and :meth:`ordered_before` never walks below its source node.  The
-    DAG is immutable once built, so its derived indexes
-    (:attr:`successors`, :attr:`node_of_gseq`) are computed once.
+    and every edge points to a lower index: ``p < i`` for each ``p`` in
+    ``preds(i)``.  Consumers rely on it to stay linear: every closure
+    over the DAG is one ascending pass (:meth:`upward_close`,
+    :func:`repro.chaos.image._satisfaction`,
+    ``repro.analysis.modelcheck._store_ancestors``),
+    :meth:`downward_close` stops at an index floor, and
+    :meth:`ordered_before` never walks below its source node.  The DAG
+    is immutable once built, so its op indexes (:attr:`node_of`,
+    :attr:`node_of_gseq`) are built on first read and kept.
     """
 
     def __init__(self, program: Program) -> None:
         self.program = program
-        self.nodes: List[PersistNode] = []
-        #: ``(tid, seq)`` of each store op -> its node index, so consumers
-        #: holding an :class:`~repro.core.ops.Op` (e.g. the static
-        #: analyzer) can locate its DAG node without a linear scan.
-        self.node_of: Dict[Tuple[int, int], int] = {}
+        self.kinds = bytearray()
+        self.ops: List[Op] = []
+        self.pred = array("i")
+        self.pred_start = array("i", [0])
         self._build()
 
-    # -- construction ------------------------------------------------------
-
-    def _new_node(self, kind: str, op: Optional[Op], tid: int, **labels) -> PersistNode:
-        node = PersistNode(len(self.nodes), kind, op, tid, **labels)
-        self.nodes.append(node)
-        if kind == "store" and op is not None:
-            self.node_of[(op.tid, op.seq)] = node.idx
-        return node
-
     def _build(self) -> None:
-        trackers = [_ThreadTracker(t) for t in range(self.program.n_threads)]
+        """One pass over the program's ops in visibility order.
+
+        Per thread it keeps the stores of the current strand's current
+        and previous non-empty sub-epoch (Eq. 1), those of the current
+        and previous non-empty join epoch (Eq. 2; the current one is
+        also every store since the last drain), the last drain and the
+        last acquire node; per cache line, the last writer of each byte
+        (Eq. 3).  An epoch ends at its barrier: ``NewStrand`` starts an
+        empty strand, a persist barrier ends the sub-epoch and a
+        draining op ends both.
+        """
+        kinds, ops, pred, pred_start = self.kinds, self.ops, self.pred, self.pred_start
+        n_threads = self.program.n_threads
+        strand_prev: List[List[int]] = [[] for _ in range(n_threads)]
+        strand_cur: List[List[int]] = [[] for _ in range(n_threads)]
+        join_prev: List[List[int]] = [[] for _ in range(n_threads)]
+        join_cur: List[List[int]] = [[] for _ in range(n_threads)]
+        last_drain = [-1] * n_threads
+        last_sync = [-1] * n_threads
         #: cache line -> last writer of each of its bytes (-1: none yet).
         line_owner: Dict[int, List[int]] = {}
-        #: lock id -> durable-drain node of the last releasing thread.
-        lock_durable: Dict[int, Optional[int]] = {}
+        #: lock id -> drain node of the last releasing thread (-1: none).
+        lock_durable: Dict[int, int] = {}
+        k_store, k_rel, k_acq = OpKind.STORE, OpKind.LOCK_REL, OpKind.LOCK_ACQ
+        k_new_strand = OpKind.NEW_STRAND
+        barriers = (OpKind.PERSIST_BARRIER, OpKind.OFENCE)
 
         for op in self.program.all_ops():
-            tr = trackers[op.tid]
             kind = op.kind
-
-            if kind is OpKind.NEW_STRAND:
-                tr.strand = tr.next_strand
-                tr.next_strand += 1
-                tr.sub_epoch = 0
-            elif kind is OpKind.PERSIST_BARRIER or kind is OpKind.OFENCE:
-                tr.sub_epoch += 1
+            if kind is k_store:
+                tid = op.tid
+                idx = len(kinds)
+                # Eqs. 1-2, then Eq. 3: the last writer of each byte.
+                preds = {*strand_prev[tid], *join_prev[tid], last_sync[tid]}
+                line, lo = divmod(op.addr, CACHE_LINE)
+                hi = lo + op.size
+                if hi > CACHE_LINE:
+                    self._cross_lines(line_owner, op, idx, preds)
+                elif line in line_owner:
+                    owners = line_owner[line]
+                    preds.update(owners[lo:hi])
+                    owners[lo:hi] = [idx] * op.size
+                else:
+                    line_owner[line] = [-1] * lo + [idx] * op.size + [-1] * (CACHE_LINE - hi)
+                preds.discard(-1)
+                pred.extend(sorted(preds))
+                pred_start.append(len(pred))
+                kinds.append(STORE)
+                ops.append(op)
+                strand_cur[tid].append(idx)
+                join_cur[tid].append(idx)
+            elif kind in barriers:
+                tid = op.tid
+                if strand_cur[tid]:
+                    strand_prev[tid], strand_cur[tid] = strand_cur[tid], []
+            elif kind is k_new_strand:
+                strand_prev[op.tid], strand_cur[op.tid] = [], []
             elif kind in SYNC_DRAIN_KINDS:
-                tr.sub_epoch += 1
-                tr.js_epoch += 1
-                drain = self._new_node("drain", op, op.tid)
-                drain.preds.extend(tr.stores_since_drain)
-                if tr.last_drain is not None:
-                    drain.preds.append(tr.last_drain)
-                if tr.last_sync is not None:
-                    drain.preds.append(tr.last_sync)
-                tr.stores_since_drain = []
-                tr.last_drain = drain.idx
-            elif kind is OpKind.LOCK_REL:
-                lock_durable[op.lock_id] = tr.last_drain
-            elif kind is OpKind.LOCK_ACQ:
-                durable = lock_durable.get(op.lock_id)
-                if durable is not None:
-                    acq = self._new_node("acquire", op, op.tid)
-                    acq.preds.append(durable)
-                    if tr.last_sync is not None:
-                        acq.preds.append(tr.last_sync)
-                    tr.last_sync = acq.idx
-            elif kind is OpKind.STORE:
-                node = self._new_node(
-                    "store",
-                    op,
-                    op.tid,
-                    strand=tr.strand,
-                    sub_epoch=tr.sub_epoch,
-                    js_epoch=tr.js_epoch,
-                )
-                self._link_strand(tr, node)
-                self._link_js(tr, node)
-                self._link_spa(line_owner, node)
-                if tr.last_sync is not None:
-                    node.preds.append(tr.last_sync)
-                tr.stores_since_drain.append(node.idx)
+                tid = op.tid
+                stores = join_cur[tid]
+                preds = {*stores, last_drain[tid], last_sync[tid]}
+                preds.discard(-1)
+                pred.extend(sorted(preds))
+                pred_start.append(len(pred))
+                last_drain[tid] = len(kinds)
+                kinds.append(DRAIN)
+                ops.append(op)
+                if stores:
+                    join_prev[tid], join_cur[tid] = stores, []
+                if strand_cur[tid]:
+                    strand_prev[tid], strand_cur[tid] = strand_cur[tid], []
+            elif kind is k_rel:
+                lock_durable[op.lock_id] = last_drain[op.tid]
+            elif kind is k_acq:
+                durable = lock_durable.get(op.lock_id, -1)
+                if durable >= 0:
+                    tid = op.tid
+                    sync = last_sync[tid]
+                    pred.extend(sorted((durable, sync)) if sync >= 0 else (durable,))
+                    pred_start.append(len(pred))
+                    last_sync[tid] = len(kinds)
+                    kinds.append(ACQUIRE)
+                    ops.append(op)
 
-        for node in self.nodes:
-            node.preds = sorted(set(node.preds))
-
-    def _link_strand(self, tr: _ThreadTracker, node: PersistNode) -> None:
-        """Eq. 1: nearest non-empty earlier sub-epoch of the same strand."""
-        prev_nodes, epoch_id, cur_nodes = tr.strand_groups.get(
-            node.strand, ([], node.sub_epoch, [])
-        )
-        if node.sub_epoch != epoch_id:
-            if cur_nodes:
-                prev_nodes = cur_nodes
-            cur_nodes = []
-            epoch_id = node.sub_epoch
-        node.preds.extend(prev_nodes)
-        cur_nodes.append(node.idx)
-        tr.strand_groups[node.strand] = (prev_nodes, epoch_id, cur_nodes)
-
-    def _link_js(self, tr: _ThreadTracker, node: PersistNode) -> None:
-        """Eq. 2: nearest non-empty earlier join epoch of the thread."""
-        if node.js_epoch != tr.cur_js_id:
-            if tr.cur_js_nodes:
-                tr.prev_js_nodes = tr.cur_js_nodes
-            tr.cur_js_nodes = []
-            tr.cur_js_id = node.js_epoch
-        node.preds.extend(tr.prev_js_nodes)
-        tr.cur_js_nodes.append(node.idx)
-
-    def _link_spa(self, line_owner: Dict[int, List[int]], node: PersistNode) -> None:
-        """Eq. 3: previous writer of every byte this store touches.
-
-        Owners are read and overwritten one slice per touched line.
-        """
-        op = node.op
-        assert op is not None
-        hit: Set[int] = set()
+    @staticmethod
+    def _cross_lines(
+        line_owner: Dict[int, List[int]], op: Op, idx: int, preds: Set[int]
+    ) -> None:
+        """Eq. 3 for a store that crosses a line: add the previous writer
+        of every byte to ``preds``, one line at a time."""
         addr, end = op.addr, op.addr + op.size
         while addr < end:
             line, lo = divmod(addr, CACHE_LINE)
@@ -267,46 +230,37 @@ class PersistDag:
             owners = line_owner.get(line)
             if owners is None:
                 owners = line_owner[line] = [-1] * CACHE_LINE
-            hit.update(owners[lo:hi])
-            owners[lo:hi] = [node.idx] * (hi - lo)
+            preds.update(owners[lo:hi])
+            owners[lo:hi] = [idx] * (hi - lo)
             addr += hi - lo
-        hit.discard(-1)
-        node.preds.extend(hit)
 
     # -- queries -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.kinds)
 
-    @property
-    def store_nodes(self) -> List[PersistNode]:
-        return [n for n in self.nodes if n.is_store]
-
-    def predecessors(self, idx: int) -> List[int]:
-        return self.nodes[idx].preds
+    def preds(self, idx: int) -> array:
+        """Direct predecessors of node ``idx``, ascending."""
+        return self.pred[self.pred_start[idx] : self.pred_start[idx + 1]]
 
     def edges(self) -> List[Tuple[int, int]]:
         """All direct-predecessor edges as ``(pred, succ)`` pairs."""
-        return [(p, n.idx) for n in self.nodes for p in n.preds]
+        pred, start = self.pred, self.pred_start
+        return [(p, i) for i in range(len(self)) for p in pred[start[i] : start[i + 1]]]
 
     @cached_property
-    def successors(self) -> List[List[int]]:
-        """Direct successors of every node, ascending (edges reversed)."""
-        succs: List[List[int]] = [[] for _ in self.nodes]
-        for node in self.nodes:
-            for pred in node.preds:
-                succs[pred].append(node.idx)
-        return succs
+    def node_of(self) -> Dict[Tuple[int, int], int]:
+        """``(tid, seq)`` of each store op -> its node index, so consumers
+        holding an :class:`~repro.core.ops.Op` (e.g. the static analyzer)
+        can locate its DAG node without a linear scan."""
+        kinds = self.kinds
+        return {(op.tid, op.seq): i for i, op in enumerate(self.ops) if kinds[i] == STORE}
 
     @cached_property
     def node_of_gseq(self) -> Dict[int, int]:
         """Global visibility sequence of each store op -> its node index."""
-        return {n.op.gseq: n.idx for n in self.nodes if n.is_store and n.op is not None}
-
-    def node_for_op(self, op: Op) -> Optional[PersistNode]:
-        """The store node of ``op``, or ``None`` for non-store ops."""
-        idx = self.node_of.get((op.tid, op.seq))
-        return None if idx is None else self.nodes[idx]
+        kinds = self.kinds
+        return {op.gseq: i for i, op in enumerate(self.ops) if kinds[i] == STORE}
 
     def ordered_before_ops(self, a: Op, b: Op) -> bool:
         """True when store ``a`` is PMO-before store ``b`` (Eqs. 1-4)."""
@@ -323,27 +277,27 @@ class PersistDag:
         """
         if a >= b:
             return False
+        pred, start = self.pred, self.pred_start
         seen: Set[int] = set()
         frontier = [b]
         while frontier:
             cur = frontier.pop()
-            for pred in self.nodes[cur].preds:
-                if pred == a:
-                    return True
-                if pred > a and pred not in seen:
-                    seen.add(pred)
-                    frontier.append(pred)
+            hi = start[cur + 1]
+            lo = bisect_left(pred, a, start[cur], hi)
+            if lo < hi and pred[lo] == a:
+                return True
+            for p in pred[lo:hi]:
+                if p not in seen:
+                    seen.add(p)
+                    frontier.append(p)
         return False
 
-    def is_consistent_cut(self, cut) -> bool:
+    def is_consistent_cut(self, cut: Iterable[int]) -> bool:
         """True when ``cut`` (node indices) is down-closed under PMO."""
         included = set(cut)
-        for idx in included:
-            if any(pred not in included for pred in self.nodes[idx].preds):
-                return False
-        return True
+        return all(included.issuperset(self.preds(idx)) for idx in included)
 
-    def downward_close(self, seed, floor: int = 0) -> Set[int]:
+    def downward_close(self, seed: Iterable[int], floor: int = 0) -> Set[int]:
         """Smallest consistent cut containing ``seed``, restricted to the
         nodes numbered ``floor`` or above.
 
@@ -351,6 +305,7 @@ class PersistDag:
         from a seed to a node at or above ``floor`` stays there, and the
         walk never needs to descend below it.
         """
+        pred, start = self.pred, self.pred_start
         closed: Set[int] = set()
         frontier = [idx for idx in seed if idx >= floor]
         while frontier:
@@ -358,13 +313,34 @@ class PersistDag:
             if idx in closed:
                 continue
             closed.add(idx)
-            preds = self.nodes[idx].preds  # ascending
-            frontier.extend(preds[bisect_left(preds, floor) :])
+            hi = start[idx + 1]
+            frontier.extend(pred[bisect_left(pred, floor, start[idx], hi) : hi])
         return closed
 
-    def find(self, label: str) -> PersistNode:
-        """Locate the unique store node labelled ``label`` (for tests)."""
-        matches = [n for n in self.nodes if n.op is not None and n.op.label == label]
+    def upward_close(self, seed: Iterable[int]) -> Set[int]:
+        """Smallest up-closed set containing ``seed``: every node with a
+        seed among its (transitive) predecessors.
+
+        Edges point to lower indices, so one ascending pass from the
+        lowest seed settles it: a node is in the set when it is a seed
+        or when any of its predecessors is.
+        """
+        closed = set(seed)
+        if not closed:
+            return closed
+        pred, start = self.pred, self.pred_start
+        lowest = min(closed)
+        lo = start[lowest + 1]
+        for idx in range(lowest + 1, len(self)):
+            hi = start[idx + 1]
+            if lo < hi and pred[hi - 1] >= lowest and not closed.isdisjoint(pred[lo:hi]):
+                closed.add(idx)
+            lo = hi
+        return closed
+
+    def find(self, label: str) -> int:
+        """The unique node whose op is labelled ``label`` (for tests)."""
+        matches = [i for i, op in enumerate(self.ops) if op.label == label]
         if len(matches) != 1:
             raise KeyError(f"label {label!r} matched {len(matches)} nodes")
         return matches[0]

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from repro.chaos import CrashTrigger, FaultPlan
 from repro.chaos.harness import CHAOS_CFG
-from repro.core.model import PersistDag, annotate_thread
+from repro.chaos.image import _DROP_SALT, _apply_drops
+from repro.core.model import STORE, PersistDag, annotate_thread
 from repro.core.ops import Op, Program, TraceCursor
 from repro.workloads import WORKLOADS, generate_for_design
 
@@ -57,8 +59,8 @@ def test_persist_barrier_orders_within_strand():
                            c.persist_barrier(),
                            c.store(64, b"\x01", label="B")))
     a, b = dag.find("A"), dag.find("B")
-    assert dag.ordered_before(a.idx, b.idx)
-    assert not dag.ordered_before(b.idx, a.idx)
+    assert dag.ordered_before(a, b)
+    assert not dag.ordered_before(b, a)
 
 
 def test_new_strand_clears_ordering():
@@ -66,13 +68,13 @@ def test_new_strand_clears_ordering():
                            c.persist_barrier(),
                            c.new_strand(),
                            c.store(64, b"\x01", label="B")))
-    assert not dag.ordered_before(dag.find("A").idx, dag.find("B").idx)
+    assert not dag.ordered_before(dag.find("A"), dag.find("B"))
 
 
 def test_no_barrier_no_order():
     dag = build(lambda c: (c.store(0, b"\x01", label="A"),
                            c.store(64, b"\x01", label="B")))
-    assert not dag.ordered_before(dag.find("A").idx, dag.find("B").idx)
+    assert not dag.ordered_before(dag.find("A"), dag.find("B"))
 
 
 def test_barrier_does_not_order_across_strands():
@@ -82,8 +84,8 @@ def test_barrier_does_not_order_across_strands():
                            c.store(64, b"\x01", label="B"),
                            c.persist_barrier(),
                            c.store(128, b"\x01", label="C")))
-    assert dag.ordered_before(dag.find("B").idx, dag.find("C").idx)
-    assert not dag.ordered_before(dag.find("A").idx, dag.find("C").idx)
+    assert dag.ordered_before(dag.find("B"), dag.find("C"))
+    assert not dag.ordered_before(dag.find("A"), dag.find("C"))
 
 
 def test_join_strand_orders_across_strands():
@@ -92,30 +94,30 @@ def test_join_strand_orders_across_strands():
                            c.store(64, b"\x01", label="B"),
                            c.join_strand(),
                            c.store(128, b"\x01", label="C")))
-    assert dag.ordered_before(dag.find("A").idx, dag.find("C").idx)
-    assert dag.ordered_before(dag.find("B").idx, dag.find("C").idx)
-    assert not dag.ordered_before(dag.find("A").idx, dag.find("B").idx)
+    assert dag.ordered_before(dag.find("A"), dag.find("C"))
+    assert dag.ordered_before(dag.find("B"), dag.find("C"))
+    assert not dag.ordered_before(dag.find("A"), dag.find("B"))
 
 
 def test_spa_orders_same_location(pm=None):
     dag = build(lambda c: (c.store(0, b"\x01", label="A1"),
                            c.new_strand(),
                            c.store(0, b"\x02", label="A2")))
-    assert dag.ordered_before(dag.find("A1").idx, dag.find("A2").idx)
+    assert dag.ordered_before(dag.find("A1"), dag.find("A2"))
 
 
 def test_spa_partial_overlap():
     dag = build(lambda c: (c.store(0, b"\x01" * 8, label="A"),
                            c.new_strand(),
                            c.store(4, b"\x02" * 8, label="B")))
-    assert dag.ordered_before(dag.find("A").idx, dag.find("B").idx)
+    assert dag.ordered_before(dag.find("A"), dag.find("B"))
 
 
 def test_spa_no_overlap_no_order():
     dag = build(lambda c: (c.store(0, b"\x01" * 4, label="A"),
                            c.new_strand(),
                            c.store(4, b"\x02" * 4, label="B")))
-    assert not dag.ordered_before(dag.find("A").idx, dag.find("B").idx)
+    assert not dag.ordered_before(dag.find("A"), dag.find("B"))
 
 
 def test_transitivity_through_spa_and_barrier():
@@ -125,7 +127,7 @@ def test_transitivity_through_spa_and_barrier():
                            c.store(0, b"\x02", label="A1"),
                            c.persist_barrier(),
                            c.store(64, b"\x01", label="B")))
-    assert dag.ordered_before(dag.find("A0").idx, dag.find("B").idx)
+    assert dag.ordered_before(dag.find("A0"), dag.find("B"))
 
 
 def test_loads_do_not_create_spa_order():
@@ -135,7 +137,7 @@ def test_loads_do_not_create_spa_order():
                            c.load(0, 8),
                            c.persist_barrier(),
                            c.store(64, b"\x01", label="B")))
-    assert not dag.ordered_before(dag.find("A").idx, dag.find("B").idx)
+    assert not dag.ordered_before(dag.find("A"), dag.find("B"))
 
 
 def test_inter_thread_spa():
@@ -151,9 +153,9 @@ def test_inter_thread_spa():
     t1.persist_barrier()
     t1.store(128, b"\x01", label="C")
     dag = PersistDag(prog)
-    assert dag.ordered_before(dag.find("B0").idx, dag.find("B1").idx)
-    assert dag.ordered_before(dag.find("B0").idx, dag.find("C").idx)
-    assert not dag.ordered_before(dag.find("A").idx, dag.find("C").idx)
+    assert dag.ordered_before(dag.find("B0"), dag.find("B1"))
+    assert dag.ordered_before(dag.find("B0"), dag.find("C"))
+    assert not dag.ordered_before(dag.find("A"), dag.find("C"))
 
 
 def test_durability_transfer_through_lock_handoff():
@@ -170,7 +172,7 @@ def test_durability_transfer_through_lock_handoff():
     t1.store(64, b"\x01", label="B")
     t1.unlock(1)
     dag = PersistDag(prog)
-    assert dag.ordered_before(dag.find("A").idx, dag.find("B").idx)
+    assert dag.ordered_before(dag.find("A"), dag.find("B"))
 
 
 def test_no_durability_transfer_without_drain():
@@ -184,7 +186,7 @@ def test_no_durability_transfer_without_drain():
     t1.store(64, b"\x01", label="B")
     t1.unlock(1)
     dag = PersistDag(prog)
-    assert not dag.ordered_before(dag.find("A").idx, dag.find("B").idx)
+    assert not dag.ordered_before(dag.find("A"), dag.find("B"))
 
 
 def test_undrained_tail_not_transferred():
@@ -201,15 +203,15 @@ def test_undrained_tail_not_transferred():
     t1.store(128, b"\x01", label="B")
     t1.unlock(1)
     dag = PersistDag(prog)
-    assert dag.ordered_before(dag.find("A").idx, dag.find("B").idx)
-    assert not dag.ordered_before(dag.find("T").idx, dag.find("B").idx)
+    assert dag.ordered_before(dag.find("A"), dag.find("B"))
+    assert not dag.ordered_before(dag.find("T"), dag.find("B"))
 
 
 def test_consistent_cut_checks_predecessors():
     dag = build(lambda c: (c.store(0, b"\x01", label="A"),
                            c.persist_barrier(),
                            c.store(64, b"\x01", label="B")))
-    a, b = dag.find("A").idx, dag.find("B").idx
+    a, b = dag.find("A"), dag.find("B")
     assert dag.is_consistent_cut({a})
     assert dag.is_consistent_cut({a, b})
     assert not dag.is_consistent_cut({b})
@@ -221,9 +223,9 @@ def test_downward_close():
                            c.store(64, b"\x01", label="B"),
                            c.persist_barrier(),
                            c.store(128, b"\x01", label="C")))
-    cut = dag.downward_close({dag.find("C").idx})
-    assert dag.find("A").idx in cut
-    assert dag.find("B").idx in cut
+    cut = dag.downward_close({dag.find("C")})
+    assert dag.find("A") in cut
+    assert dag.find("B") in cut
     assert dag.is_consistent_cut(cut)
 
 
@@ -241,8 +243,8 @@ def test_edges_point_to_lower_indices():
         (t0 if i % 2 else t1).store(i * 64, bytes([i]))
         (t0 if i % 2 else t1).persist_barrier()
     dag = PersistDag(prog)
-    for node in dag.nodes:
-        assert all(p < node.idx for p in node.preds)
+    for idx in range(len(dag)):
+        assert all(p < idx for p in dag.preds(idx))
 
 
 # -- index-bounded queries and derived indexes --------------------------------
@@ -266,9 +268,10 @@ def workload_dag(request):
 
 
 def test_workload_edges_point_to_lower_indices(workload_dag):
-    for node in workload_dag.nodes:
-        assert node.preds == sorted(set(node.preds))
-        assert all(p < node.idx for p in node.preds)
+    for idx in range(len(workload_dag)):
+        preds = list(workload_dag.preds(idx))
+        assert preds == sorted(set(preds))
+        assert all(p < idx for p in preds)
 
 
 def test_downward_close_floor_is_the_restricted_closure(workload_dag):
@@ -297,16 +300,49 @@ def test_ordered_before_matches_the_full_ancestor_closure(workload_dag):
     assert hits > 0
 
 
-def test_successors_and_gseq_index_are_built_once(workload_dag):
-    succs = workload_dag.successors
-    assert workload_dag.successors is succs
-    assert sorted(workload_dag.edges()) == sorted(
-        (n.idx, s) for n in workload_dag.nodes for s in succs[n.idx]
-    )
-    assert all(s == sorted(s) for s in succs)
+def test_op_indexes_are_built_once(workload_dag):
+    stores = [i for i in range(len(workload_dag)) if workload_dag.kinds[i] == STORE]
+    ops = workload_dag.ops
     by_gseq = workload_dag.node_of_gseq
     assert workload_dag.node_of_gseq is by_gseq
-    assert by_gseq == {n.op.gseq: n.idx for n in workload_dag.store_nodes}
+    assert by_gseq == {ops[i].gseq: i for i in stores}
+    by_key = workload_dag.node_of
+    assert workload_dag.node_of is by_key
+    assert by_key == {(ops[i].tid, ops[i].seq): i for i in stores}
+
+
+def _reverse_edge_walk(dag, seeds):
+    """Every node reachable from ``seeds`` along reversed edges."""
+    succs = [[] for _ in range(len(dag))]
+    for pred, succ in dag.edges():
+        succs[pred].append(succ)
+    reached = set()
+    frontier = list(seeds)
+    while frontier:
+        idx = frontier.pop()
+        if idx not in reached:
+            reached.add(idx)
+            frontier.extend(succs[idx])
+    return reached
+
+
+def test_drop_closure_matches_a_reverse_edge_walk(workload_dag):
+    """The one ascending pass of ``upward_close``, and the image
+    builder's drop faults built on it, against a walk over successors."""
+    rng = random.Random(13)
+    n = len(workload_dag)
+    for _ in range(40):
+        seeds = rng.sample(range(n), rng.randrange(0, 6))
+        assert workload_dag.upward_close(seeds) == _reverse_edge_walk(workload_dag, seeds)
+    stores = sorted(workload_dag.node_of_gseq.values())
+    for seed in range(20):
+        included = set(rng.sample(stores, rng.randrange(1, len(stores) + 1)))
+        plan = FaultPlan(CrashTrigger("ops", 1), seed=seed, drop_prob=rng.uniform(0.005, 0.5))
+        draws = random.Random(plan.seed ^ _DROP_SALT)
+        dropped = [idx for idx in sorted(included) if draws.random() < plan.drop_prob]
+        want = included - _reverse_edge_walk(workload_dag, dropped)
+        _apply_drops(workload_dag, included, plan)
+        assert included == want
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -323,9 +359,8 @@ def test_spa_edges_match_a_byte_owner_oracle(seed):
         rng.choice(cursors).store(addr, bytes(size), on_line_cross="allow")
     dag = PersistDag(prog)
     owner = {}
-    for node in dag.nodes:
-        op = node.op
+    for idx, op in enumerate(dag.ops):
         want = {owner[b] for b in range(op.addr, op.addr + op.size) if b in owner}
-        assert node.preds == sorted(want)
+        assert list(dag.preds(idx)) == sorted(want)
         for b in range(op.addr, op.addr + op.size):
-            owner[b] = node.idx
+            owner[b] = idx

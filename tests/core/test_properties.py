@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.crash import frontier_cut, materialise, prefix_cut, random_cut
-from repro.core.model import PersistDag
+from repro.core.model import STORE, PersistDag
 from repro.core.ops import Program, TraceCursor
 from repro.lang.dialect import StrandDialect
 from repro.lang.recovery import recover
@@ -80,8 +80,8 @@ def test_random_cuts_of_random_programs_are_consistent(threads, seed):
 @settings(max_examples=40, deadline=None)
 def test_edges_always_point_backwards(threads):
     dag = PersistDag(build_program(threads))
-    for node in dag.nodes:
-        assert all(pred < node.idx for pred in node.preds)
+    for idx in range(len(dag)):
+        assert all(pred < idx for pred in dag.preds(idx))
 
 
 @given(
@@ -100,16 +100,16 @@ def test_spa_prefix_per_location(threads, seed):
     image = materialise(dag, cut, pm)
     # Group store nodes by address in visibility order.
     by_addr = {}
-    for node in dag.nodes:
-        if node.is_store:
-            by_addr.setdefault(node.op.addr, []).append(node)
+    for idx, op in enumerate(dag.ops):
+        if dag.kinds[idx] == STORE:
+            by_addr.setdefault(op.addr, []).append(idx)
     for addr, writers in by_addr.items():
         observed = image.read(addr, 8)
-        candidates = [b"\x00" * 8] + [w.op.data for w in writers]
+        candidates = [b"\x00" * 8] + [dag.ops[w].data for w in writers]
         assert observed in candidates
         # The observed value must be the LAST included writer's value.
-        included = [w for w in writers if w.idx in cut]
-        expected = included[-1].op.data if included else b"\x00" * 8
+        included = [w for w in writers if w in cut]
+        expected = dag.ops[included[-1]].data if included else b"\x00" * 8
         assert observed == expected
 
 

@@ -15,7 +15,7 @@ from typing import List
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.model import SYNC_DRAIN_KINDS, PersistDag, annotate_thread
+from repro.core.model import STORE, PersistDag, annotate_thread
 from repro.core.ops import Op, OpKind, Program, TraceCursor
 
 
@@ -60,9 +60,9 @@ def reference_order(program: Program):
 def dag_matrix(program: Program, stores):
     dag = PersistDag(program)
     index = {}
-    for node in dag.nodes:
-        if node.is_store:
-            index[id(node.op)] = node.idx
+    for idx, op in enumerate(dag.ops):
+        if dag.kinds[idx] == STORE:
+            index[id(op)] = idx
     n = len(stores)
     out = [[False] * n for _ in range(n)]
     for i in range(n):

@@ -102,7 +102,7 @@ def test_recovery_replays_committed_redo():
     # in-place update (and everything after it) did not.
     dag = PersistDag(rt.program)
     marker = dag.find("commit-marker")
-    cut = dag.downward_close({marker.idx})
+    cut = dag.downward_close({marker})
     img = materialise(dag, cut, space)
     assert img.read(addr, 8) == b"\x00" * 8  # update genuinely missing
     report = recover(img, layout)
