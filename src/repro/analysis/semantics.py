@@ -36,11 +36,6 @@ class DesignSemantics:
     #: NEW_STRAND/JOIN_STRAND carry meaning (strand hardware only).
     has_strands: bool
 
-    @property
-    def provides_ordering(self) -> bool:
-        """False only for the NON-ATOMIC upper bound."""
-        return bool(self.barrier_kinds or self.drain_kinds)
-
 
 _X86 = DesignSemantics(
     design="intel-x86",

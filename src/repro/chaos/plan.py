@@ -139,14 +139,6 @@ class CrashSchedule:
             recovery_crashes=self.recovery_crashes,
         )
 
-    def describe(self) -> str:
-        desc = f"{self.kind}@{self.frac:.3f} seed={self.seed}"
-        if self.media is not None and self.media.enabled:
-            desc += " " + self.media.describe()
-        if self.recovery_crashes:
-            desc += " " + " ".join(rc.describe() for rc in self.recovery_crashes)
-        return desc
-
 
 def sample_schedules(
     n: int,

@@ -163,12 +163,6 @@ class Op:
     region: int = -1
     label: str = ""
 
-    def is_pm_store(self) -> bool:
-        return self.kind is OpKind.STORE
-
-    def is_clwb(self) -> bool:
-        return self.kind is OpKind.CLWB
-
     def touches(self, other: "Op") -> bool:
         """True when both ops address overlapping bytes."""
         if self.kind not in ADDRESSED_KINDS or other.kind not in ADDRESSED_KINDS:

@@ -36,7 +36,8 @@ class PersistQueue:
 
     def instrument(self, tracer: Tracer, track: str) -> None:
         """Attach a tracer: each push emits a ``pq.push`` marker, a
-        ``pq.entry`` span until retirement, and occupancy samples."""
+        ``pq.entry`` span until retirement, and a ``pq.occupancy``
+        counter sample."""
         self._tracer = tracer
         self._track = track
 
@@ -56,12 +57,9 @@ class PersistQueue:
         self._latest = max(self._latest, completion)
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
-            occ = len(self._completions)
             tracer.instant("pq.push", self._track, t)
             tracer.span("pq.entry", self._track, t, completion - t)
-            tracer.counter("pq.occupancy", self._track, t, occ)
-            tracer.metrics.histogram(f"{self._track}/occupancy").observe(occ)
-            tracer.metrics.histogram(f"{self._track}/residency").observe(completion - t)
+            tracer.counter("pq.occupancy", self._track, t, len(self._completions))
         return completion
 
     def drain_time(self, t: float) -> float:

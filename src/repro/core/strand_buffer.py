@@ -77,9 +77,6 @@ class StrandBuffer:
             if issue > t:
                 tracer.span("sbu.alloc-wait", self._track, t, issue - t, line=line)
             tracer.span("sbu.entry", self._track, issue, retire - issue, line=line)
-            tracer.metrics.histogram(f"{self._track}/persist_latency").observe(
-                retire - issue
-            )
         return issue, retire
 
     def insert_barrier(self, t: float) -> float:

@@ -68,9 +68,6 @@ class StrandWeaverDomain(PersistDomain):
         self.stats.pm_writes += 1
         if self.tracer.enabled:
             self.tracer.span("clwb", self.clwb_track, slot, retire - slot, line=line)
-            self.tracer.metrics.histogram(f"{self.track}/clwb_ack").observe(
-                retire - slot
-            )
         # The persist queue tracks the CLWB; its ROB slot frees at once.
         return slot + 1, slot + 1
 
@@ -123,9 +120,6 @@ class NoPersistQueueDomain(StrandWeaverDomain):
         self.stats.pm_writes += 1
         if self.tracer.enabled:
             self.tracer.span("clwb", self.clwb_track, slot, retire - slot, line=line)
-            self.tracer.metrics.histogram(f"{self.track}/clwb_ack").observe(
-                retire - slot
-            )
         return slot + 1, sq_retire
 
     def fence(self, op: Op, t: float) -> float:

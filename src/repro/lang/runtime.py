@@ -199,18 +199,10 @@ class PmRuntime:
             addr, data, label or "update", self._sep,
         )
 
-    def store_u64(self, tid: int, addr: int, value: int, label: str = "") -> None:
-        self.store(tid, addr, _U64.pack(value & 0xFFFFFFFFFFFFFFFF), label=label)
-
     def load(self, tid: int, addr: int, size: int) -> bytes:
         data = self.space.read(addr, size)
         self._threads[tid].cursor.load(addr, size)
         return data
-
-    def load_u64(self, tid: int, addr: int) -> int:
-        value = self.space.read_u64(addr)
-        self._threads[tid].cursor.load(addr, 8)
-        return value
 
     def compute(self, tid: int, cycles: int) -> None:
         self._threads[tid].cursor.compute(cycles)
@@ -231,9 +223,6 @@ class PmRuntime:
 
     def committed_regions(self, tid: int) -> List[int]:
         return list(self._threads[tid].committed_regions)
-
-    def region_of(self, tid: int) -> int:
-        return self._threads[tid].region_id
 
     @property
     def seq_counter(self) -> int:

@@ -1,4 +1,4 @@
-"""Observability layer: event tracing, metrics, and exporters.
+"""Observability layer: event tracing and exporters.
 
 Zero-dependency instrumentation for the timing simulator.  The default
 :data:`~repro.obs.tracer.NULL_TRACER` makes every instrumentation site a
@@ -6,7 +6,7 @@ single attribute check, so tier-1 timing results are unchanged unless a
 :class:`~repro.obs.tracer.Tracer` is explicitly passed to
 :class:`~repro.sim.machine.Machine`.
 
-See README.md ("Tracing & metrics") for the Perfetto walkthrough.
+See README.md ("Tracing") for the Perfetto walkthrough.
 """
 
 from repro.obs.export import (
@@ -18,19 +18,14 @@ from repro.obs.export import (
     write_stats_json,
     write_sweep_json,
 )
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry, ScopedMetrics
 from repro.obs.perfetto import to_perfetto, write_trace
 from repro.obs.tracer import NULL_TRACER, NullTracer, TraceEvent, Tracer, core_track
 
 __all__ = [
-    "Counter",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "STATS_SCHEMA",
     "SWEEP_SCHEMA",
-    "ScopedMetrics",
     "TraceEvent",
     "Tracer",
     "core_track",

@@ -3,8 +3,8 @@
 Two documents are produced:
 
 * :func:`stats_to_json` — one machine run, schema ``repro.stats/1``:
-  the :meth:`~repro.sim.stats.MachineStats.summary` dict, the full
-  per-core counter breakdown, and any metrics collected by a tracer.
+  the :meth:`~repro.sim.stats.MachineStats.summary` dict and the full
+  per-core counter breakdown, the same whether or not a tracer ran.
 * :func:`sweep_to_json` — schema ``repro.sweep/1``: per-cell summaries
   of a sweep, plus wall times and cache counters unless deterministic.
 """
@@ -21,7 +21,7 @@ STATS_SCHEMA = "repro.stats/1"
 SWEEP_SCHEMA = "repro.sweep/1"
 
 #: CoreStats fields exported per core, in declaration order.
-_CORE_FIELDS = tuple(f.name for f in dataclasses.fields(CoreStats) if f.name != "metrics")
+_CORE_FIELDS = tuple(f.name for f in dataclasses.fields(CoreStats))
 
 
 def dump_json(path: str, doc: Dict[str, object]) -> None:
@@ -58,8 +58,8 @@ def machine_stats_to_doc(stats: MachineStats) -> Dict[str, object]:
 def machine_stats_from_doc(doc: Dict[str, object]) -> MachineStats:
     """Rebuild a :class:`MachineStats` from :func:`machine_stats_to_doc`.
 
-    Tracer metrics and crash state are intentionally not round-tripped:
-    cached cells behave exactly like fresh untraced runs.
+    Crash state is intentionally not round-tripped: cached cells behave
+    exactly like fresh untraced runs.
     """
     per_core = doc["per_core"]
     if not isinstance(per_core, list):
@@ -71,15 +71,12 @@ def machine_stats_from_doc(doc: Dict[str, object]) -> MachineStats:
 
 
 def stats_to_json(stats: MachineStats) -> Dict[str, object]:
-    """Full machine-run export: summary, per-core counters, metrics."""
-    doc: Dict[str, object] = {
+    """Full machine-run export: summary and per-core counters."""
+    return {
         "schema": STATS_SCHEMA,
         "summary": stats.summary(),
         "per_core": [core_to_json(core) for core in stats.per_core],
     }
-    if stats.metrics is not None:
-        doc["metrics"] = stats.metrics.to_json()
-    return doc
 
 
 def write_stats_json(path: str, stats: MachineStats) -> Dict[str, object]:

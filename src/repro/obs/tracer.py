@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional
 
-from repro.obs.metrics import MetricsRegistry
-
 
 def core_track(tid: int) -> str:
     """Canonical track name for core ``tid``."""
@@ -48,9 +46,8 @@ class Tracer:
 
     ``mode="unbounded"`` keeps every event; ``mode="ring"`` keeps the most
     recent ``capacity`` events (the steady-state tail of a long run) and
-    counts the rest in :attr:`dropped`.  A :class:`MetricsRegistry` rides
-    along so instrumentation sites can record distributions (queue
-    occupancy, ack latency) next to the events that produced them.
+    counts the rest in :attr:`dropped`, so a ring-mode tracer holds at
+    most ``capacity`` events however long the run.
     """
 
     MODES = ("unbounded", "ring")
@@ -63,7 +60,6 @@ class Tracer:
         self.enabled = True
         self.mode = mode
         self.capacity = capacity
-        self.metrics = MetricsRegistry()
         self.dropped = 0
         self._events: List[TraceEvent] = []
         self._head = 0  # ring mode: index of the oldest retained event
@@ -120,10 +116,6 @@ class NullTracer:
     enabled = False
     mode = "off"
     dropped = 0
-
-    #: a registry is still reachable so unguarded metric lookups work,
-    #: but nothing routes samples into it when sites honour the guard.
-    metrics = MetricsRegistry()
 
     def instant(self, name: str, track: str, ts: float, **args: object) -> None:
         pass

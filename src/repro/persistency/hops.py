@@ -57,9 +57,6 @@ class HopsDomain(PersistDomain):
         self.stats.pm_writes += 1
         if self.tracer.enabled:
             self.tracer.span("clwb", self.clwb_track, slot, ticket.acked - slot, line=line)
-            self.tracer.metrics.histogram(f"{self.track}/clwb_ack").observe(
-                ticket.acked - slot
-            )
         # Ordering is delegated to the persist buffer; the CLWB retires.
         return slot + 1, slot + 1
 

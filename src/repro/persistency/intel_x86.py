@@ -33,9 +33,6 @@ class IntelX86Domain(PersistDomain):
         self.stats.pm_writes += 1
         if self.tracer.enabled:
             self.tracer.span("clwb", self.clwb_track, slot, ticket.acked - slot, line=line)
-            self.tracer.metrics.histogram(f"{self.track}/clwb_ack").observe(
-                ticket.acked - slot
-            )
         # CLWB retires into a fill buffer; it does not hold its ROB slot.
         return slot + 1, slot + 1
 

@@ -35,9 +35,6 @@ class NonAtomicDomain(PersistDomain):
         self.stats.pm_writes += 1
         if self.tracer.enabled:
             self.tracer.span("clwb", self.clwb_track, slot, ticket.acked - slot, line=line)
-            self.tracer.metrics.histogram(f"{self.track}/clwb_ack").observe(
-                ticket.acked - slot
-            )
         return slot + 1, slot + 1
 
     def fence(self, op: Op, t: float) -> float:

@@ -132,8 +132,8 @@ class InOrderQueue:
         self._last_retire = 0.0
 
     def instrument(self, tracer: Tracer, track: str, name: str) -> None:
-        """Attach a tracer: each push samples occupancy on ``track`` and
-        feeds the ``<name>/occupancy`` histogram."""
+        """Attach a tracer: each push samples the occupancy as a ``name``
+        counter on ``track``."""
         self._tracer = tracer
         self._track = track
         self._name = name
@@ -156,9 +156,7 @@ class InOrderQueue:
         self._last_retire = retire
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
-            occ = len(self._retire_times)
-            tracer.counter(self._name, self._track, entry_t, occ)
-            tracer.metrics.histogram(f"{self._track}/occupancy").observe(occ)
+            tracer.counter(self._name, self._track, entry_t, len(self._retire_times))
         return retire
 
     def drain_time(self, t: float) -> float:

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Type
 
 from repro.core.ops import OpKind, Program
 from repro.core.strandweaver import NoPersistQueueDomain, StrandWeaverDomain
-from repro.obs.tracer import NULL_TRACER, Tracer, core_track
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.persistency.base import PersistDomain
 from repro.persistency.hops import HopsDomain
 from repro.persistency.intel_x86 import IntelX86Domain
@@ -157,12 +157,8 @@ class Machine:
 
         cores: List[CoreEngine] = []
         stats = MachineStats(design=self.design)
-        if tracer.enabled:
-            stats.metrics = tracer.metrics
         for trace in program.threads:
             core_stats = CoreStats()
-            if tracer.enabled:
-                core_stats.metrics = tracer.metrics.scope(core_track(trace.tid))
             stats.per_core.append(core_stats)
             store_queue = InOrderQueue(self.cfg.core.store_queue_entries)
             kwargs = {} if tracker is None else {"durability": tracker}

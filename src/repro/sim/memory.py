@@ -72,9 +72,7 @@ class PMController:
         #: line -> media start time of its most recent queued write, for
         #: write combining inside the controller's queue.
         self._queued_line: dict = {}
-        self.writes = 0
         self.coalesced = 0
-        self.reads = 0
 
     def write(self, t: float, line: int = -1) -> WriteTicket:
         """Issue one line write (CLWB or write-back) arriving at ``t``.
@@ -86,7 +84,6 @@ class PMController:
         writes the same way in its write-pending queue, and persistency
         is unaffected — the queue is inside the ADR domain.
         """
-        self.writes += 1
         tracer = self.tracer
         grant = self._accept.reserve(t)
         if line >= 0 and self.cfg.coalesce_writes:
@@ -96,8 +93,6 @@ class PMController:
                 acked = grant + self.cfg.write_to_controller
                 if tracer.enabled:
                     tracer.instant("pm.coalesce", WRITE_QUEUE_TRACK, grant, line=line)
-                    tracer.metrics.counter("pm/coalesced").inc()
-                    tracer.metrics.histogram("pm/ack_latency").observe(acked - t)
                 return WriteTicket(
                     accepted=grant, acked=acked, media_done=pending + self.cfg.write_to_media
                 )
@@ -119,9 +114,6 @@ class PMController:
             tracer.counter("pm.wq_depth", WRITE_QUEUE_TRACK, accepted, backlog)
             tracer.span("pm.drain", MEDIA_TRACK, media_start, media_done - media_start,
                         line=line)
-            metrics = tracer.metrics
-            metrics.histogram("pm/wq_occupancy").observe(backlog)
-            metrics.histogram("pm/ack_latency").observe(acked - t)
         return WriteTicket(accepted=accepted, acked=acked, media_done=media_done)
 
     def _media_write(self, grant: float, line: int) -> "tuple[float, float]":
@@ -157,7 +149,6 @@ class PMController:
                     "pm.retry", MEDIA_TRACK, media_done, backoff,
                     line=line, attempt=attempt,
                 )
-                self.tracer.metrics.counter("pm/retries").inc()
             media_start = self._media.reserve(media_done + backoff)
             media_done = media_start + self.cfg.write_to_media
             attempt += 1
@@ -179,9 +170,6 @@ class PMController:
                 "pm.remap" if remapped else "pm.remap-denied",
                 MEDIA_TRACK, media_start, line=line,
             )
-            self.tracer.metrics.counter(
-                "pm/remaps" if remapped else "pm/remap_denied"
-            ).inc()
         return media_start, media_done
 
     def prune(self, low_water: float) -> None:
@@ -207,7 +195,6 @@ class PMController:
         Under a fault model, a correctable ECC error on the line adds
         the correction penalty to the data-return path.
         """
-        self.reads += 1
         grant = self._read_bw.reserve(t)
         done = grant + self.cfg.read_latency
         faults = self.faults
@@ -216,7 +203,6 @@ class PMController:
             done += self.cfg.ecc_penalty
             if self.tracer.enabled:
                 self.tracer.instant("pm.ecc-correct", MEDIA_TRACK, grant, line=line)
-                self.tracer.metrics.counter("pm/ecc_corrected").inc()
         return done
 
 

@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-if TYPE_CHECKING:  # no runtime import: obs depends on this module
-    from repro.obs.metrics import MetricsRegistry, ScopedMetrics
+if TYPE_CHECKING:
     from repro.sim.durability import CrashState
 
 
@@ -41,11 +40,6 @@ class CoreStats:
     l1_misses: int = 0
     pm_reads: int = 0
     pm_writes: int = 0
-    #: per-core metric view (``core<tid>/...`` names) when the machine
-    #: ran under a tracer; None otherwise.  Never merged.
-    metrics: Optional["ScopedMetrics"] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def persist_stalls(self) -> int:
@@ -79,11 +73,6 @@ class MachineStats:
 
     design: str = ""
     per_core: List[CoreStats] = field(default_factory=list)
-    #: registry of queue-occupancy / latency metrics when the machine ran
-    #: under a tracer; None otherwise.  Not part of equality.
-    metrics: Optional["MetricsRegistry"] = field(
-        default=None, repr=False, compare=False
-    )
     #: machine state at the injected crash point when the run was cut
     #: short by a fault plan (see repro.chaos); None on normal completion.
     crash: Optional["CrashState"] = field(default=None, repr=False, compare=False)

@@ -9,7 +9,7 @@ from repro.harness.experiment import default_config
 from repro.obs import STATS_SCHEMA, Tracer, stats_to_json
 from repro.prof.bench import BENCH_FIGURES, BENCH_OPS_ENV
 from repro.sim.machine import Machine
-from repro.sim.stats import CoreStats, MachineStats, geomean
+from repro.sim.stats import CoreStats, geomean
 from repro.workloads import WORKLOADS, generate_for_design
 
 
@@ -34,13 +34,19 @@ def test_stats_document_schema():
     assert summary["design"] == "strandweaver"
     assert len(doc["per_core"]) == len(stats.per_core)
     assert doc["per_core"][0]["persist_stalls"] == stats.per_core[0].persist_stalls
-    assert "metrics" in doc
     json.dumps(doc)  # must be serialisable
 
 
-def test_stats_document_omits_metrics_when_untraced():
-    doc = stats_to_json(run_queue())
-    assert "metrics" not in doc
+def test_traced_stats_document_equals_untraced(tmp_path):
+    stats_path = tmp_path / "stats.json"
+    rc = main([
+        "trace", "queue", "--design", "strandweaver", "--ops", "6",
+        "--out", str(tmp_path / "trace.json"), "--stats-out", str(stats_path),
+    ])
+    assert rc == 0
+    doc = json.loads(stats_path.read_text())
+    assert sorted(doc) == ["per_core", "schema", "summary"]
+    assert doc == stats_to_json(run_queue())
 
 
 def test_summary_values_are_scalars():
@@ -147,13 +153,6 @@ def test_core_stats_merge_edge_cases():
     assert a.ops == 13
     assert a.stall_lock == 7
     assert a.l1_hits == 7 and a.l1_misses == 4
-
-
-def test_machine_stats_total_ignores_metrics_field():
-    ms = MachineStats(design="x", per_core=[CoreStats(cycles=10, ops=1)])
-    total = ms.total
-    assert total.ops == 1
-    assert total.metrics is None
 
 
 # -- non-finite rejection + cache payload round-trip (satellite) ---------
