@@ -40,6 +40,7 @@ from repro.chaos.harness import CHAOS_CFG
 from repro.chaos.plan import sample_schedules
 from repro.chaos.soak import sample_case_schedule
 from repro.core.ops import CACHE_LINE, Program, TraceCursor
+from repro.core.strand_buffer import StrandBuffer
 from repro.faults import MediaFaultConfig, MediaFaultModel
 from repro.harness.experiment import default_config
 from repro.obs import NULL_TRACER, Tracer
@@ -253,6 +254,65 @@ def test_native_prune_period_is_result_neutral(monkeypatch, canonical, design, n
         assert stats is not None, f"native core declined at period {period}"
         by_period[period] = _stats_fields(stats)
     assert by_period[1] == by_period[64] == by_period[1 << 30] == ref
+
+
+def snoop_stall_program(gaps=(50, 160, 400, 1200), n_lines=8):
+    """Two cores whose loads snoop lines the other core's strand buffers
+    still hold, which no benchmark workload does.
+
+    For each line the owner stores and CLWBs it, starts a new strand,
+    stores and CLWBs it again and stores it a third time, so the line is
+    dirty in its L1 with a CLWB in flight in one strand buffer, or in
+    two.  The reader loads each line after a compute gap from ``gaps``:
+    some loads arrive before the line's CLWBs retire (a snoop stall),
+    the rest after (the stale entry is deleted), and with two or more
+    buffers the 160-cycle gap lands between the two retire times of
+    line 1 (one buffer stalls, the other deletes).
+    """
+    program = Program(2)
+    owner, reader = TraceCursor(program, 0), TraceCursor(program, 1)
+    for i in range(n_lines):
+        owner.store(i * CACHE_LINE, b"\x01" * 8)
+        owner.clwb(i * CACHE_LINE)
+        owner.new_strand()
+        owner.store(i * CACHE_LINE, b"\x02" * 8)
+        owner.clwb(i * CACHE_LINE)
+        owner.store(i * CACHE_LINE, b"\x03" * 8)
+    for i in range(n_lines):
+        reader.compute(gaps[i % len(gaps)])
+        reader.load(i * CACHE_LINE, 8)
+    return program
+
+
+@pytest.mark.parametrize("buffers", (1, 2, 4))
+@pytest.mark.parametrize("design", ("no-persist-queue", "strandweaver"))
+def test_native_snoop_stalls_match_reference(monkeypatch, design, buffers):
+    """The strand-buffer snoop stall (Section IV): a load of a line dirty
+    in another core's L1 waits for that core's buffered CLWBs of the
+    line, and a buffer entry that has retired by then is deleted.  The
+    reference run must take at least one stall and one deletion, and
+    the native core must match it at prune periods 1, 64 and never."""
+    cfg = TABLE_I.with_strand(buffers, 2)
+    program = snoop_stall_program()
+    seen = Counter()
+    line_drain_time = StrandBuffer.line_drain_time
+
+    def counting(self, line, t):
+        retire = self._line_retire.get(line)
+        if retire is not None:
+            seen["stall" if retire > t else "deletion"] += 1
+        return line_drain_time(self, line, t)
+
+    monkeypatch.setattr(StrandBuffer, "line_drain_time", counting)
+    monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
+    ref = _stats_fields(Machine(design, cfg).run(program))
+    assert seen["stall"] >= 1 and seen["deletion"] >= 1, seen
+    if not cnative.available():
+        pytest.skip("no C compiler in this environment")
+    for period in (1, 64, 1 << 30):
+        stats = cnative.run_native(design, program, cfg, True, period)
+        assert stats is not None, f"native core declined at period {period}"
+        assert _stats_fields(stats) == ref, f"prune period {period}"
 
 
 def test_native_runs_do_not_see_earlier_runs(monkeypatch, canonical):
