@@ -38,8 +38,13 @@
  * like CPython's; llrint() under the default FE_TONEAREST mode matches
  * Python's round-half-to-even.
  *
+ * Lines are dense ids: a line's index in the program's sorted touched
+ * lines (Program.touched_lines(), the warm set), which rs_index computes
+ * once per program.  Caches fill only with the program's lines, so a run
+ * never meets another line.
+ *
  * The loop departs from the reference's data structures and control
- * flow in five places, each exact:
+ * flow in seven places, each exact:
  *
  *  - Bandwidth windows are a ring of per-window counts plus a bitmap of
  *    full windows, sliding with the prune floor, where the reference
@@ -55,10 +60,29 @@
  *    dropping the windows below the floor forgets nothing the reference
  *    could still read.
  *
- *  - The line-keyed maps (dirty owner, youngest store retire, queued
- *    media start, strand-buffer line retire) delete by shifting the
- *    rest of the probe run back instead of leaving tombstones.  Both
- *    are the same dictionary: lookups see exactly the live entries.
+ *  - Line-keyed dicts are arrays indexed by id: the dirty owner (-1 for
+ *    none), each core's youngest store retire, the queued media start,
+ *    a crash run's uncovered-store heads and the remapped flags.  A
+ *    retire or media start reads 0.0 when absent, as the reference's
+ *    .get(line, 0.0) does; every reader compares it with a positive
+ *    time (g > t, pending > grant, retire > prev), which 0.0 never beats.
+ *
+ *  - Cache tags are ids, and an id's L1 and L2 sets are its line's
+ *    (line % n_sets), computed per run: the same lines meet in the same
+ *    sets in the same LRU order.
+ *
+ *  - The queued media starts are never pruned.  PMController.prune drops
+ *    the starts <= the floor, which no later write can see: its grant is
+ *    at or after its core's clock, so above the floor, and a start <= the
+ *    floor never passes pending > grant.
+ *
+ *  - The snoop stall keeps one retire per (core, line), the largest of
+ *    the reference's per-strand-buffer line retires.  An update only
+ *    raises one buffer's entry, so it raises the maximum alike.
+ *    line_drain_time at t answers max(t, entries) and deletes the
+ *    entries <= t: all of them when the maximum is <= t (reset it to
+ *    0.0), and never the maximum otherwise (keep it), so every later
+ *    read sees the same largest entry.
  *
  *  - Outstanding-acknowledgement sets (x86/non-atomic fill buffers, HOPS
  *    persist buffers, StrandWeaver persist-queue completions) are sorted
@@ -89,10 +113,12 @@
  *
  * Error protocol: rs_run returns 0 on success, 1 on replay deadlock and
  * 2 on any unsupported/internal condition (among them a retry past the
- * caller's backoff table).  Non-zero means the Python caller silently
- * re-runs on the reference engine, which reproduces the exact exception
- * (or result) from the same fault stream -- so the C core never needs to
- * replicate diagnostics, only timing.
+ * caller's backoff table, and a negative line).  Non-zero means the
+ * Python caller silently re-runs on the reference engine, which
+ * reproduces the exact exception (or result) from the same fault stream
+ * -- so the C core never needs to replicate diagnostics, only timing.
+ * rs_index's missing line is no such condition: the ids are the
+ * program's own, so the caller raises.
  */
 
 #include <math.h>
@@ -113,121 +139,6 @@ enum {
 };
 
 enum { RC_OK = 0, RC_DEADLOCK = 1, RC_ERR = 2 };
-
-/* =====================================================================
- * open-addressing hash map: i64 key -> double value.  Linear probing;
- * a deletion shifts the rest of its probe run back over the hole, so
- * no tombstones build up and the load is always the live count.
- * ===================================================================== */
-
-/* the empty-slot key: no line is INT64_MIN (map_put declines it) */
-#define EMPTY INT64_MIN
-
-typedef struct {
-    i64 key;
-    double val;
-} Slot;
-
-typedef struct {
-    Slot *s;
-    i64 cap;       /* power of two, more than twice the live count */
-    i64 live;
-} Map;
-
-static inline uint64_t mix64(uint64_t x) {
-    x ^= x >> 33; x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33; x *= 0xc4ceb9fe1a85ec53ULL;
-    x ^= x >> 33;
-    return x;
-}
-
-static inline i64 map_home(const Map *m, i64 key) {
-    return (i64)(mix64((uint64_t)key) & (uint64_t)(m->cap - 1));
-}
-
-static int map_init(Map *m, i64 cap0) {
-    i64 cap = 16;
-    while (cap < cap0) cap <<= 1;
-    m->s = (Slot *)malloc((size_t)cap * sizeof(Slot));
-    if (!m->s) return -1;
-    for (i64 i = 0; i < cap; i++) m->s[i].key = EMPTY;
-    m->cap = cap; m->live = 0;
-    return 0;
-}
-
-static void map_free(Map *m) { free(m->s); m->s = NULL; }
-
-static int map_grow(Map *m) {
-    Map old = *m;
-    if (map_init(m, old.cap * 2)) { *m = old; return -1; }
-    i64 mask = m->cap - 1;
-    for (i64 i = 0; i < old.cap; i++) {
-        if (old.s[i].key == EMPTY) continue;
-        i64 j = map_home(m, old.s[i].key);
-        while (m->s[j].key != EMPTY) j = (j + 1) & mask;
-        m->s[j] = old.s[i];
-    }
-    m->live = old.live;
-    free(old.s);
-    return 0;
-}
-
-/* slot holding `key`, or -1 (never finds EMPTY) */
-static inline i64 map_find(const Map *m, i64 key) {
-    i64 mask = m->cap - 1;
-    for (i64 j = map_home(m, key);; j = (j + 1) & mask) {
-        i64 k = m->s[j].key;
-        if (k == EMPTY) return -1;
-        if (k == key) return j;
-    }
-}
-
-static inline int map_get(const Map *m, i64 key, double *out) {
-    i64 j = map_find(m, key);
-    if (j < 0) return 0;
-    *out = m->s[j].val;
-    return 1;
-}
-
-static inline int map_put(Map *m, i64 key, double val) {
-    if (key == EMPTY || (m->live * 2 >= m->cap && map_grow(m))) return -1;
-    i64 mask = m->cap - 1;
-    i64 j = map_home(m, key);
-    for (; m->s[j].key != EMPTY; j = (j + 1) & mask)
-        if (m->s[j].key == key) { m->s[j].val = val; return 0; }
-    m->s[j].key = key; m->s[j].val = val; m->live++;
-    return 0;
-}
-
-/* empty slot j: each later member of its probe run whose home does not
- * lie between the hole and itself moves back into the hole */
-static void map_del_at(Map *m, i64 j) {
-    i64 mask = m->cap - 1;
-    for (i64 k = (j + 1) & mask; m->s[k].key != EMPTY; k = (k + 1) & mask) {
-        i64 h = map_home(m, m->s[k].key);
-        if (((k - h) & mask) >= ((k - j) & mask)) { m->s[j] = m->s[k]; j = k; }
-    }
-    m->s[j].key = EMPTY;
-    m->live--;
-}
-
-static inline void map_del(Map *m, i64 key) {
-    i64 j = map_find(m, key);
-    if (j >= 0) map_del_at(m, j);
-}
-
-/* delete every entry whose value is <= low.  The scan starts just past
- * an empty slot, so no probe run wraps around it: a deletion moves only
- * entries the scan has not reached, into the slot it re-checks or into
- * slots still ahead of it. */
-static void map_drop_le(Map *m, double low) {
-    i64 mask = m->cap - 1, e = 0;
-    while (m->s[e].key != EMPTY) e++;
-    for (i64 i = 1; i <= m->cap; i++) {
-        i64 j = (e + i) & mask;
-        while (m->s[j].key != EMPTY && m->s[j].val <= low) map_del_at(m, j);
-    }
-}
 
 /* =====================================================================
  * growable double ring with O(1) drop-from-front (rob / sq / strand brt:
@@ -322,32 +233,34 @@ static inline void sarr_clear(SArr *s) { s->head = 0; s->len = 0; }
 #define SARR_AT(s, i) ((s)->v[(s)->head + (i)])
 
 /* =====================================================================
- * set-associative LRU tag cache: per-set way arrays in recency order
- * (index 0 = LRU victim).  Mirrors TagCache's OrderedDict exactly.
+ * set-associative LRU tag cache over line ids: per-set way arrays in
+ * recency order (index 0 = LRU victim).  Mirrors TagCache's OrderedDict
+ * exactly; set_of[id] is the id's line % n_sets.
  * ===================================================================== */
 
 typedef struct {
-    i64 *lines;   /* n_sets * assoc, valid ways [0, cnt) per set */
+    i32 *ids;     /* n_sets * assoc, valid ways [0, cnt) per set */
     u8 *dirty;
     i32 *cnt;
+    const i32 *set_of;
     i64 n_sets;
     i32 assoc;
 } TC;
 
 static int tc_init(TC *c, i64 n_sets, i32 assoc) {
-    c->lines = (i64 *)malloc((size_t)(n_sets * assoc) * sizeof(i64));
+    c->ids = (i32 *)malloc((size_t)(n_sets * assoc) * sizeof(i32));
     c->dirty = (u8 *)calloc((size_t)(n_sets * assoc), 1);
     c->cnt = (i32 *)calloc((size_t)n_sets, sizeof(i32));
     c->n_sets = n_sets; c->assoc = assoc;
-    return c->lines && c->dirty && c->cnt ? 0 : -1;
+    return c->ids && c->dirty && c->cnt ? 0 : -1;
 }
 
 static void tc_free(TC *c) {
-    free(c->lines); free(c->dirty); free(c->cnt);
-    c->lines = NULL; c->dirty = NULL; c->cnt = NULL;
+    free(c->ids); free(c->dirty); free(c->cnt);
+    c->ids = NULL; c->dirty = NULL; c->cnt = NULL;
 }
 
-/* The shared L2's tag arrays (3.5 MiB at Table I) outlive a run: the
+/* The shared L2's tag arrays (1.75 MiB at Table I) outlive a run: the
  * next run of the same geometry only clears their way counts.  Freeing
  * a block that size after every run would raise glibc's mmap and trim
  * thresholds, after which the host process's heap is rarely trimmed.
@@ -367,13 +280,11 @@ static int tc_reuse_l2(TC *l2, i64 n_sets, i32 assoc) {
     return 0;
 }
 
-static inline i64 tc_set(const TC *c, i64 line) { return line % c->n_sets; }
-
-static inline i32 tc_find(const TC *c, i64 set, i64 line) {
-    const i64 *ws = c->lines + set * c->assoc;
+static inline i32 tc_find(const TC *c, i64 set, i32 id) {
+    const i32 *ws = c->ids + set * c->assoc;
     i32 n = c->cnt[set];
     for (i32 i = 0; i < n; i++)
-        if (ws[i] == line) return i;
+        if (ws[i] == id) return i;
     return -1;
 }
 
@@ -381,20 +292,20 @@ static inline i32 tc_find(const TC *c, i64 set, i64 line) {
 static inline void tc_touch(TC *c, i64 set, i32 w) {
     i32 n = c->cnt[set];
     if (w == n - 1) return;
-    i64 *ws = c->lines + set * c->assoc;
+    i32 *ws = c->ids + set * c->assoc;
     u8 *ds = c->dirty + set * c->assoc;
-    i64 line = ws[w]; u8 d = ds[w];
-    memmove(ws + w, ws + w + 1, (size_t)(n - 1 - w) * sizeof(i64));
+    i32 id = ws[w]; u8 d = ds[w];
+    memmove(ws + w, ws + w + 1, (size_t)(n - 1 - w) * sizeof(i32));
     memmove(ds + w, ds + w + 1, (size_t)(n - 1 - w));
-    ws[n - 1] = line; ds[n - 1] = d;
+    ws[n - 1] = id; ds[n - 1] = d;
 }
 
-/* insert `line`; returns 1 and fills the victim out-params if a way
- * was evicted, 0 otherwise.  Exact port of TagCache.fill. */
-static inline int tc_fill(TC *c, i64 line, u8 dirty, i64 *v_line, u8 *v_dirty) {
-    i64 set = tc_set(c, line);
-    i32 w = tc_find(c, set, line);
-    i64 *ws = c->lines + set * c->assoc;
+/* insert `id`; returns 1 and fills the victim out-params if a way was
+ * evicted, 0 otherwise.  Exact port of TagCache.fill. */
+static inline int tc_fill(TC *c, i32 id, u8 dirty, i32 *v_id, u8 *v_dirty) {
+    i64 set = c->set_of[id];
+    i32 w = tc_find(c, set, id);
+    i32 *ws = c->ids + set * c->assoc;
     u8 *ds = c->dirty + set * c->assoc;
     if (w >= 0) {
         u8 d = (u8)(ds[w] | dirty);
@@ -405,13 +316,13 @@ static inline int tc_fill(TC *c, i64 line, u8 dirty, i64 *v_line, u8 *v_dirty) {
     int evicted = 0;
     i32 n = c->cnt[set];
     if (n >= c->assoc) {
-        *v_line = ws[0]; *v_dirty = ds[0];
-        memmove(ws, ws + 1, (size_t)(n - 1) * sizeof(i64));
+        *v_id = ws[0]; *v_dirty = ds[0];
+        memmove(ws, ws + 1, (size_t)(n - 1) * sizeof(i32));
         memmove(ds, ds + 1, (size_t)(n - 1));
         n--; c->cnt[set] = n;
         evicted = 1;
     }
-    ws[n] = line; ds[n] = dirty;
+    ws[n] = id; ds[n] = dirty;
     c->cnt[set] = n + 1;
     return evicted;
 }
@@ -419,10 +330,10 @@ static inline int tc_fill(TC *c, i64 line, u8 dirty, i64 *v_line, u8 *v_dirty) {
 /* remove way w of `set`; returns its dirty bit */
 static inline u8 tc_remove(TC *c, i64 set, i32 w) {
     i32 n = c->cnt[set];
-    i64 *ws = c->lines + set * c->assoc;
+    i32 *ws = c->ids + set * c->assoc;
     u8 *ds = c->dirty + set * c->assoc;
     u8 d = ds[w];
-    memmove(ws + w, ws + w + 1, (size_t)(n - 1 - w) * sizeof(i64));
+    memmove(ws + w, ws + w + 1, (size_t)(n - 1 - w) * sizeof(i32));
     memmove(ds + w, ds + w + 1, (size_t)(n - 1 - w));
     c->cnt[set] = n - 1;
     return d;
@@ -602,12 +513,15 @@ typedef struct {
     double w2c, max_backlog, read_lat, dram_lat, coh;
     int coalesce;
 
+    const i64 *univ;        /* id -> its line, ascending */
+
     /* memory system */
     TC *l1;        /* n cores */
     TC l2;
-    Map downer;    /* line -> owning tid (value: (double)tid) */
+    i32 *set1, *set2;       /* id -> its L1 set, its L2 set */
+    i32 *owner;             /* id -> core that last dirtied it, or -1 */
     BW accept, media, readbw, drambw;
-    Map queued;    /* line -> media_start */
+    double *queued;         /* id -> media start of its queued write */
 
     /* per-core engine state */
     double *clock, *key;
@@ -616,7 +530,7 @@ typedef struct {
     i64 *parked_on;         /* lock index when st==1 */
     Ring *rob, *sq;
     double *rob_last, *sq_last;
-    Map *lsr;               /* line -> youngest store retire */
+    double *lsr;            /* id * n + tid -> youngest store retire */
 
     /* per-design persist state */
     SArr *outs;             /* x86 / non-atomic / hops / strand-pq */
@@ -625,7 +539,7 @@ typedef struct {
     i64 *oe_n;
     Ring *brt;              /* n * n_bufs strand buffers */
     double *b_last, *b_dep;
-    Map *b_linert;
+    double *snoop;          /* id * n + tid -> latest buffered CLWB retire */
     i64 *ongoing;
     double *store_gate, *max_issue, *pq_latest;
 
@@ -642,12 +556,12 @@ typedef struct {
 
     /* crash runs only (cr is NULL on a plain run) */
     Crash *cr;
-    Map pending;            /* line -> newest noted store still uncovered */
+    i64 *pending;           /* id -> newest noted store still uncovered */
     i64 *pend_next;         /* record -> next uncovered store of its line */
 
     /* media faults only (mf is NULL without them) */
     Media *mf;
-    Map remapped;           /* lines in the spare region (value unused) */
+    u8 *remapped;           /* id -> in the spare region */
 } Ctx;
 
 static i64 lock_index(const Ctx *c, i32 lock_id) {
@@ -686,22 +600,23 @@ static uint32_t mt_next(Media *m) {
 /* MediaFaultModel's draws (write_fails, write_uncorrectable,
  * read_correctable): random.Random.random() < p, with no draw at a zero
  * probability or for a line already in the spare region */
-static int media_draw(Ctx *c, double p, i64 line) {
-    if (p <= 0.0 || map_find(&c->remapped, line) >= 0) return 0;
+static int media_draw(Ctx *c, double p, i32 id) {
+    if (p <= 0.0 || c->remapped[id]) return 0;
     uint32_t a = mt_next(c->mf) >> 5, b = mt_next(c->mf) >> 6;
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0) < p;
 }
 
 /* PMController._remap_write: the media start of the write redirected
  * into the spare region at t (MediaFaultModel.remap books the spare) */
-static double remap_write(Ctx *c, double t, i64 line) {
+static double remap_write(Ctx *c, double t, i32 id) {
     Media *m = c->mf;
     if (m->n_remapped + m->n_new >= m->spare_lines) {
         m->count[F_REMAP_DENIED]++;
-    } else if (m->n_new >= m->cap_new || map_put(&c->remapped, line, 0.0)) {
+    } else if (m->n_new >= m->cap_new) {
         c->err = 1;
     } else {
-        m->new_lines[m->n_new++] = line;
+        c->remapped[id] = 1;
+        m->new_lines[m->n_new++] = c->univ[id];
         m->count[F_REMAPS]++;
     }
     return bw_reserve(&c->media, t + m->remap_lat, &c->err);
@@ -709,18 +624,18 @@ static double remap_write(Ctx *c, double t, i64 line) {
 
 /* PMController._media_write's fault policy for the media write that
  * started at ms: the media start of the attempt that stuck */
-static double media_write(Ctx *c, double ms, i64 line) {
+static double media_write(Ctx *c, double ms, i32 id) {
     Media *m = c->mf;
     double md = ms + m->w2m;
-    if (media_draw(c, m->p_unc, line)) {
+    if (media_draw(c, m->p_unc, id)) {
         m->count[F_ECC_UNCORRECTABLE]++;
-        return remap_write(c, md, line);
+        return remap_write(c, md, id);
     }
-    for (i64 attempt = 1; media_draw(c, m->p_fail, line); attempt++) {
+    for (i64 attempt = 1; media_draw(c, m->p_fail, id); attempt++) {
         m->count[F_WRITE_FAULTS]++;
         if (attempt > m->max_retries) {
             m->count[F_EXHAUSTED_RETRIES]++;
-            return remap_write(c, md, line);
+            return remap_write(c, md, id);
         }
         if (attempt > m->n_backoff) { c->err = 1; return ms; }
         double backoff = m->backoff[attempt - 1];
@@ -734,29 +649,24 @@ static double media_write(Ctx *c, double ms, i64 line) {
 
 /* PMController.write; returns ticket.accepted (the ADR persist point):
  * the acknowledgement is accepted + w2c on both of its paths */
-static double pm_write(Ctx *c, double t, i64 line) {
+static double pm_write(Ctx *c, double t, i32 id) {
     double grant = bw_reserve(&c->accept, t, &c->err);
-    if (line >= 0 && c->coalesce) {
-        double pending;
-        if (map_get(&c->queued, line, &pending) && pending > grant)
-            return grant;
-    }
+    if (c->coalesce && c->queued[id] > grant) return grant;
     double ms = bw_reserve(&c->media, grant, &c->err);
-    if (c->mf && line >= 0) ms = media_write(c, ms, line);
+    if (c->mf) ms = media_write(c, ms, id);
     double accepted = grant;
     if (ms - grant > c->max_backlog) accepted = ms - c->max_backlog;
-    if (line >= 0 && map_put(&c->queued, line, ms)) c->err = 1;
+    c->queued[id] = ms;
     return accepted;
 }
 
 /* DurabilityTracker.note_store: a persistent STORE retired to the cache */
-static int note_store(Ctx *c, i64 op, i64 line, double retire) {
+static int note_store(Ctx *c, i64 op, i32 id, double retire) {
     Crash *cr = c->cr;
     i64 i = cr->n_rec;
     if (i >= cr->cap) return -1;
-    double head;
-    c->pend_next[i] = map_get(&c->pending, line, &head) ? (i64)head : -1;
-    if (map_put(&c->pending, line, (double)i)) return -1;
+    c->pend_next[i] = c->pending[id];
+    c->pending[id] = i;
     cr->rec_op[i] = op;
     cr->rec_retire[i] = retire;
     cr->rec_durable[i] = INFINITY;
@@ -765,18 +675,16 @@ static int note_store(Ctx *c, i64 op, i64 line, double retire) {
     return 0;
 }
 
-/* DurabilityTracker.line_persisted: the controller accepted `line` at
+/* DurabilityTracker.line_persisted: the controller accepted line `id` at
  * `accepted` with the bytes the cache held at `content`, so it covers
  * every uncovered store of the line that retired by then.  The tracker
  * keeps its uncovered stores in note order; this keeps them newest
  * first, which covers the same stores, since each is tested alone. */
-static void line_persisted(Ctx *c, i64 line, double content, double accepted,
+static void line_persisted(Ctx *c, i32 id, double content, double accepted,
                            int8_t src) {
-    i64 slot = map_find(&c->pending, line);
-    if (slot < 0) return;
     Crash *cr = c->cr;
     i64 head = -1, *tail = &head;
-    for (i64 i = (i64)c->pending.s[slot].val; i >= 0; i = c->pend_next[i]) {
+    for (i64 i = c->pending[id]; i >= 0; i = c->pend_next[i]) {
         if (cr->rec_retire[i] <= content) {
             cr->rec_durable[i] = accepted;
             cr->rec_src[i] = src;
@@ -786,21 +694,20 @@ static void line_persisted(Ctx *c, i64 line, double content, double accepted,
         }
     }
     *tail = -1;
-    if (head < 0) map_del_at(&c->pending, slot);
-    else c->pending.s[slot].val = (double)head;
+    c->pending[id] = head;
 }
 
 /* CacheHierarchy._writeback_victim to PM: a dirty L2 victim written back
  * at t (its ticket is discarded) */
-static void pm_writeback(Ctx *c, double t, i64 line) {
-    double accepted = pm_write(c, t, line);
-    if (c->cr) line_persisted(c, line, t, accepted, SRC_WRITEBACK);
+static void pm_writeback(Ctx *c, double t, i32 id) {
+    double accepted = pm_write(c, t, id);
+    if (c->cr) line_persisted(c, id, t, accepted, SRC_WRITEBACK);
 }
 
 /* PMController.read: a correctable ECC error adds the correction penalty */
-static double pm_read(Ctx *c, double t, i64 line) {
+static double pm_read(Ctx *c, double t, i32 id) {
     double done = bw_reserve(&c->readbw, t, &c->err) + c->read_lat;
-    if (c->mf && line >= 0 && media_draw(c, c->mf->p_corr, line)) {
+    if (c->mf && media_draw(c, c->mf->p_corr, id)) {
         c->mf->count[F_ECC_CORRECTED]++;
         done += c->mf->ecc_pen;
     }
@@ -812,97 +719,88 @@ static double dram_access(Ctx *c, double t) {
 }
 
 /* CacheHierarchy._steal_if_remote_dirty */
-static double steal(Ctx *c, int tid, i64 line, double t) {
-    double ov;
-    if (!map_get(&c->downer, line, &ov)) return t;
-    int owner = (int)ov;
-    if (owner == tid) return t;
+static double steal(Ctx *c, int tid, i32 id, double t) {
+    int owner = c->owner[id];
+    if (owner < 0 || owner == tid) return t;
     TC *ol1 = &c->l1[owner];
-    i64 set = tc_set(ol1, line);
-    i32 w = tc_find(ol1, set, line);
+    i64 set = c->set1[id];
+    i32 w = tc_find(ol1, set, id);
     if (w >= 0 && ol1->dirty[set * ol1->assoc + w]) {
-        if (c->des == 2 || c->des == 3) {
-            /* StrandWeaver snoop stall: max over the owner's buffers of
-             * line_drain_time(line, t) -- stale entries are deleted. */
-            double best = t;
-            for (i64 b = 0; b < c->n_bufs; b++) {
-                Map *lr = &c->b_linert[(i64)owner * c->n_bufs + b];
-                double r;
-                if (map_get(lr, line, &r)) {
-                    if (r <= t) map_del(lr, line);
-                    else if (r > best) best = r;
-                }
-            }
-            t = best;
+        if (c->snoop) {
+            /* StrandWeaver snoop stall: the owner's buffers'
+             * line_drain_time(line, t), on their largest entry */
+            double *retire = &c->snoop[(i64)id * c->n + owner];
+            if (*retire <= t) *retire = 0.0;
+            else t = *retire;
         }
         tc_remove(ol1, set, w);   /* invalidate; dirty known true */
-        i64 vl; u8 vd;
-        if (tc_fill(&c->l2, line, 1, &vl, &vd) && vd)
+        i32 vl; u8 vd;
+        if (tc_fill(&c->l2, id, 1, &vl, &vd) && vd)
             pm_writeback(c, t, vl);
         t += c->coh;
     }
-    map_del(&c->downer, line);
+    c->owner[id] = -1;
     return t;
 }
 
 /* CacheHierarchy.access; served: 0 l1, 1 l2/dram, 2 pm */
-static double access_mem(Ctx *c, int tid, i64 line, int is_write, double t,
+static double access_mem(Ctx *c, int tid, i32 id, int is_write, double t,
                          int persistent, int *served) {
-    t = steal(c, tid, line, t);
+    t = steal(c, tid, id, t);
     TC *l1 = &c->l1[tid];
-    i64 s1 = tc_set(l1, line);
-    i32 w = tc_find(l1, s1, line);
+    i64 s1 = c->set1[id];
+    i32 w = tc_find(l1, s1, id);
     if (w >= 0) {
         tc_touch(l1, s1, w);
         if (is_write) {
-            l1->dirty[s1 * l1->assoc + c->l1[tid].cnt[s1] - 1] = 1;
-            if (map_put(&c->downer, line, (double)tid)) c->err = 1;
+            l1->dirty[s1 * l1->assoc + l1->cnt[s1] - 1] = 1;
+            c->owner[id] = tid;
         }
         *served = 0;
         return t + c->l1_lat;
     }
     double t1 = t + c->l1_lat;
     double done;
-    i64 s2 = tc_set(&c->l2, line);
-    i32 w2 = tc_find(&c->l2, s2, line);
+    i64 s2 = c->set2[id];
+    i32 w2 = tc_find(&c->l2, s2, id);
     if (w2 >= 0) {
         tc_touch(&c->l2, s2, w2);
         done = t1 + c->l2_lat;
         *served = 1;
     } else {
-        if (persistent) { done = pm_read(c, t1 + c->l2_lat, line); *served = 2; }
+        if (persistent) { done = pm_read(c, t1 + c->l2_lat, id); *served = 2; }
         else { done = dram_access(c, t1 + c->l2_lat); *served = 1; }
-        i64 vl; u8 vd;
-        if (tc_fill(&c->l2, line, 0, &vl, &vd) && vd) {
+        i32 vl; u8 vd;
+        if (tc_fill(&c->l2, id, 0, &vl, &vd) && vd) {
             if (persistent) pm_writeback(c, done, vl);
             else dram_access(c, done);
         }
     }
-    i64 vl1; u8 vd1;
-    if (tc_fill(l1, line, (u8)is_write, &vl1, &vd1)) {
-        i64 vl2; u8 vd2;
+    i32 vl1; u8 vd1;
+    if (tc_fill(l1, id, (u8)is_write, &vl1, &vd1)) {
+        i32 vl2; u8 vd2;
         if (tc_fill(&c->l2, vl1, vd1, &vl2, &vd2) && vd2) {
             if (persistent) pm_writeback(c, done, vl2);
             else dram_access(c, done);
         }
     }
-    if (is_write && map_put(&c->downer, line, (double)tid)) c->err = 1;
+    if (is_write) c->owner[id] = tid;
     return done;
 }
 
 /* CacheHierarchy.flush */
-static double flush_line(Ctx *c, int tid, i64 line, double t) {
-    t = steal(c, tid, line, t);
+static double flush_line(Ctx *c, int tid, i32 id, double t) {
+    t = steal(c, tid, id, t);
     TC *l1 = &c->l1[tid];
-    i64 s1 = tc_set(l1, line);
-    i32 w = tc_find(l1, s1, line);
+    i64 s1 = c->set1[id];
+    i32 w = tc_find(l1, s1, id);
     if (w >= 0) {
         l1->dirty[s1 * l1->assoc + w] = 0;
-        map_del(&c->downer, line);
+        c->owner[id] = -1;
         return t + c->l1_lat;
     }
-    i64 s2 = tc_set(&c->l2, line);
-    i32 w2 = tc_find(&c->l2, s2, line);
+    i64 s2 = c->set2[id];
+    i32 w2 = tc_find(&c->l2, s2, id);
     if (w2 >= 0) {
         c->l2.dirty[s2 * c->l2.assoc + w2] = 0;
         return t + c->l1_lat + c->l2_lat;
@@ -912,43 +810,69 @@ static double flush_line(Ctx *c, int tid, i64 line, double t) {
 
 static void ctx_free(Ctx *c) {
     if (c->l1) { for (int i = 0; i < c->n; i++) tc_free(&c->l1[i]); free(c->l1); }
-    map_free(&c->downer); map_free(&c->queued);
+    free(c->set1); free(c->set2); free(c->owner); free(c->queued);
     bw_free(&c->accept); bw_free(&c->media);
     bw_free(&c->readbw); bw_free(&c->drambw);
     free(c->clock); free(c->key); free(c->pc); free(c->st); free(c->parked_on);
     if (c->rob) { for (int i = 0; i < c->n; i++) ring_free(&c->rob[i]); free(c->rob); }
     if (c->sq) { for (int i = 0; i < c->n; i++) ring_free(&c->sq[i]); free(c->sq); }
-    free(c->rob_last); free(c->sq_last);
-    if (c->lsr) { for (int i = 0; i < c->n; i++) map_free(&c->lsr[i]); free(c->lsr); }
+    free(c->rob_last); free(c->sq_last); free(c->lsr);
     if (c->outs) { for (int i = 0; i < c->n; i++) sarr_free(&c->outs[i]); free(c->outs); }
     free(c->out_latest); free(c->epoch_ready); free(c->oe_max); free(c->oe_n);
     if (c->brt) {
         for (i64 i = 0; i < (i64)c->n * c->n_bufs; i++) ring_free(&c->brt[i]);
         free(c->brt);
     }
-    free(c->b_last); free(c->b_dep);
-    if (c->b_linert) {
-        for (i64 i = 0; i < (i64)c->n * c->n_bufs; i++) map_free(&c->b_linert[i]);
-        free(c->b_linert);
-    }
+    free(c->b_last); free(c->b_dep); free(c->snoop);
     free(c->ongoing); free(c->store_gate); free(c->max_issue); free(c->pq_latest);
     free(c->lk_next); free(c->lk_rel); free(c->lk_held);
     free(c->dyn);
-    map_free(&c->pending); free(c->pend_next);
-    map_free(&c->remapped);
+    free(c->pending); free(c->pend_next);
+    free(c->remapped);
 }
 
 /* =====================================================================
- * entry point
+ * entry points
  * ===================================================================== */
+
+/* index of `line` in the ascending univ[0, n), or -1 */
+static i64 line_id(const i64 *univ, i64 n, i64 line) {
+    i64 lo = 0, hi = n;
+    while (lo < hi) {
+        i64 mid = (lo + hi) >> 1;
+        if (univ[mid] < line) lo = mid + 1; else hi = mid;
+    }
+    return lo < n && univ[lo] == line ? lo : -1;
+}
+
+/* One thread's id column: ids[i] is the index of op i's line in univ,
+ * the program's sorted touched lines, for an op that addresses memory,
+ * and -1 for any other op.  Returns -1, or the index of the first
+ * addressed op whose line univ lacks. */
+i64 rs_index(const i32 *kinds, const i64 *lines, i64 n_ops,
+             const i64 *univ, i64 n_univ, i32 *ids)
+{
+    for (i64 i = 0; i < n_ops; i++) {
+        i32 k = kinds[i];
+        if (k == K_STORE || k == K_LOAD || k == K_CLWB ||
+            k == K_VSTORE || k == K_VLOAD) {
+            i64 id = line_id(univ, n_univ, lines[i]);
+            if (id < 0) return i;
+            ids[i] = (i32)id;
+        } else {
+            ids[i] = -1;
+        }
+    }
+    return -1;
+}
 
 int rs_run(
     const double *fcfg, const i64 *icfg,
-    const i32 *kinds, const i64 *lines, const i32 *cycles, const i32 *lockids,
+    const i32 *kinds, const i32 *ids, const i32 *cycles, const i32 *lockids,
     const i64 *offs,
     const i32 *lock_keys, const i32 *lock_offs, const i32 *lock_tids,
     i64 n_locks,
-    const i64 *warm_lines, i64 n_warm,
+    const i64 *univ, i64 n_univ, int warm,
     i64 *out, Crash *cr, Media *mf)
 {
     Ctx cx; memset(&cx, 0, sizeof(cx));
@@ -972,19 +896,38 @@ int rs_run(
     c->read_lat = fcfg[12]; c->dram_lat = fcfg[13];
     c->coh = fcfg[14];
     c->coalesce = fcfg[15] != 0.0;
+    c->univ = univ;
     int n = c->n, des = c->des;
     if (n <= 0 || n > 1024 || des < 0 || des > 4) return RC_ERR;
+    if (l1_sets < 1 || l2_sets < 1 || n_univ > INT32_MAX) return RC_ERR;
+    /* A negative line would fail the reference's `line >= 0` tests (no
+     * coalescing, no media faults), which this core leaves out. */
+    if (n_univ > 0 && univ[0] < 0) return RC_ERR;
     c->n_locks = n_locks;
     c->lock_keys = lock_keys; c->lock_offs = lock_offs; c->lock_tids = lock_tids;
 
     int rc = RC_ERR;
+    i64 u = n_univ > 0 ? n_univ : 1;
     /* ---- allocation ------------------------------------------------- */
+    c->set1 = (i32 *)malloc((size_t)u * sizeof(i32));
+    c->set2 = (i32 *)malloc((size_t)u * sizeof(i32));
+    c->owner = (i32 *)malloc((size_t)u * sizeof(i32));
+    c->queued = (double *)calloc((size_t)u, sizeof(double));
+    c->lsr = (double *)calloc((size_t)(u * n), sizeof(double));
+    if (!c->set1 || !c->set2 || !c->owner || !c->queued || !c->lsr) goto fail;
+    memset(c->owner, 0xff, (size_t)u * sizeof(i32));   /* -1: no owner */
+    for (i64 i = 0; i < n_univ; i++) {
+        c->set1[i] = (i32)(univ[i] % l1_sets);
+        c->set2[i] = (i32)(univ[i] % l2_sets);
+    }
     c->l1 = (TC *)calloc((size_t)n, sizeof(TC));
     if (!c->l1) goto fail;
-    for (int i = 0; i < n; i++)
+    for (int i = 0; i < n; i++) {
         if (tc_init(&c->l1[i], l1_sets, l1_assoc)) goto fail;
+        c->l1[i].set_of = c->set1;
+    }
     if (tc_reuse_l2(&c->l2, l2_sets, l2_assoc)) goto fail;
-    if (map_init(&c->downer, 1024) || map_init(&c->queued, 1024)) goto fail;
+    c->l2.set_of = c->set2;
     if (bw_init(&c->accept, fcfg[6], accept_cap)) goto fail;
     if (bw_init(&c->media, fcfg[7], media_cap)) goto fail;
     if (bw_init(&c->readbw, fcfg[8], read_cap)) goto fail;
@@ -998,7 +941,6 @@ int rs_run(
     c->sq = (Ring *)calloc((size_t)n, sizeof(Ring));
     c->rob_last = (double *)calloc((size_t)n, sizeof(double));
     c->sq_last = (double *)calloc((size_t)n, sizeof(double));
-    c->lsr = (Map *)calloc((size_t)n, sizeof(Map));
     c->outs = (SArr *)calloc((size_t)n, sizeof(SArr));
     c->out_latest = (double *)calloc((size_t)n, sizeof(double));
     c->epoch_ready = (double *)calloc((size_t)n, sizeof(double));
@@ -1010,14 +952,13 @@ int rs_run(
     c->pq_latest = (double *)calloc((size_t)n, sizeof(double));
     c->dyn = (i64 *)calloc((size_t)n * OUT_STRIDE, sizeof(i64));
     if (!c->clock || !c->key || !c->pc || !c->st || !c->parked_on || !c->rob ||
-        !c->sq || !c->rob_last || !c->sq_last || !c->lsr || !c->outs ||
+        !c->sq || !c->rob_last || !c->sq_last || !c->outs ||
         !c->out_latest || !c->epoch_ready || !c->oe_max || !c->oe_n ||
         !c->ongoing || !c->store_gate || !c->max_issue || !c->pq_latest ||
         !c->dyn)
         goto fail;
     for (int i = 0; i < n; i++) {
         if (ring_init(&c->rob[i], 256) || ring_init(&c->sq[i], 128)) goto fail;
-        if (map_init(&c->lsr[i], 256)) goto fail;
         if (sarr_init(&c->outs[i], 64)) goto fail;
     }
     if (des == 2 || des == 3) {
@@ -1025,34 +966,41 @@ int rs_run(
         c->brt = (Ring *)calloc((size_t)nb, sizeof(Ring));
         c->b_last = (double *)calloc((size_t)nb, sizeof(double));
         c->b_dep = (double *)calloc((size_t)nb, sizeof(double));
-        c->b_linert = (Map *)calloc((size_t)nb, sizeof(Map));
-        if (!c->brt || !c->b_last || !c->b_dep || !c->b_linert) goto fail;
-        for (i64 i = 0; i < nb; i++) {
+        c->snoop = (double *)calloc((size_t)(u * n), sizeof(double));
+        if (!c->brt || !c->b_last || !c->b_dep || !c->snoop) goto fail;
+        for (i64 i = 0; i < nb; i++)
             if (ring_init(&c->brt[i], 32)) goto fail;
-            if (map_init(&c->b_linert[i], 64)) goto fail;
-        }
     }
     if (cr) {
         cr->n_rec = 0;
         c->pend_next = (i64 *)malloc((size_t)(cr->cap > 0 ? cr->cap : 1) * sizeof(i64));
-        if (!c->pend_next || map_init(&c->pending, 256)) goto fail;
+        c->pending = (i64 *)malloc((size_t)u * sizeof(i64));
+        if (!c->pend_next || !c->pending) goto fail;
+        memset(c->pending, 0xff, (size_t)u * sizeof(i64));   /* -1: none */
     }
     if (mf) {
         mf->n_new = 0;
         if (mf->mti < 0 || mf->mti > 624) goto fail;
-        if (map_init(&c->remapped, 2 * (mf->n_remapped + mf->cap_new))) goto fail;
-        for (i64 i = 0; i < mf->n_remapped; i++)
-            if (map_put(&c->remapped, mf->remapped[i], 0.0)) goto fail;
+        c->remapped = (u8 *)calloc((size_t)u, 1);
+        if (!c->remapped) goto fail;
+        /* a remapped line the program does not touch counts only
+         * against the spare region */
+        for (i64 i = 0; i < mf->n_remapped; i++) {
+            i64 id = line_id(univ, n_univ, mf->remapped[i]);
+            if (id >= 0) c->remapped[id] = 1;
+        }
     }
     c->lk_next = (i64 *)calloc((size_t)(n_locks ? n_locks : 1), sizeof(i64));
     c->lk_rel = (double *)calloc((size_t)(n_locks ? n_locks : 1), sizeof(double));
     c->lk_held = (u8 *)calloc((size_t)(n_locks ? n_locks : 1), 1);
     if (!c->lk_next || !c->lk_rel || !c->lk_held) goto fail;
 
-    /* ---- warm: pre-fill the shared L2 with clean lines -------------- */
-    for (i64 i = 0; i < n_warm; i++) {
-        i64 vl; u8 vd;
-        tc_fill(&c->l2, warm_lines[i], 0, &vl, &vd);
+    /* ---- warm: pre-fill the shared L2 with every line, clean -------- */
+    if (warm) {
+        for (i64 i = 0; i < n_univ; i++) {
+            i32 vl; u8 vd;
+            tc_fill(&c->l2, (i32)i, 0, &vl, &vd);
+        }
     }
 
     /* ---- replay loop ------------------------------------------------ */
@@ -1092,7 +1040,7 @@ int rs_run(
             }
 
             const i32 *K = kinds + offs[tid];
-            const i64 *L = lines + offs[tid];
+            const i32 *L = ids + offs[tid];
             const i32 *CY = cycles + offs[tid];
             const i32 *LK = lockids + offs[tid];
             i64 pc = c->pc[tid], n_ops = offs[tid + 1] - offs[tid];
@@ -1121,9 +1069,9 @@ int rs_run(
                     if (slot > t) dyn[O_STQ] += llrint(slot - t);
                     else slot = t;
                 }
-                i64 line = L[pc];
+                i32 id = L[pc];
                 int served;
-                double done = access_mem(c, tid, line, 1, slot,
+                double done = access_mem(c, tid, id, 1, slot,
                                          kind == K_STORE, &served);
                 if (served == 0) dyn[O_L1H]++;
                 else { dyn[O_L1M]++; if (served == 2) dyn[O_PMR]++; }
@@ -1132,18 +1080,17 @@ int rs_run(
                 if (ring_push(sq, retire)) goto fail;
                 c->sq_last[tid] = retire;
                 if (kind == K_STORE && c->cr &&
-                    note_store(c, offs[tid] + pc, line, retire))
+                    note_store(c, offs[tid] + pc, id, retire))
                     goto fail;
-                double prev;
-                if (!map_get(&c->lsr[tid], line, &prev) || retire > prev)
-                    if (map_put(&c->lsr[tid], line, retire)) goto fail;
+                double *prev = &c->lsr[(i64)id * n + tid];
+                if (retire > *prev) *prev = retire;
                 t = slot + c->hit;
                 rob_done = retire;
 
             } else if (kind == K_CLWB) {
-                i64 line = L[pc];
-                double g;
-                if (map_get(&c->lsr[tid], line, &g) && g > t) t = g;
+                i32 id = L[pc];
+                double g = c->lsr[(i64)id * n + tid];
+                if (g > t) t = g;
                 double slot = t;
                 SArr *oset = NULL;
                 if (des == 0 || des == 4) {
@@ -1191,14 +1138,14 @@ int rs_run(
                 } else {
                     flush_t = slot;
                 }
-                double depart = flush_line(c, tid, line, flush_t);
+                double depart = flush_line(c, tid, id, flush_t);
                 if (des == 1) {
                     if (c->epoch_ready[tid] > depart) depart = c->epoch_ready[tid];
                 } else if (des == 2 || des == 3) {
                     if (c->b_dep[bidx] > depart) depart = c->b_dep[bidx];
                 }
-                double accepted = pm_write(c, depart, line);
-                if (c->cr) line_persisted(c, line, flush_t, accepted, SRC_CLWB);
+                double accepted = pm_write(c, depart, id);
+                if (c->cr) line_persisted(c, id, flush_t, accepted, SRC_CLWB);
                 double acked = accepted + c->w2c;
                 if (des == 0 || des == 4) {
                     if (sarr_insert(oset, acked)) goto fail;
@@ -1217,9 +1164,8 @@ int rs_run(
                     double retire = acked > bl ? acked : bl;
                     if (ring_push(brt, retire)) goto fail;
                     c->b_last[bidx] = retire;
-                    double pv;
-                    if (!map_get(&c->b_linert[bidx], line, &pv) || retire > pv)
-                        if (map_put(&c->b_linert[bidx], line, retire)) goto fail;
+                    double *snooped = &c->snoop[(i64)id * n + tid];
+                    if (retire > *snooped) *snooped = retire;
                     if (issue > c->max_issue[tid]) c->max_issue[tid] = issue;
                     if (des == 3) {
                         double pqc = retire > slot ? retire : slot;
@@ -1243,9 +1189,9 @@ int rs_run(
                 rob_done = t;
 
             } else if (kind == K_LOAD || kind == K_VLOAD) {
-                i64 line = L[pc];
+                i32 id = L[pc];
                 int served;
-                double done = access_mem(c, tid, line, 0, t,
+                double done = access_mem(c, tid, id, 0, t,
                                          kind == K_LOAD, &served);
                 if (served == 0) {
                     dyn[O_L1H]++;
@@ -1426,7 +1372,6 @@ int rs_run(
                 bw_prune(&c->media, low);
                 bw_prune(&c->readbw, low);
                 bw_prune(&c->drambw, low);
-                map_drop_le(&c->queued, low);
             }
         }
     }

@@ -32,16 +32,24 @@ stderr line, or the ctypes load error) and every run replays on the
 reference engine: the same results, one to two orders of magnitude
 slower.
 
+Streams: a program's per-thread columns are concatenated into C-ready
+arrays once and cached on it (:func:`_program_streams`).  Lines travel
+as 4-byte dense ids, each op's line's index in
+``program.touched_lines()``; the core keys all line state by arrays
+sized to that set.
+
 Determinism: the build uses ``-ffp-contract=off`` so no FMA contraction
 changes double rounding, and the core itself mirrors the reference
 engine's arithmetic operation-for-operation (see the C file header).
 
 Error protocol: the core returns non-zero for *anything* it does not
 model (replay deadlock, a fence foreign to the design, a retry past the
-backoff table, allocation failure) and :func:`run_native` then returns
-``None``, silently, with any fault model untouched — the reference
-engine re-runs the program from the same fault stream and raises the
-exact exception, or produces the result.
+backoff table, a negative line, allocation failure) and
+:func:`run_native` then returns ``None``, silently, with any fault
+model untouched — the reference engine re-runs the program from the
+same fault stream and raises the exact exception, or produces the
+result.  A line missing from ``touched_lines()`` breaks a program
+invariant instead, and raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -232,7 +240,7 @@ def _load():
             ctypes.POINTER(ctypes.c_double),   # fcfg
             ctypes.POINTER(ctypes.c_int64),    # icfg
             ctypes.POINTER(ctypes.c_int32),    # kinds
-            ctypes.POINTER(ctypes.c_int64),    # lines
+            ctypes.POINTER(ctypes.c_int32),    # ids
             ctypes.POINTER(ctypes.c_int32),    # cycles
             ctypes.POINTER(ctypes.c_int32),    # lockids
             ctypes.POINTER(ctypes.c_int64),    # offs
@@ -240,11 +248,21 @@ def _load():
             ctypes.POINTER(ctypes.c_int32),    # lock_offs
             ctypes.POINTER(ctypes.c_int32),    # lock_tids
             ctypes.c_int64,                    # n_locks
-            ctypes.POINTER(ctypes.c_int64),    # warm_lines
-            ctypes.c_int64,                    # n_warm
+            ctypes.POINTER(ctypes.c_int64),    # univ
+            ctypes.c_int64,                    # n_univ
+            ctypes.c_int,                      # warm
             ctypes.POINTER(ctypes.c_int64),    # out
             ctypes.POINTER(_Crash),            # crash (NULL: a plain run)
             ctypes.POINTER(_Media),            # media (NULL: perfect media)
+        ]
+        lib.rs_index.restype = ctypes.c_int64
+        lib.rs_index.argtypes = [
+            ctypes.POINTER(ctypes.c_int32),    # kinds
+            ctypes.POINTER(ctypes.c_int64),    # lines
+            ctypes.c_int64,                    # n_ops
+            ctypes.POINTER(ctypes.c_int64),    # univ
+            ctypes.c_int64,                    # n_univ
+            ctypes.POINTER(ctypes.c_int32),    # ids (out)
         ]
         _lib = lib
         return lib
@@ -332,26 +350,41 @@ def trace_columns(trace: ThreadTrace):
     return cached
 
 
-def _program_streams(program: Program):
-    """Concatenated per-thread op streams as C-ready buffers, cached on
-    the program (programs are immutable once generated)."""
+def _program_streams(program: Program, lib):
+    """The program's op streams concatenated across threads as C-ready
+    buffers, cached on the program (programs are immutable once
+    generated): kinds, line ids (-1 for an op that addresses no memory),
+    cycles and lock ids, the thread offsets, each thread's op-mix totals,
+    and the lock order.  An addressed line missing from
+    ``program.touched_lines()`` raises ``RuntimeError``."""
     cached = getattr(program, "_c_streams", None)
     if cached is not None:
         return cached
+    columns = [trace_columns(trace) for trace in program.threads]
     ks = array("i")
-    ls = array("q")
     cs = array("i")
     lk = array("i")
     offs = array("q", [0])
-    statics = []
-    for trace in program.threads:
-        ka, la, ca, lka, static = trace_columns(trace)
-        ks.extend(ka)
-        ls.extend(la)
-        cs.extend(ca)
-        lk.extend(lka)
+    for kinds, _, cycles, lock_ids, _ in columns:
+        ks.extend(kinds)
+        cs.extend(cycles)
+        lk.extend(lock_ids)
         offs.append(len(ks))
-        statics.append(static)
+    universe = program.touched_lines()
+    ids = array("i", bytes(4 * len(ks)))
+    ids_at = ids.buffer_info()[0]
+    for tid, (kinds, lines, *_) in enumerate(columns):
+        missing = lib.rs_index(
+            _ptr(kinds, ctypes.c_int32), _ptr(lines, ctypes.c_int64), len(kinds),
+            _ptr(universe, ctypes.c_int64), len(universe),
+            ctypes.cast(ids_at + 4 * offs[tid], ctypes.POINTER(ctypes.c_int32)),
+        )
+        if missing >= 0:
+            raise RuntimeError(
+                f"line {lines[missing]} (thread {tid}, op {missing}) is not "
+                "among the program's touched lines"
+            )
+    statics = [column[4] for column in columns]
     lkeys = array("i")
     loffs = array("i", [0])
     ltids = array("i")
@@ -359,7 +392,7 @@ def _program_streams(program: Program):
         lkeys.append(lock_id)
         ltids.extend(tids)
         loffs.append(len(ltids))
-    streams = (ks, ls, cs, lk, offs, statics, lkeys, loffs, ltids)
+    streams = (ks, ids, cs, lk, offs, statics, lkeys, loffs, ltids)
     program._c_streams = streams
     return streams
 
@@ -397,10 +430,10 @@ def run_native(
     if n == 0 or n > cfg.n_cores:
         return None
 
-    ks, ls, cs, lk, offs, statics, lkeys, loffs, ltids = (
-        _program_streams(program)
+    ks, ids, cs, lk, offs, statics, lkeys, loffs, ltids = (
+        _program_streams(program, lib)
     )
-    warm_arr = program.touched_lines() if warm else array("q")
+    universe = program.touched_lines()
 
     # Resource parameters are read off freshly constructed controller
     # objects so the C core always sees the reference's own arithmetic
@@ -470,7 +503,7 @@ def run_native(
         )
     fault_block: Optional[_Media] = None
     if media is not None and media.enabled:
-        fault_block = _media_block(media, cfg, len(program.touched_lines()))
+        fault_block = _media_block(media, cfg, len(universe))
         if fault_block is None:
             return None
     with _run_lock:
@@ -478,7 +511,7 @@ def run_native(
             _ptr(fcfg, ctypes.c_double),
             _ptr(icfg, ctypes.c_int64),
             _ptr(ks, ctypes.c_int32),
-            _ptr(ls, ctypes.c_int64),
+            _ptr(ids, ctypes.c_int32),
             _ptr(cs, ctypes.c_int32),
             _ptr(lk, ctypes.c_int32),
             _ptr(offs, ctypes.c_int64),
@@ -486,8 +519,9 @@ def run_native(
             _ptr(loffs, ctypes.c_int32),
             _ptr(ltids, ctypes.c_int32),
             len(lkeys),
-            _ptr(warm_arr, ctypes.c_int64),
-            len(warm_arr),
+            _ptr(universe, ctypes.c_int64),
+            len(universe),
+            int(warm),
             _ptr(out, ctypes.c_int64),
             crash,
             fault_block,

@@ -202,14 +202,14 @@ def parked_core_program(n_lines=256, ahead=2_037_000):
 
 
 def dirty_handoff_program(n_lines=300):
-    """Two cores that lean on the native core's line-map deletions.
+    """Two cores that lean on clearing a line's dirty owner.
 
     Core 0, first to take the lock, dirties ``n_lines`` lines in its L1
-    and flushes every other one, so the dirty-owner map loses entries
-    from the middle of its probe runs.  Core 1 then reads every line and
-    must steal each one still dirty in core 0's L1.  A deletion that
-    broke a probe run would hide an owner, and the steal, and its
-    coherence cost.
+    and flushes every other one, which clears the flushed lines' dirty
+    owner and leaves the rest owned.  Core 1 then reads every line and
+    must steal each one still dirty in core 0's L1.  An owner cleared
+    for the wrong line would hide the steal and its coherence cost, and
+    one left set would steal a clean line.
     """
     program = Program(2)
     owner, reader = TraceCursor(program, 0), TraceCursor(program, 1)
@@ -239,7 +239,7 @@ def test_native_prune_period_is_result_neutral(monkeypatch, canonical, design, n
     floor drags its 4,096-window rings round 10 to 30 times, and
     unpruned its PM-acceptance ring grows to 65,536 windows.  The
     parked-core program grows the rings while the floor stays put, and
-    the dirty-handoff program deletes from the middle of probe runs."""
+    the dirty-handoff program clears dirty owners between its steals."""
     if not cnative.available():
         pytest.skip("no C compiler in this environment")
     if name in PROGRAMS:
@@ -284,16 +284,58 @@ def snoop_stall_program(gaps=(50, 160, 400, 1200), n_lines=8):
     return program
 
 
+def snoop_reorder_program(n_rewrites=16, gap=30):
+    """Two cores that snoop one line again and again while two of its
+    CLWBs are buffered, the younger due first.
+
+    The owner flushes six other lines, sets a persist barrier, and
+    stores and CLWBs the line, so that CLWB waits behind the barrier;
+    then it starts a new strand and stores and CLWBs the line again,
+    which (with two or more buffers) retires first.  It then re-dirties
+    the line every ``gap`` cycles while the reader loads it every
+    ``gap`` cycles: each load snoops the line's buffered CLWBs, over and
+    over before either retires, between the two retire times, and
+    after both.  After each load the reader loads two more lines of
+    the line's L1 set, which evict it, so every load of the line misses
+    the L1 and its stall shows in the reader's clock.
+    """
+    program = Program(2)
+    owner, reader = TraceCursor(program, 0), TraceCursor(program, 1)
+    line = 5 * CACHE_LINE
+    for i in range(9, 15):
+        owner.store(i * CACHE_LINE, b"\x01" * 8)
+        owner.clwb(i * CACHE_LINE)
+    owner.persist_barrier()
+    owner.store(line, b"\x01" * 8)
+    owner.clwb(line)
+    owner.new_strand()
+    owner.store(line, b"\x02" * 8)
+    owner.clwb(line)
+    for _ in range(n_rewrites):
+        owner.store(line, b"\x03" * 8)
+        owner.compute(gap)
+    reader.compute(400)
+    for _ in range(n_rewrites):
+        for way in range(3):
+            reader.load(line + way * TABLE_I.l1d.n_sets * CACHE_LINE, 8)
+        reader.compute(gap)
+    return program
+
+
+SNOOP_PROGRAMS = {"handoff": snoop_stall_program, "reorder": snoop_reorder_program}
+
+
+@pytest.mark.parametrize("name", sorted(SNOOP_PROGRAMS))
 @pytest.mark.parametrize("buffers", (1, 2, 4))
 @pytest.mark.parametrize("design", ("no-persist-queue", "strandweaver"))
-def test_native_snoop_stalls_match_reference(monkeypatch, design, buffers):
+def test_native_snoop_stalls_match_reference(monkeypatch, design, buffers, name):
     """The strand-buffer snoop stall (Section IV): a load of a line dirty
     in another core's L1 waits for that core's buffered CLWBs of the
     line, and a buffer entry that has retired by then is deleted.  The
     reference run must take at least one stall and one deletion, and
     the native core must match it at prune periods 1, 64 and never."""
     cfg = TABLE_I.with_strand(buffers, 2)
-    program = snoop_stall_program()
+    program = SNOOP_PROGRAMS[name]()
     seen = Counter()
     line_drain_time = StrandBuffer.line_drain_time
 
@@ -788,3 +830,119 @@ def test_native_decline_mid_run_leaves_the_media_model_untouched(
     assert _media_fields(native) == _media_fields(ref)
     assert _model_state(models[0]) == _model_state(models[1])
     assert models[0].retries > 0
+
+
+# -- dense line ids -------------------------------------------------------
+
+#: persistent lines up to 2**45 line numbers apart, six of which share
+#: set 0 of :data:`SMALL_CACHES`' 4-way L2, and two volatile lines.
+SPARSE_LINES = (
+    0, 3, 2**31 - 1, 2**31 + 5, 2**33 + 1, 2**40, 2**40 + 256, 2**40 + 512,
+    2**41, 2**42 + 64, 2**45 + 3,
+)
+VOLATILE_LINES = (2**20, 2**36 + 9)
+
+
+def sparse_program(seed, n_ops=120):
+    """Fence-free random traffic over :data:`SPARSE_LINES`, which the
+    native core knows by their index in the sorted touched lines.  Core 0
+    walks the lines from the top and core 2 from the bottom, so neither
+    meets them in id order; core 1 is empty.  A fifth of the accesses are
+    VSTOREs and VLOADs of :data:`VOLATILE_LINES`."""
+    rng = random.Random(seed)
+    program = Program(3)
+    cursors = {0: TraceCursor(program, 0), 2: TraceCursor(program, 2)}
+    walks = {0: SPARSE_LINES[::-1], 2: SPARSE_LINES}
+    for step in range(n_ops):
+        for tid, cursor in cursors.items():
+            addr = walks[tid][step % len(SPARSE_LINES)] * CACHE_LINE
+            roll = rng.random()
+            if roll < 0.35:
+                cursor.store(addr + 8 * rng.randrange(8), rng.randbytes(8))
+            elif roll < 0.5:
+                cursor.clwb(addr)
+            elif roll < 0.6:
+                cursor.load(addr, 8)
+            elif roll < 0.8:
+                volatile = rng.choice(VOLATILE_LINES) * CACHE_LINE
+                if roll < 0.7:
+                    cursor.vstore(volatile, 8)
+                else:
+                    cursor.vload(volatile, 8)
+            else:
+                cursor.compute(rng.randrange(1, 100))
+    return program
+
+
+def test_sparse_program_shape():
+    program = sparse_program(0)
+    assert len(program.threads[1]) == 0
+    assert list(program.touched_lines()) == sorted(SPARSE_LINES + VOLATILE_LINES)
+
+
+@pytest.mark.parametrize("warm", (True, False))
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_native_matches_reference_on_sparse_lines(monkeypatch, native_accepts, design, warm):
+    """Lines far apart, visited out of id order, an empty core, and
+    volatile lines: the native core replays them as the reference engine
+    does, with warm and with cold caches, and on 1 KiB L1s and an 8 KiB
+    L2 that evict all the time."""
+    runs = 0
+    for cfg in (TABLE_I, SMALL_CACHES):
+        for seed in range(2):
+            program = sparse_program(seed)
+            monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
+            ref = Machine(design, cfg).run(program, warm=warm)
+            monkeypatch.delenv("REPRO_SIM_REFERENCE")
+            native = Machine(design, cfg).run(program, warm=warm)
+            assert _stats_fields(native) == _stats_fields(ref), (cfg.l2, seed)
+            runs += 1
+    assert native_accepts == [design] * runs
+
+
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_native_crash_runs_match_reference_on_sparse_lines(
+    monkeypatch, native_accepts, design
+):
+    """Crash runs over far-apart lines: the uncovered stores the core keeps
+    per line id cover and leave the same stores as the tracker's."""
+    program = sparse_program(1)
+    horizon, triggers = _schedule_triggers(design, program, SMALL_CACHES, (7,))
+    native_accepts.clear()
+    _assert_crashes_match(
+        monkeypatch, native_accepts, design, program,
+        triggers + [CrashTrigger("cycle", 2 * horizon)], SMALL_CACHES,
+    )
+
+
+@pytest.mark.parametrize("design", ("intel-x86", "strandweaver"))
+def test_native_media_run_with_remapped_lines_outside_the_program(
+    monkeypatch, native_accepts, design
+):
+    """A model that already remapped two lines the program never touches
+    and one it does: the outside lines only use up spare lines, the inside
+    one draws no fault, and both tiers leave the same stats and model."""
+    program = sparse_program(2)
+    cfg = _stress_cfg(SMALL_CACHES, 4, 5)
+    models = [MediaFaultModel(STRESS_MEDIA) for _ in range(2)]
+    for model in models:
+        model.remapped_lines.update({7, 2**50, SPARSE_LINES[4]})
+    native, ref = _media_runs(monkeypatch, design, program, models, cfg)
+    assert _media_fields(native) == _media_fields(ref)
+    assert _model_state(models[0]) == _model_state(models[1])
+    assert ref.faults["remaps"] == 2 and ref.faults["remap_denied"] > 0
+    assert native_accepts == [design]
+
+
+def test_native_raises_on_a_line_outside_the_touched_lines():
+    """The ids rest on ``touched_lines()`` holding every addressed line.
+    A program whose cached touched lines miss one (here it grew after
+    they were cached) breaks that, and the native core raises rather
+    than declining into a different run."""
+    if not cnative.available():
+        pytest.skip("no C compiler in this environment")
+    program = sparse_program(0)
+    program.touched_lines()
+    TraceCursor(program, 1).store(99 * CACHE_LINE, b"\x01" * 8)
+    with pytest.raises(RuntimeError, match=r"line 99 \(thread 1, op 0\)"):
+        cnative.run_native("strandweaver", program, TABLE_I, True, PRUNE_PERIOD)
