@@ -66,6 +66,8 @@ _ENTRY = struct.Struct(f"<BBBBIQ{MAX_VALUE}sQ")
 _STATE = struct.Struct("<Q")
 #: the three fields that tell a written slot from a never-written one.
 _SLOT_KEY = struct.Struct("<BB54xQ")  # type, valid, seq
+#: ``LogLayout.scan`` passes over all-zero runs of this many slots whole.
+_SCAN_BLOCK = bytes(64 * ENTRY_SIZE)
 
 #: recovery-progress phases persisted in the recovery-state word (bytes
 #: 24..32 of thread 0's header line — spare space, so the layout
@@ -211,12 +213,22 @@ class LogLayout:
 
         A slot counts as written when its type, valid flag or sequence is
         non-zero.  The region is read once and only written slots are
-        decoded: a recovery pass touches every slot of every thread, and
-        most of a log is free.
+        decoded: a recovery pass scans every thread's log, and most of a
+        log is free.  A block of 64 slots whose bytes are all zero holds
+        no written slot, so it is skipped whole; only the slots of the
+        other blocks are tested.
         """
         raw = space.read(self.region_base(tid) + HEADER_SIZE, self.capacity * ENTRY_SIZE)
-        return [
-            decode_entry(raw[slot * ENTRY_SIZE : (slot + 1) * ENTRY_SIZE], slot)
-            for slot, (type_, valid, seq) in enumerate(_SLOT_KEY.iter_unpack(raw))
-            if type_ or valid or seq
-        ]
+        step = len(_SCAN_BLOCK)
+        entries: List[LogEntry] = []
+        for start in range(0, len(raw), step):
+            block = raw[start : start + step]
+            if block == _SCAN_BLOCK[: len(block)]:
+                continue
+            first = start // ENTRY_SIZE
+            entries += [
+                decode_entry(block[i * ENTRY_SIZE : (i + 1) * ENTRY_SIZE], first + i)
+                for i, (type_, valid, seq) in enumerate(_SLOT_KEY.iter_unpack(block))
+                if type_ or valid or seq
+            ]
+        return entries

@@ -145,6 +145,29 @@ def test_scan_matches_per_slot_decode_on_random_images(seed):
     assert 6 not in slots and 8 not in slots  # free-payload and zero slots
 
 
+@pytest.mark.parametrize("capacity", (64, 200))
+def test_scan_skips_zero_blocks_exactly(capacity):
+    """``scan`` skips 64-slot blocks whose bytes are all zero.  Entries at
+    slot 0, at the last slot and on either side of each block edge are
+    found, an all-zero region holds none, and a block made non-zero only
+    by a slot with no type, valid flag or sequence is scanned and yields
+    nothing.  With capacity 200 the last block is a partial one."""
+    rng = random.Random(capacity)
+    layout = LogLayout(base=64, capacity=capacity, n_threads=2)
+    pm = PersistentMemory(layout.end)
+    for tid in range(layout.n_threads):
+        layout.init_region(pm, tid)
+    assert layout.scan(pm, 0) == [] == scan_by_slot(layout, pm, 0)
+    written = sorted({0, 63, 64, 127, 128, capacity - 1} & set(range(capacity)))
+    for slot in written:
+        pm.write(layout.entry_addr(0, slot), _slot_bytes(rng, "entry"))
+    lone = 150 if capacity > 150 else 30  # alone in its block, or not
+    pm.write(layout.entry_addr(0, lone), _slot_bytes(rng, "free-payload"))
+    assert layout.scan(pm, 0) == scan_by_slot(layout, pm, 0)
+    assert [entry.slot for entry in layout.scan(pm, 0)] == written
+    assert layout.scan(pm, 1) == []
+
+
 def test_scan_matches_per_slot_decode_on_crash_images():
     """Torn and untorn crash images of a real run, every thread's log."""
     harness = CrashHarness("queue", "non-atomic")
