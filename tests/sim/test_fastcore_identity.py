@@ -946,3 +946,22 @@ def test_native_raises_on_a_line_outside_the_touched_lines():
     TraceCursor(program, 1).store(99 * CACHE_LINE, b"\x01" * 8)
     with pytest.raises(RuntimeError, match=r"line 99 \(thread 1, op 0\)"):
         cnative.run_native("strandweaver", program, TABLE_I, True, PRUNE_PERIOD)
+
+
+def test_native_declines_a_negative_line(monkeypatch):
+    """A hand-built program may address below zero.  The reference engine
+    neither coalesces nor faults a negative line (its ``line >= 0``
+    tests), which the native core does not model, so it declines and the
+    run replays on the reference engine."""
+    if not cnative.available():
+        pytest.skip("no C compiler in this environment")
+    program = Program(1)
+    cursor = TraceCursor(program, 0)
+    cursor.store(-CACHE_LINE, b"\x01" * 8)
+    cursor.clwb(-CACHE_LINE)
+    cursor.store(0, b"\x02" * 8)
+    assert cnative.run_native("intel-x86", program, TABLE_I, True, PRUNE_PERIOD) is None
+    monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
+    ref = Machine("intel-x86").run(program)
+    monkeypatch.delenv("REPRO_SIM_REFERENCE")
+    assert _stats_fields(Machine("intel-x86").run(program)) == _stats_fields(ref)
