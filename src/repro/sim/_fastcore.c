@@ -73,8 +73,8 @@
  *
  *  - The queued media starts are never pruned.  PMController.prune drops
  *    the starts <= the floor, which no later write can see: its grant is
- *    at or after its core's clock, so above the floor, and a start <= the
- *    floor never passes pending > grant.
+ *    at or after its core's clock, so at or above the floor, and a start
+ *    <= the floor never passes pending > grant.
  *
  *  - The snoop stall keeps one retire per (core, line), the largest of
  *    the reference's per-strand-buffer line retires.  An update only
