@@ -280,6 +280,8 @@ static int tc_reuse_l2(TC *l2, i64 n_sets, i32 assoc) {
     return 0;
 }
 
+static inline i64 tc_set(const TC *c, i32 id) { return c->set_of[id]; }
+
 static inline i32 tc_find(const TC *c, i64 set, i32 id) {
     const i32 *ws = c->ids + set * c->assoc;
     i32 n = c->cnt[set];
@@ -303,7 +305,7 @@ static inline void tc_touch(TC *c, i64 set, i32 w) {
 /* insert `id`; returns 1 and fills the victim out-params if a way was
  * evicted, 0 otherwise.  Exact port of TagCache.fill. */
 static inline int tc_fill(TC *c, i32 id, u8 dirty, i32 *v_id, u8 *v_dirty) {
-    i64 set = c->set_of[id];
+    i64 set = tc_set(c, id);
     i32 w = tc_find(c, set, id);
     i32 *ws = c->ids + set * c->assoc;
     u8 *ds = c->dirty + set * c->assoc;
@@ -723,7 +725,7 @@ static double steal(Ctx *c, int tid, i32 id, double t) {
     int owner = c->owner[id];
     if (owner < 0 || owner == tid) return t;
     TC *ol1 = &c->l1[owner];
-    i64 set = c->set1[id];
+    i64 set = tc_set(ol1, id);
     i32 w = tc_find(ol1, set, id);
     if (w >= 0 && ol1->dirty[set * ol1->assoc + w]) {
         if (c->snoop) {
@@ -748,7 +750,7 @@ static double access_mem(Ctx *c, int tid, i32 id, int is_write, double t,
                          int persistent, int *served) {
     t = steal(c, tid, id, t);
     TC *l1 = &c->l1[tid];
-    i64 s1 = c->set1[id];
+    i64 s1 = tc_set(l1, id);
     i32 w = tc_find(l1, s1, id);
     if (w >= 0) {
         tc_touch(l1, s1, w);
@@ -761,7 +763,7 @@ static double access_mem(Ctx *c, int tid, i32 id, int is_write, double t,
     }
     double t1 = t + c->l1_lat;
     double done;
-    i64 s2 = c->set2[id];
+    i64 s2 = tc_set(&c->l2, id);
     i32 w2 = tc_find(&c->l2, s2, id);
     if (w2 >= 0) {
         tc_touch(&c->l2, s2, w2);
@@ -792,14 +794,14 @@ static double access_mem(Ctx *c, int tid, i32 id, int is_write, double t,
 static double flush_line(Ctx *c, int tid, i32 id, double t) {
     t = steal(c, tid, id, t);
     TC *l1 = &c->l1[tid];
-    i64 s1 = c->set1[id];
+    i64 s1 = tc_set(l1, id);
     i32 w = tc_find(l1, s1, id);
     if (w >= 0) {
         l1->dirty[s1 * l1->assoc + w] = 0;
         c->owner[id] = -1;
         return t + c->l1_lat;
     }
-    i64 s2 = c->set2[id];
+    i64 s2 = tc_set(&c->l2, id);
     i32 w2 = tc_find(&c->l2, s2, id);
     if (w2 >= 0) {
         c->l2.dirty[s2 * c->l2.assoc + w2] = 0;

@@ -874,12 +874,6 @@ def sparse_program(seed, n_ops=120):
     return program
 
 
-def test_sparse_program_shape():
-    program = sparse_program(0)
-    assert len(program.threads[1]) == 0
-    assert list(program.touched_lines()) == sorted(SPARSE_LINES + VOLATILE_LINES)
-
-
 @pytest.mark.parametrize("warm", (True, False))
 @pytest.mark.parametrize("design", sorted(DESIGNS))
 def test_native_matches_reference_on_sparse_lines(monkeypatch, native_accepts, design, warm):
@@ -891,6 +885,8 @@ def test_native_matches_reference_on_sparse_lines(monkeypatch, native_accepts, d
     for cfg in (TABLE_I, SMALL_CACHES):
         for seed in range(2):
             program = sparse_program(seed)
+            assert len(program.threads[1]) == 0
+            assert list(program.touched_lines()) == sorted(SPARSE_LINES + VOLATILE_LINES)
             monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
             ref = Machine(design, cfg).run(program, warm=warm)
             monkeypatch.delenv("REPRO_SIM_REFERENCE")
