@@ -41,7 +41,11 @@
  * Lines are dense ids: a line's index in the program's sorted touched
  * lines (Program.touched_lines(), the warm set), which rs_index computes
  * once per program.  Caches fill only with the program's lines, so a run
- * never meets another line.
+ * never meets another line.  Line state a core keeps for itself (its
+ * youngest store retire, its latest buffered CLWB retire) is one row per
+ * core, indexed tid * n_ids + id: a thread's log lines have neighbouring
+ * ids, so the entries it touches share cache lines, and no other core's
+ * entries sit between them.
  *
  * The loop departs from the reference's data structures and control
  * flow in seven places, each exact:
@@ -104,12 +108,14 @@
  *  - Core selection.  The reference pops the least (key, tid) off a
  *    ready heap, steps that core one op and pushes it back keyed by its
  *    new clock; a woken core is pushed at max(its clock, the releaser's
- *    clock).  Each iteration below scans the runnable cores for the
- *    least key, lowest tid on ties, so cores step in the identical
- *    global order.  Batching -- stepping the popped core on while its
- *    (key, tid) stays below the next-smallest and no release wakes a
- *    parked core -- pops that same order too; this loop does without it
- *    because a scan over a machine's few cores is cheap.
+ *    clock).  The loop below scans the runnable cores for the least
+ *    (key, tid) and also keeps the runner-up, the least among the other
+ *    runnable cores, and then steps the selected core on while its new
+ *    (key, tid) stays below the runner-up's.  Only the stepped core's
+ *    key moves meanwhile, so the heap would pop that core each time too.
+ *    A park or a finish takes the core out of the runnable set and a
+ *    wake puts cores into it, so each of them ends the batch and the
+ *    next op rescans.  The cycle trigger is tested before every step.
  *
  * Error protocol: rs_run returns 0 on success, 1 on replay deadlock and
  * 2 on any unsupported/internal condition (among them a retry past the
@@ -371,10 +377,31 @@ static void bw_free(BW *b) {
     b->cnt = NULL; b->full = NULL;
 }
 
-static int bw_init(BW *b, double iv, i64 capn) {
-    b->iv = iv; b->capn = capn; b->floor_w = 0;
+/* The four resources' rings outlive a run, like the L2's tags: a run
+ * takes over the rings earlier runs grew, cleared, and hands them back
+ * in ctx_free. */
+static BW kept_bw[4];
+
+static int bw_init(BW *b, int which, double iv, i64 capn) {
     if (capn < 1 || capn > INT32_MAX) return -1;
-    return bw_alloc(b, BW_RING0);
+    BW *k = &kept_bw[which];
+    if (k->cnt) {
+        *b = *k;
+        k->cnt = NULL; k->full = NULL;
+        memset(b->cnt, 0, (size_t)b->cap * sizeof(i32));
+        memset(b->full, 0, (size_t)(b->cap / 64) * sizeof(uint64_t));
+    } else if (bw_alloc(b, BW_RING0)) {
+        return -1;
+    }
+    b->iv = iv; b->capn = capn; b->floor_w = 0;
+    return 0;
+}
+
+static void bw_keep(BW *b, int which) {
+    if (!b->cnt) return;
+    bw_free(&kept_bw[which]);
+    kept_bw[which] = *b;
+    b->cnt = NULL; b->full = NULL;
 }
 
 /* double the ring until window w fits, re-slotting the live windows */
@@ -516,6 +543,7 @@ typedef struct {
     int coalesce;
 
     const i64 *univ;        /* id -> its line, ascending */
+    i64 n_ids;              /* row length of the per-core line arrays */
 
     /* memory system */
     TC *l1;        /* n cores */
@@ -532,7 +560,7 @@ typedef struct {
     i64 *parked_on;         /* lock index when st==1 */
     Ring *rob, *sq;
     double *rob_last, *sq_last;
-    double *lsr;            /* id * n + tid -> youngest store retire */
+    double *lsr;            /* tid * n_ids + id -> youngest store retire */
 
     /* per-design persist state */
     SArr *outs;             /* x86 / non-atomic / hops / strand-pq */
@@ -541,7 +569,7 @@ typedef struct {
     i64 *oe_n;
     Ring *brt;              /* n * n_bufs strand buffers */
     double *b_last, *b_dep;
-    double *snoop;          /* id * n + tid -> latest buffered CLWB retire */
+    double *snoop;          /* tid * n_ids + id -> latest buffered CLWB retire */
     i64 *ongoing;
     double *store_gate, *max_issue, *pq_latest;
 
@@ -731,7 +759,7 @@ static double steal(Ctx *c, int tid, i32 id, double t) {
         if (c->snoop) {
             /* StrandWeaver snoop stall: the owner's buffers'
              * line_drain_time(line, t), on their largest entry */
-            double *retire = &c->snoop[(i64)id * c->n + owner];
+            double *retire = &c->snoop[owner * c->n_ids + id];
             if (*retire <= t) *retire = 0.0;
             else t = *retire;
         }
@@ -813,8 +841,8 @@ static double flush_line(Ctx *c, int tid, i32 id, double t) {
 static void ctx_free(Ctx *c) {
     if (c->l1) { for (int i = 0; i < c->n; i++) tc_free(&c->l1[i]); free(c->l1); }
     free(c->set1); free(c->set2); free(c->owner); free(c->queued);
-    bw_free(&c->accept); bw_free(&c->media);
-    bw_free(&c->readbw); bw_free(&c->drambw);
+    bw_keep(&c->accept, 0); bw_keep(&c->media, 1);
+    bw_keep(&c->readbw, 2); bw_keep(&c->drambw, 3);
     free(c->clock); free(c->key); free(c->pc); free(c->st); free(c->parked_on);
     if (c->rob) { for (int i = 0; i < c->n; i++) ring_free(&c->rob[i]); free(c->rob); }
     if (c->sq) { for (int i = 0; i < c->n; i++) ring_free(&c->sq[i]); free(c->sq); }
@@ -910,6 +938,7 @@ int rs_run(
 
     int rc = RC_ERR;
     i64 u = n_univ > 0 ? n_univ : 1;
+    c->n_ids = u;
     /* ---- allocation ------------------------------------------------- */
     c->set1 = (i32 *)malloc((size_t)u * sizeof(i32));
     c->set2 = (i32 *)malloc((size_t)u * sizeof(i32));
@@ -930,10 +959,10 @@ int rs_run(
     }
     if (tc_reuse_l2(&c->l2, l2_sets, l2_assoc)) goto fail;
     c->l2.set_of = c->set2;
-    if (bw_init(&c->accept, fcfg[6], accept_cap)) goto fail;
-    if (bw_init(&c->media, fcfg[7], media_cap)) goto fail;
-    if (bw_init(&c->readbw, fcfg[8], read_cap)) goto fail;
-    if (bw_init(&c->drambw, fcfg[9], dram_cap)) goto fail;
+    if (bw_init(&c->accept, 0, fcfg[6], accept_cap)) goto fail;
+    if (bw_init(&c->media, 1, fcfg[7], media_cap)) goto fail;
+    if (bw_init(&c->readbw, 2, fcfg[8], read_cap)) goto fail;
+    if (bw_init(&c->drambw, 3, fcfg[9], dram_cap)) goto fail;
     c->clock = (double *)calloc((size_t)n, sizeof(double));
     c->key = (double *)calloc((size_t)n, sizeof(double));
     c->pc = (i64 *)calloc((size_t)n, sizeof(i64));
@@ -1012,14 +1041,18 @@ int rs_run(
             c->key[i] = 0.0;
             if (offs[i + 1] == offs[i]) c->st[i] = 2;  /* empty trace */
         }
+        /* tid: the selected core, -1 to scan; ru: the least (key, tid)
+         * among the other runnable cores, -1 for none */
+        int tid = -1, ru = -1;
         for (;;) {
             if (c->err) goto fail;
-            int tid = -1;
-            double bk = 0.0;
-            for (int i = 0; i < n; i++)
-                if (c->st[i] == 0 && (tid < 0 || c->key[i] < bk)) {
-                    tid = i; bk = c->key[i];
+            if (tid < 0) {
+                for (int i = 0; i < n; i++) {
+                    if (c->st[i] != 0) continue;
+                    if (tid < 0 || c->key[i] < c->key[tid]) { ru = tid; tid = i; }
+                    else if (ru < 0 || c->key[i] < c->key[ru]) ru = i;
                 }
+            }
             if (tid < 0) {
                 int parked = 0;
                 for (int i = 0; i < n; i++) if (c->st[i] == 1) parked = 1;
@@ -1034,7 +1067,7 @@ int rs_run(
                 }
                 break;
             }
-            if (cr && cr->kind == TRIG_CYCLE && bk >= cr->at) {
+            if (cr && cr->kind == TRIG_CYCLE && c->key[tid] >= cr->at) {
                 /* no core can dispatch before `at` any more (a parked
                  * core resumes no earlier than its releaser) */
                 cr->cycle = cr->at;
@@ -1048,13 +1081,17 @@ int rs_run(
             i64 pc = c->pc[tid], n_ops = offs[tid + 1] - offs[tid];
             double clock = c->clock[tid];
             Ring *rob = &c->rob[tid], *sq = &c->sq[tid];
+            double *lsr = c->lsr + tid * u;
             i64 *dyn = c->dyn + (i64)tid * OUT_STRIDE;
 
+            /* the ROB stall is charged when the op dispatches: a lock
+             * acquire that parks retries later at the same clock */
             double t = clock + c->dispatch;
+            i64 rob_stall = 0;
             ring_drop_le(rob, t);
             if (rob->len >= c->rob_cap) {
                 double slot = RING_AT(rob, rob->len - c->rob_cap);
-                if (slot > t) { dyn[O_STQ] += llrint(slot - t); t = slot; }
+                if (slot > t) { rob_stall = llrint(slot - t); t = slot; }
             }
             double rob_done = t;
             i32 kind = K[pc];
@@ -1084,14 +1121,14 @@ int rs_run(
                 if (kind == K_STORE && c->cr &&
                     note_store(c, offs[tid] + pc, id, retire))
                     goto fail;
-                double *prev = &c->lsr[(i64)id * n + tid];
+                double *prev = &lsr[id];
                 if (retire > *prev) *prev = retire;
                 t = slot + c->hit;
                 rob_done = retire;
 
             } else if (kind == K_CLWB) {
                 i32 id = L[pc];
-                double g = c->lsr[(i64)id * n + tid];
+                double g = lsr[id];
                 if (g > t) t = g;
                 double slot = t;
                 SArr *oset = NULL;
@@ -1166,7 +1203,7 @@ int rs_run(
                     double retire = acked > bl ? acked : bl;
                     if (ring_push(brt, retire)) goto fail;
                     c->b_last[bidx] = retire;
-                    double *snooped = &c->snoop[(i64)id * n + tid];
+                    double *snooped = &c->snoop[tid * u + id];
                     if (retire > *snooped) *snooped = retire;
                     if (issue > c->max_issue[tid]) c->max_issue[tid] = issue;
                     if (des == 3) {
@@ -1214,6 +1251,7 @@ int rs_run(
                     c->lk_held[li]) {
                     c->st[tid] = 1;
                     c->parked_on[tid] = li;
+                    tid = -1;
                     continue;   /* parked: no state committed */
                 }
                 double grant = t > c->lk_rel[li] ? t : c->lk_rel[li];
@@ -1300,6 +1338,7 @@ int rs_run(
             }
 
             /* ROB push: rob.push(min(t, rob_done), rob_done) */
+            dyn[O_STQ] += rob_stall;
             {
                 double t2 = t < rob_done ? t : rob_done;
                 ring_drop_le(rob, t2);
@@ -1350,6 +1389,7 @@ int rs_run(
             c->key[tid] = clock;
             c->pc[tid] = pc;
 
+            int rescan = c->st[tid] != 0;   /* finished */
             if (kind == K_LOCK_REL) {
                 /* a release may wake parked cores */
                 i64 li = lock_index(c, LK[pc - 1]);
@@ -1357,8 +1397,14 @@ int rs_run(
                     if (c->st[w] == 1 && c->parked_on[w] == li) {
                         c->st[w] = 0;
                         c->key[w] = c->clock[w] > clock ? c->clock[w] : clock;
+                        rescan = 1;
                     }
             }
+            /* the core steps on while its (key, tid) stays below the
+             * runner-up's, which only a wake can have moved */
+            if (rescan || (ru >= 0 && !(clock < c->key[ru] ||
+                                        (clock == c->key[ru] && tid < ru))))
+                tid = -1;
 
             dispatched++;
             if (cr && cr->kind == TRIG_OPS && (double)dispatched >= cr->at) {

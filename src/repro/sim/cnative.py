@@ -23,14 +23,14 @@ the two, crash states and fault models included, is pinned by
 
 The core is compiled on demand from the single-file source next to
 this module with whatever C compiler the host provides (``cc``/``gcc``/
-``clang``), cached by source hash under ``_build/`` (or the directory
-named by ``REPRO_CC_CACHE``), and loaded with ctypes — no CPython
-headers, no third-party packages.  If it cannot be built or loaded, the
-first attempt emits one ``RuntimeWarning`` per process naming the
-reason (no compiler on PATH, the compiler's exit status and first
-stderr line, or the ctypes load error) and every run replays on the
-reference engine: the same results, one to two orders of magnitude
-slower.
+``clang``), cached by a hash of the source and the build flags under
+``_build/`` (or the directory named by ``REPRO_CC_CACHE``), and loaded
+with ctypes — no CPython headers, no third-party packages.  If it
+cannot be built or loaded, the first attempt emits one
+``RuntimeWarning`` per process naming the reason (no compiler on PATH,
+the compiler's exit status and first stderr line, or the ctypes load
+error) and every run replays on the reference engine: the same
+results, one to two orders of magnitude slower.
 
 Streams: a program's per-thread columns are concatenated into C-ready
 arrays once and cached on it (:func:`_program_streams`).  Lines travel
@@ -100,6 +100,9 @@ _lib_failed = False
 _run_lock = threading.Lock()
 
 _OUT_STRIDE = 9  # per-core stats slots (see _fastcore.c)
+
+#: compiler flags of the shared library; they are part of its cache key.
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 class _Crash(ctypes.Structure):
@@ -189,10 +192,7 @@ def _compile(src: str, out: str) -> Optional[str]:
     if cc is None:
         return "no C compiler (cc, gcc or clang) on PATH"
     tmp = out + f".tmp{os.getpid()}"
-    cmd = [
-        cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-        "-o", tmp, src, "-lm",
-    ]
+    cmd = [cc, *_CFLAGS, "-o", tmp, src, "-lm"]
     try:
         proc = subprocess.run(cmd, capture_output=True, timeout=120)
     except (OSError, subprocess.SubprocessError) as exc:
@@ -221,7 +221,7 @@ def _load():
     try:
         with open(_SRC, "rb") as fh:
             src_bytes = fh.read()
-        tag = hashlib.sha256(src_bytes).hexdigest()[:16]
+        tag = hashlib.sha256(src_bytes + " ".join(_CFLAGS).encode()).hexdigest()[:16]
         build_dir = _build_dir()
         so_path = os.path.join(build_dir, f"_fastcore-{tag}.so")
         if not os.path.exists(so_path):

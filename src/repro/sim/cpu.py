@@ -155,6 +155,13 @@ class CoreEngine:
         self.stats.stores += 1
         return slot + self.HIT_COST, retire
 
+    def _charge_rob_stall(self, t: float, slot: float) -> None:
+        """Book a dispatch at ``t`` held until the ROB slot at ``slot``."""
+        if slot > t:
+            self.stats.stall_queue_full += int(round(slot - t))
+            if self.tracer.enabled:
+                self.tracer.stall("queue_full", self.track, t, slot - t, queue="rob")
+
     def blocked_state(self, lock_id: int) -> str:
         """One-line description of where this core is stuck, for
         :class:`~repro.sim.machine.SimulationDeadlock` reports."""
@@ -178,13 +185,13 @@ class CoreEngine:
         kind = op.kind
 
         # Reorder-buffer pressure: dispatch stalls while the ROB is full of
-        # ops that have not completed (in-order retirement).
-        rob_slot = self.rob.earliest_slot(t)
-        if rob_slot > t:
-            self.stats.stall_queue_full += int(round(rob_slot - t))
-            if tracer.enabled:
-                tracer.stall("queue_full", self.track, t, rob_slot - t, queue="rob")
-            t = rob_slot
+        # ops that have not completed (in-order retirement).  The stall is
+        # charged when the op dispatches: a lock acquire that parks
+        # retries later from the same clock.
+        rob_wait = t
+        t = max(t, self.rob.earliest_slot(t))
+        if kind is not OpKind.LOCK_ACQ:
+            self._charge_rob_stall(rob_wait, t)
         rob_done = t
 
         if kind is OpKind.COMPUTE:
@@ -214,6 +221,7 @@ class CoreEngine:
                 if tracer.enabled:
                     tracer.instant("lock.park", self.track, t, lock=op.lock_id)
                 return Blocked(op.lock_id)
+            self._charge_rob_stall(rob_wait, t)
             self.stats.stall_lock += int(round(grant - t))
             if tracer.enabled:
                 if grant > t:

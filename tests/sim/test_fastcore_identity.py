@@ -639,6 +639,112 @@ def test_native_crash_while_a_core_is_parked(monkeypatch, native_accepts, design
     assert [c.ops for c in stats.per_core] == [0, 3]
 
 
+# -- core selection -------------------------------------------------------
+
+#: Table I with a one-entry ROB: every op after a load or store waits for
+#: it, so each core's lock acquire dispatches behind a ROB stall.
+ONE_ENTRY_ROB = replace(TABLE_I, core=replace(TABLE_I.core, rob_entries=1))
+
+
+def convoy_program(order=(1, 2, 3, 0)):
+    """Cores that queue on one lock in FIFO ``order``.  Each core loads
+    three lines of its own (L2 hits on a warm machine), then takes the
+    lock, stores a line of its own, releases it and computes on.  Every
+    release but the last wakes all the cores still waiting, keyed at the
+    release time, the releaser's own key; the next in order takes the
+    lock and the rest park again, so the last core parks three times.
+    The traces differ only in their lines, so each core's dispatch
+    stalls are those of its trace run alone."""
+    program = Program(len(order))
+    cursors = [TraceCursor(program, tid) for tid in range(len(order))]
+    for tid, cursor in enumerate(cursors):
+        for i in range(3):
+            cursor.load((16 * tid + i) * CACHE_LINE, 8)
+    for tid in order:
+        cursors[tid].lock(0)
+        cursors[tid].store((16 * tid + 8) * CACHE_LINE, b"\x01" * 8)
+        cursors[tid].unlock(0)
+        cursors[tid].compute(40)
+    return program
+
+
+def _release_times(design, program, cfg):
+    """Each lock release's time, from a traced reference run."""
+    tracer = Tracer()
+    Machine(design, cfg, tracer=tracer).run(program)
+    return [e.ts for e in tracer.events() if e.name == "lock.release"]
+
+
+@pytest.mark.parametrize("cfg", (TABLE_I, ONE_ENTRY_ROB), ids=("table-i", "rob-1"))
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_native_lock_convoy_matches_reference(monkeypatch, native_accepts, design, cfg):
+    """Parks, wakes and hand-offs with several waiters, the cases the
+    native core's core selection must rescan for: the convoy replays
+    alike on both tiers plainly, crashed at each release time and
+    crashed after every dispatch.  A parked acquire dispatches nothing,
+    so each core's ``stall_queue_full`` is its one real ROB stall, that
+    of its trace run alone, however often it parked."""
+    program = convoy_program()
+    monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
+    ref = Machine(design, cfg).run(program)
+    solo = Machine(design, cfg).run(convoy_program(order=(0,))).per_core[0]
+    monkeypatch.delenv("REPRO_SIM_REFERENCE")
+    native = Machine(design, cfg).run(program)
+    assert _stats_fields(native) == _stats_fields(ref)
+    assert native_accepts == [design]
+    assert [c.stall_queue_full for c in ref.per_core] == [solo.stall_queue_full] * 4
+    assert (solo.stall_queue_full > 0) == (cfg is ONE_ENTRY_ROB)
+
+    releases = _release_times(design, program, cfg)
+    assert len(releases) == 4
+    total_ops = sum(len(t) for t in program.threads)
+    triggers = [CrashTrigger("cycle", at) for at in releases]
+    triggers += [CrashTrigger("ops", k) for k in range(1, total_ops + 1)]
+    native_accepts.clear()
+    _assert_crashes_match(monkeypatch, native_accepts, design, program, triggers, cfg)
+
+
+def tie_program(n_threads=4, rounds=6):
+    """Identical lock-free threads: each stores, CLWBs and reloads lines
+    of its own and computes, so the cores' clocks stay equal and every
+    selection breaks a tie.  They share the PM controller's bandwidth
+    and the L2, so the order in which tied cores step decides who waits:
+    the reference pops the lowest tid first."""
+    program = Program(n_threads)
+    for tid in range(n_threads):
+        cursor = TraceCursor(program, tid)
+        for r in range(rounds):
+            line = (64 * r + tid) * CACHE_LINE
+            cursor.store(line, b"\x01" * 8)
+            cursor.clwb(line)
+            cursor.load(line, 8)
+            cursor.compute(20)
+    return program
+
+
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_native_tie_break_matches_reference(monkeypatch, native_accepts, design):
+    """Cores whose keys tie step lowest tid first on both tiers: the
+    plain run matches, and a crash after each dispatch leaves the same
+    per-core progress, so the two tiers stepped the cores in the same
+    order.  The ties are real: core 0 runs first and finishes first."""
+    program = tie_program()
+    monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
+    ref = Machine(design).run(program)
+    monkeypatch.delenv("REPRO_SIM_REFERENCE")
+    native = Machine(design).run(program)
+    assert _stats_fields(native) == _stats_fields(ref)
+    assert native_accepts == [design]
+    cycles = [c.cycles for c in ref.per_core]
+    assert cycles == sorted(cycles) and cycles[0] < cycles[-1]
+
+    total_ops = sum(len(t) for t in program.threads)
+    triggers = [CrashTrigger("ops", k) for k in range(1, total_ops + 1)]
+    native_accepts.clear()
+    crashes = _assert_crashes_match(monkeypatch, native_accepts, design, program, triggers)
+    assert len({crash.cycle for crash in crashes}) < len(crashes)  # tied clocks
+
+
 # -- media faults ---------------------------------------------------------
 
 
