@@ -706,8 +706,8 @@ def test_native_lock_convoy_matches_reference(monkeypatch, native_accepts, desig
 
 def tie_program(n_threads=4, rounds=6):
     """Identical lock-free threads: each stores, CLWBs and reloads lines
-    of its own and computes, so the cores' clocks stay equal and every
-    selection breaks a tie.  They share the PM controller's bandwidth
+    of its own and computes, so the cores' clocks keep tying and many
+    selections break a tie.  They share the PM controller's bandwidth
     and the L2, so the order in which tied cores step decides who waits:
     the reference pops the lowest tid first."""
     program = Program(n_threads)
