@@ -255,7 +255,7 @@ def _project_for_machine(
     for op in program.all_ops():
         if op.kind in FENCE_KINDS and op.kind not in sem.honored:
             continue
-        new = projected.emit(op.tid, replace(op))
+        new = projected.emit(op.tid, op)
         if op.kind is OpKind.STORE:
             key_map[(new.tid, new.seq)] = (op.tid, op.seq)
     return projected, key_map

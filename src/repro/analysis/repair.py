@@ -102,20 +102,6 @@ class Edit:
         return out
 
 
-def _copy_op(op: Op) -> Op:
-    """A fresh Op carrying everything ``Program.emit`` does not assign."""
-    return Op(
-        kind=op.kind,
-        addr=op.addr,
-        size=op.size,
-        data=op.data,
-        lock_id=op.lock_id,
-        cycles=op.cycles,
-        region=op.region,
-        label=op.label,
-    )
-
-
 def _materialise(edit: Edit) -> Op:
     assert edit.kind is not None
     if edit.kind is OpKind.CLWB:
@@ -142,7 +128,7 @@ def apply_edits(program: Program, edits: Sequence[Edit]) -> Program:
             out.emit(e.tid, _materialise(e))
         if (op.tid, op.seq) in deletes:
             continue
-        out.emit(op.tid, _copy_op(op))
+        out.emit(op.tid, op)
     # End-of-thread appends (index past the last op).
     for (tid, _idx), pending in sorted(inserts.items()):
         for e in pending:

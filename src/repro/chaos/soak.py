@@ -37,6 +37,7 @@ from repro.chaos.harness import CrashHarness
 from repro.chaos.plan import CrashSchedule, RecoveryCrash
 from repro.chaos.shrink import ShrinkResult, shrink_crash_point
 from repro.faults.model import MediaFaultConfig
+from repro.prof.runlog import CampaignMonitor
 from repro.sim.config import TABLE_I, MachineConfig
 from repro.sim.machine import DESIGNS
 from repro.workloads import WorkloadConfig
@@ -298,8 +299,8 @@ def run_soak(
     run each, all specializing one functional run of the workload) is
     built lazily and reused across cases.  ``runlog``
     streams ``repro.runlog/1`` campaign telemetry per case; ``progress``
-    drives a live status line (see :mod:`repro.prof.runlog`) — both are
-    observation-only.
+    drives a live status line — both go through one
+    :class:`~repro.prof.runlog.CampaignMonitor` and are observation-only.
     """
     design_pool = design_pool_for(designs)
     result = SoakResult(
@@ -311,14 +312,14 @@ def run_soak(
         shrink=shrink,
     )
     harnesses: Dict[str, CrashHarness] = {}
+    monitor = CampaignMonitor(runlog=runlog, progress=progress)
     busy = 0.0
     for i in range(seeds):
         case_seed = seed + i
         design = pick_design(case_seed, design_pool)
         label = f"{workload}/{design}/seed{case_seed}"
         t_case = time.perf_counter()
-        if runlog is not None:
-            runlog.cell_start(label, i)
+        monitor.started(label, i)
         case = run_soak_case(
             workload, case_seed, i, design_pool,
             media=media, shrink=shrink, cfg=cfg, machine_cfg=machine_cfg,
@@ -327,17 +328,8 @@ def run_soak(
         result.cases.append(case)
         case_wall = time.perf_counter() - t_case
         busy += case_wall
-        if runlog is not None:
-            runlog.cell_finish(label, i, case.ok, case_wall, source="run")
-            runlog.maybe_heartbeat(i + 1)
-        if progress is not None:
-            progress.update(i + 1)
-    if runlog is not None:
-        runlog.finish(
-            done=len(result.cases),
-            errors=sum(1 for case in result.cases if not case.ok),
-            busy_time_s=busy,
-        )
-    if progress is not None:
-        progress.close()
+        monitor.finished(label, i, case.ok, case_wall)
+    monitor.close(
+        errors=sum(1 for case in result.cases if not case.ok), busy_time_s=busy
+    )
     return result

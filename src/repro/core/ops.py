@@ -163,15 +163,6 @@ class Op:
     region: int = -1
     label: str = ""
 
-    def touches(self, other: "Op") -> bool:
-        """True when both ops address overlapping bytes."""
-        if self.kind not in ADDRESSED_KINDS or other.kind not in ADDRESSED_KINDS:
-            return False
-        return self.addr < other.addr + other.size and other.addr < self.addr + self.size
-
-    def line(self) -> int:
-        return line_of(self.addr)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         base = f"{self.kind.name}"
         if self.kind in ADDRESSED_KINDS:
@@ -183,34 +174,6 @@ class Op:
         if self.label:
             base += f"[{self.label}]"
         return base
-
-
-class ThreadTrace:
-    """Ordered micro-op stream of one logical thread."""
-
-    def __init__(self, tid: int) -> None:
-        self.tid = tid
-        self.ops: List[Op] = []
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def __iter__(self) -> Iterator[Op]:
-        return iter(self.ops)
-
-    def __getitem__(self, idx: int) -> Op:
-        return self.ops[idx]
-
-    def append(self, op: Op, gseq: int) -> Op:
-        op.tid = self.tid
-        op.seq = len(self.ops)
-        op.gseq = gseq
-        self.ops.append(op)
-        return op
-
-    def addressed_lines(self) -> Iterable[int]:
-        """Cache line of every op that addresses memory."""
-        return (op.addr // CACHE_LINE for op in self.ops if op.kind in ADDRESSED_KINDS)
 
 
 #: OpKind member by int value.
@@ -233,21 +196,24 @@ _REC = len(RECORD_FIELDS)
 _GSEQ = RECORD_FIELDS.index("gseq")
 
 
-class ColumnTrace(ThreadTrace):
-    """A thread trace held as replay columns; :class:`Op` objects are built
-    only when ``.ops`` is read.
+class ColumnTrace:
+    """The ordered micro-op stream of one logical thread, held as replay
+    columns; :class:`Op` objects are built only when ``.ops`` is read.
 
+    Every trace is one: generated and hand-built programs alike.
     ``kinds``/``lines``/``cycles``/``lock_ids`` are the C-ready arrays the
     native replay core consumes (``lines`` is ``addr // CACHE_LINE`` of
     every op).  ``len(trace)`` and replay never build an op.
 
     A trace comes about in one of two ways:
 
-    * **emitted** by a :class:`ColumnCursor`: ``record`` holds, flat, the
-      :data:`RECORD_FIELDS` of every op that the columns lack (``tid`` is
-      the trace's, ``seq`` the index).  ``.ops`` extends the built list
-      up to the current length on every read, so it is correct while the
-      trace is still being emitted.
+    * **emitted** by a :class:`ColumnCursor` (a :class:`TraceCursor` or
+      :meth:`Program.emit` for hand-built programs): ``record`` holds,
+      flat, the :data:`RECORD_FIELDS` of every op that the columns lack
+      (``tid`` is the trace's, ``seq`` the index).  ``.ops`` extends the
+      built list up to the current length on every read, so it is
+      correct while the trace is still being emitted, and an op once
+      built stays the object ``.ops`` holds.
     * **derived** from another trace (:mod:`repro.lang.specialize`):
       ``build()`` returns the whole op list on first read.
     """
@@ -272,8 +238,11 @@ class ColumnTrace(ThreadTrace):
     def __len__(self) -> int:
         return len(self.kinds)
 
+    def __getitem__(self, idx: int) -> Op:
+        return self.ops[idx]
+
     @property
-    def ops(self) -> List[Op]:  # type: ignore[override]
+    def ops(self) -> List[Op]:
         ops = self._ops
         if len(ops) < len(self.kinds):
             if self._build is None:
@@ -299,10 +268,8 @@ class ColumnTrace(ThreadTrace):
         """Global visibility slot of op ``index`` of an emitted trace."""
         return self.record[_REC * index + _GSEQ]
 
-    def append(self, op: Op, gseq: int) -> Op:
-        raise TypeError("column traces are written by a ColumnCursor")
-
     def addressed_lines(self) -> Iterable[int]:
+        """Cache line of every op that addresses memory."""
         return compress(self.lines, kind_bytes(self.kinds).translate(_ADDRESSED_BYTES))
 
     def __getstate__(self):
@@ -319,15 +286,10 @@ class Program:
     used by the formal model: it is a legal TSO execution because each
     thread's ops appear in program order and conflicting accesses are
     serialised.
-
-    ``trace`` makes each thread's trace: an op list (:class:`ThreadTrace`)
-    for hand-built programs, :class:`ColumnTrace` for generated ones.
     """
 
-    def __init__(
-        self, n_threads: int, trace: Callable[[int], ThreadTrace] = ThreadTrace
-    ) -> None:
-        self.threads: List[ThreadTrace] = [trace(t) for t in range(n_threads)]
+    def __init__(self, n_threads: int) -> None:
+        self.threads: List[ColumnTrace] = [ColumnTrace(t) for t in range(n_threads)]
         self._next_gseq = 0
         #: FIFO acquisition order per lock, fixed at generation time and
         #: replayed by the timing simulator.
@@ -339,12 +301,14 @@ class Program:
         return len(self.threads)
 
     def emit(self, tid: int, op: Op) -> Op:
-        """Append ``op`` to thread ``tid`` at the next visibility slot."""
+        """Append a copy of ``op``'s fields to thread ``tid`` at the next
+        visibility slot and return the trace's own op, numbered there;
+        ``op`` itself is left as it was."""
         if op.kind is OpKind.LOCK_ACQ:
             self.lock_order.setdefault(op.lock_id, []).append(tid)
-        out = self.threads[tid].append(op, self._next_gseq)
-        self._next_gseq += 1
-        return out
+        return TraceCursor(self, tid)._emit(
+            op.kind, op.addr, op.size, op.data, op.lock_id, op.cycles, op.label, op.region
+        )
 
     def all_ops(self) -> List[Op]:
         """Every op of every thread in global visibility (gseq) order."""
@@ -374,107 +338,6 @@ class Program:
             for op in trace.ops:
                 out[op.kind.name] = out.get(op.kind.name, 0) + 1
         return out
-
-
-@dataclass
-class TraceCursor:
-    """Mutable emission helper bound to one thread of a hand-built
-    :class:`Program`; returns every :class:`Op` it emits.  Generated
-    programs are written through :class:`ColumnCursor` instead."""
-
-    program: Program
-    tid: int
-    region: int = -1
-
-    def _emit(self, op: Op) -> Op:
-        # Inlined Program.emit + ThreadTrace.append: this is the hottest
-        # call in trace generation (one call per micro-op), so the two
-        # delegation layers are flattened.  Semantics are identical.
-        program = self.program
-        tid = self.tid
-        if op.kind is OpKind.LOCK_ACQ:
-            program.lock_order.setdefault(op.lock_id, []).append(tid)
-        op.region = self.region
-        op.tid = tid
-        ops = program.threads[tid].ops
-        op.seq = len(ops)
-        op.gseq = program._next_gseq
-        program._next_gseq += 1
-        ops.append(op)
-        return op
-
-    def store(
-        self, addr: int, data: bytes, label: str = "", on_line_cross: str = "split"
-    ) -> Op:
-        """Emit a PM store, validating cache-line atomicity.
-
-        A payload crossing a cache-line boundary is not a single persist.
-        ``on_line_cross`` selects what to do when that happens:
-
-        * ``"split"`` (default) — emit one STORE per touched line, so every
-          emitted op is persist-atomic; returns the first piece.
-        * ``"raise"`` — raise :class:`LineCrossError`.
-        * ``"allow"`` — emit the straddling store as-is (used to seed
-          torn-write hazards for the static analyzer and chaos tests).
-        """
-        if on_line_cross not in ("split", "raise", "allow"):
-            raise ValueError(
-                f"on_line_cross must be 'split', 'raise' or 'allow', "
-                f"not {on_line_cross!r}"
-            )
-        pieces = split_at_lines(addr, data)
-        if len(pieces) > 1:
-            if on_line_cross == "raise":
-                raise LineCrossError(
-                    f"store of {len(data)} bytes at 0x{addr:x} spans "
-                    f"{len(pieces)} cache lines"
-                )
-            if on_line_cross == "split":
-                ops = [
-                    self._emit(Op(OpKind.STORE, addr=a, size=len(d), data=d, label=label))
-                    for a, d in pieces
-                ]
-                return ops[0]
-        return self._emit(Op(OpKind.STORE, addr=addr, size=len(data), data=data, label=label))
-
-    def load(self, addr: int, size: int, label: str = "") -> Op:
-        return self._emit(Op(OpKind.LOAD, addr=addr, size=size, label=label))
-
-    def vstore(self, addr: int, size: int, label: str = "") -> Op:
-        return self._emit(Op(OpKind.VSTORE, addr=addr, size=size, label=label))
-
-    def vload(self, addr: int, size: int, label: str = "") -> Op:
-        return self._emit(Op(OpKind.VLOAD, addr=addr, size=size, label=label))
-
-    def clwb(self, addr: int, size: int = CACHE_LINE, label: str = "") -> Op:
-        return self._emit(Op(OpKind.CLWB, addr=addr, size=size, label=label))
-
-    def sfence(self) -> Op:
-        return self._emit(Op(OpKind.SFENCE))
-
-    def persist_barrier(self) -> Op:
-        return self._emit(Op(OpKind.PERSIST_BARRIER))
-
-    def new_strand(self) -> Op:
-        return self._emit(Op(OpKind.NEW_STRAND))
-
-    def join_strand(self) -> Op:
-        return self._emit(Op(OpKind.JOIN_STRAND))
-
-    def ofence(self) -> Op:
-        return self._emit(Op(OpKind.OFENCE))
-
-    def dfence(self) -> Op:
-        return self._emit(Op(OpKind.DFENCE))
-
-    def lock(self, lock_id: int) -> Op:
-        return self._emit(Op(OpKind.LOCK_ACQ, lock_id=lock_id))
-
-    def unlock(self, lock_id: int) -> Op:
-        return self._emit(Op(OpKind.LOCK_REL, lock_id=lock_id))
-
-    def compute(self, cycles: int) -> Op:
-        return self._emit(Op(OpKind.COMPUTE, cycles=cycles))
 
 
 # Plain-int kinds for the emission hot path (an enum member costs an
@@ -509,9 +372,10 @@ class ColumnCursor:
     """Emission helper writing one thread of a generated program straight
     into its :class:`ColumnTrace` — no :class:`Op` is built.
 
-    The runtime (:mod:`repro.lang.runtime`) emits through this; it mirrors
-    :class:`TraceCursor`, which builds ops for hand-written programs, and
-    produces op-for-op the same trace.  Methods return nothing.
+    The runtime (:mod:`repro.lang.runtime`) emits through this.  Its
+    per-op methods return what :meth:`_emit` does: nothing here, the
+    emitted op in :class:`TraceCursor`, the op-by-op cursor of
+    hand-built programs.
 
     The runtime's fixed op patterns are emitted as blocks, one call each,
     that extend every column, the record and the marker sites once: a
@@ -534,7 +398,7 @@ class ColumnCursor:
     def _emit(
         self, kind: int, addr: int, size: int, data: bytes, lock_id: int,
         cycles: int, label: str, region: int,
-    ) -> None:
+    ) -> Optional[Op]:
         trace = self.trace
         program = self.program
         gseq = program._next_gseq
@@ -544,6 +408,7 @@ class ColumnCursor:
         trace.cycles.append(cycles)
         trace.lock_ids.append(lock_id)
         trace.record.extend((addr, size, data, gseq, region, label))
+        return None
 
     def _emit_rows(self, rows: list) -> None:
         """Append ``(kind, addr, size, data, region, label)`` rows as ops
@@ -686,7 +551,7 @@ class ColumnCursor:
             self.trace.marker_sites.append((len(self.trace.kinds), label))
         self._emit(kind, 0, 0, b"", -1, 0, label, self.region)
 
-    def load(self, addr: int, size: int, label: str = "") -> None:
+    def load(self, addr: int, size: int, label: str = "") -> Optional[Op]:
         trace = self.trace
         program = self.program
         gseq = program._next_gseq
@@ -696,37 +561,99 @@ class ColumnCursor:
         trace.cycles.append(0)
         trace.lock_ids.append(-1)
         trace.record.extend((addr, size, b"", gseq, self.region, label))
+        return None
 
-    def vstore(self, addr: int, size: int, label: str = "") -> None:
-        self._emit(_VSTORE, addr, size, b"", -1, 0, label, self.region)
+    def vstore(self, addr: int, size: int, label: str = "") -> Optional[Op]:
+        return self._emit(_VSTORE, addr, size, b"", -1, 0, label, self.region)
 
-    def vload(self, addr: int, size: int, label: str = "") -> None:
-        self._emit(_VLOAD, addr, size, b"", -1, 0, label, self.region)
+    def vload(self, addr: int, size: int, label: str = "") -> Optional[Op]:
+        return self._emit(_VLOAD, addr, size, b"", -1, 0, label, self.region)
 
-    def sfence(self) -> None:
-        self._emit(_SFENCE, 0, 0, b"", -1, 0, "", self.region)
+    def sfence(self) -> Optional[Op]:
+        return self._emit(_SFENCE, 0, 0, b"", -1, 0, "", self.region)
 
-    def persist_barrier(self) -> None:
-        self._emit(_PB, 0, 0, b"", -1, 0, "", self.region)
+    def persist_barrier(self) -> Optional[Op]:
+        return self._emit(_PB, 0, 0, b"", -1, 0, "", self.region)
 
-    def new_strand(self) -> None:
-        self._emit(_NS, 0, 0, b"", -1, 0, "", self.region)
+    def new_strand(self) -> Optional[Op]:
+        return self._emit(_NS, 0, 0, b"", -1, 0, "", self.region)
 
-    def join_strand(self) -> None:
-        self._emit(_JS, 0, 0, b"", -1, 0, "", self.region)
+    def join_strand(self) -> Optional[Op]:
+        return self._emit(_JS, 0, 0, b"", -1, 0, "", self.region)
 
-    def ofence(self) -> None:
-        self._emit(_OFENCE, 0, 0, b"", -1, 0, "", self.region)
+    def ofence(self) -> Optional[Op]:
+        return self._emit(_OFENCE, 0, 0, b"", -1, 0, "", self.region)
 
-    def dfence(self) -> None:
-        self._emit(_DFENCE, 0, 0, b"", -1, 0, "", self.region)
+    def dfence(self) -> Optional[Op]:
+        return self._emit(_DFENCE, 0, 0, b"", -1, 0, "", self.region)
 
-    def lock(self, lock_id: int) -> None:
+    def lock(self, lock_id: int) -> Optional[Op]:
         self.program.lock_order.setdefault(lock_id, []).append(self.tid)
-        self._emit(_LOCK_ACQ, 0, 0, b"", lock_id, 0, "", self.region)
+        return self._emit(_LOCK_ACQ, 0, 0, b"", lock_id, 0, "", self.region)
 
-    def unlock(self, lock_id: int) -> None:
-        self._emit(_LOCK_REL, 0, 0, b"", lock_id, 0, "", self.region)
+    def unlock(self, lock_id: int) -> Optional[Op]:
+        return self._emit(_LOCK_REL, 0, 0, b"", lock_id, 0, "", self.region)
 
-    def compute(self, cycles: int) -> None:
-        self._emit(_COMPUTE, 0, 0, b"", -1, cycles, "", self.region)
+    def compute(self, cycles: int) -> Optional[Op]:
+        return self._emit(_COMPUTE, 0, 0, b"", -1, cycles, "", self.region)
+
+
+class TraceCursor(ColumnCursor):
+    """Emission helper for one thread of a hand-built :class:`Program`: the
+    op-by-op cursor that block emission is checked against.
+
+    It writes the columns as :class:`ColumnCursor` does, one op per call,
+    and each call returns the :class:`Op` it emitted: the object
+    ``trace.ops`` holds, built from the columns.  That op is a view of
+    the columns, so to tag an op, set the cursor's ``region`` before the
+    call; editing the returned op changes nothing the replay reads.
+    """
+
+    __slots__ = ()
+
+    def _emit(
+        self, kind: int, addr: int, size: int, data: bytes, lock_id: int,
+        cycles: int, label: str, region: int,
+    ) -> Op:
+        ColumnCursor._emit(self, kind, addr, size, data, lock_id, cycles, label, region)
+        return self.trace.ops[-1]
+
+    def store(
+        self, addr: int, data: bytes, label: str = "", on_line_cross: str = "split"
+    ) -> Op:
+        """Emit a PM store, validating cache-line atomicity.
+
+        A payload crossing a cache-line boundary is not a single persist.
+        ``on_line_cross`` selects what to do when that happens:
+
+        * ``"split"`` (default) — emit one STORE per touched line, so every
+          emitted op is persist-atomic; returns the first piece.
+        * ``"raise"`` — raise :class:`LineCrossError`.
+        * ``"allow"`` — emit the straddling store as-is (used to seed
+          torn-write hazards for the static analyzer and chaos tests).
+        """
+        if on_line_cross not in ("split", "raise", "allow"):
+            raise ValueError(
+                f"on_line_cross must be 'split', 'raise' or 'allow', "
+                f"not {on_line_cross!r}"
+            )
+        pieces = split_at_lines(addr, data)
+        if len(pieces) > 1:
+            if on_line_cross == "raise":
+                raise LineCrossError(
+                    f"store of {len(data)} bytes at 0x{addr:x} spans "
+                    f"{len(pieces)} cache lines"
+                )
+            if on_line_cross == "split":
+                ops = [
+                    self._emit(_STORE, a, len(d), d, -1, 0, label, self.region)
+                    for a, d in pieces
+                ]
+                return ops[0]
+        return self._emit(_STORE, addr, len(data), data, -1, 0, label, self.region)
+
+    def load(self, addr: int, size: int, label: str = "") -> Op:
+        return self._emit(_LOAD, addr, size, b"", -1, 0, label, self.region)
+
+    def clwb(self, addr: int, size: int = CACHE_LINE, label: str = "") -> Op:
+        return self._emit(_CLWB, addr, size, b"", -1, 0, label, self.region)

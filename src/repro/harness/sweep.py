@@ -78,60 +78,10 @@ from repro.harness.experiment import (
     release_programs,
     run_cell,
 )
-from repro.prof.runlog import Progress, RunLog
+from repro.prof.runlog import CampaignMonitor, Progress, RunLog
 from repro.sim.config import TABLE_I, MachineConfig
 from repro.sim.stats import MachineStats
 from repro.workloads import WorkloadConfig
-
-
-class SweepMonitor:
-    """Fan-in point for campaign telemetry: forwards cell lifecycle
-    events to an optional ``repro.runlog/1`` writer and an optional live
-    progress line.  With neither attached every call is a no-op, so the
-    engine's behaviour (and its deterministic results) are unchanged."""
-
-    def __init__(
-        self,
-        total: int,
-        runlog: Optional[RunLog] = None,
-        progress: Optional[Progress] = None,
-    ) -> None:
-        self.runlog = runlog
-        self.progress = progress
-        self.total = total
-        self.done = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.runlog is not None or self.progress is not None
-
-    def started(self, label: str, index: int) -> None:
-        if self.runlog is not None:
-            self.runlog.cell_start(label, index)
-
-    def finished(
-        self,
-        label: str,
-        index: int,
-        ok: bool,
-        wall_time_s: float,
-        source: str = "run",
-        worker: Optional[int] = None,
-    ) -> None:
-        self.done += 1
-        if self.runlog is not None:
-            self.runlog.cell_finish(
-                label, index, ok, wall_time_s, source=source, worker=worker
-            )
-            self.runlog.maybe_heartbeat(self.done)
-        if self.progress is not None:
-            self.progress.update(self.done)
-
-    def close(self, errors: int, busy_time_s: float) -> None:
-        if self.runlog is not None:
-            self.runlog.finish(self.done, errors, busy_time_s)
-        if self.progress is not None:
-            self.progress.close()
 
 
 @dataclass(frozen=True)
@@ -301,7 +251,7 @@ def plan_cells(
     cells: Iterable[SweepCell],
     cache: Optional[CellCache] = None,
     use_memo: bool = True,
-    monitor: Optional[SweepMonitor] = None,
+    monitor: Optional[CampaignMonitor] = None,
 ) -> CellPlan:
     """Resolve memo and cache hits; dedupe the rest into a plan.
 
@@ -634,7 +584,7 @@ def run_sweep(
     """
     cell_list = list(cells)
     t0 = time.perf_counter()
-    monitor = SweepMonitor(len(cell_list), runlog=runlog, progress=progress)
+    monitor = CampaignMonitor(runlog=runlog, progress=progress)
 
     # Resolve memo and disk hits in the parent; dedupe the remainder so
     # identical cells are simulated once and fanned back out.

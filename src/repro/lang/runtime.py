@@ -39,7 +39,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.core.ops import ColumnCursor, ColumnTrace, Program
+from repro.core.ops import ColumnCursor, Program
 from repro.lang import logbuf
 from repro.lang.dialect import COMMIT, DRAIN, PAIR, REGION_END, SEPARATOR
 from repro.lang.logbuf import ENTRY_LABELS, ENTRY_SIZE, HEADER_SIZE, LogError, LogLayout
@@ -129,7 +129,7 @@ class PmRuntime:
         self.layout = layout
         self.dialect = dialect
         self.model = model
-        self.program = Program(n_threads, trace=ColumnTrace)
+        self.program = Program(n_threads)
         #: ordering point -> the fence emitted there (one table lookup).
         self.fences = dialect.fence_ops()
         self._pair = self.fences[PAIR]

@@ -20,7 +20,8 @@ see ``tests/prof/test_runlog.py``).
 
 :class:`Progress` is the matching ``--progress`` live line: one
 carriage-returned status line on stderr with done/total, percentage,
-rate and ETA.
+rate and ETA.  :class:`CampaignMonitor` is the one fan-out that
+``sweep`` and ``soak`` send each work item's start and finish to.
 """
 
 from __future__ import annotations
@@ -188,3 +189,50 @@ class Progress:
         if self._done or self.total:
             self.stream.write("\n")
             self.stream.flush()
+
+
+class CampaignMonitor:
+    """Fan-out point for campaign telemetry: forwards work-item lifecycle
+    events to an optional :class:`RunLog` and an optional
+    :class:`Progress` line.  With neither attached every call is a
+    no-op, so a campaign's behaviour (and its deterministic results) are
+    unchanged."""
+
+    def __init__(
+        self, runlog: Optional[RunLog] = None, progress: Optional[Progress] = None
+    ) -> None:
+        self.runlog = runlog
+        self.progress = progress
+        self.done = 0
+
+    @property
+    def enabled(self) -> bool:
+        return self.runlog is not None or self.progress is not None
+
+    def started(self, label: str, index: int) -> None:
+        if self.runlog is not None:
+            self.runlog.cell_start(label, index)
+
+    def finished(
+        self,
+        label: str,
+        index: int,
+        ok: bool,
+        wall_time_s: float,
+        source: str = "run",
+        worker: Optional[int] = None,
+    ) -> None:
+        self.done += 1
+        if self.runlog is not None:
+            self.runlog.cell_finish(
+                label, index, ok, wall_time_s, source=source, worker=worker
+            )
+            self.runlog.maybe_heartbeat(self.done)
+        if self.progress is not None:
+            self.progress.update(self.done)
+
+    def close(self, errors: int, busy_time_s: float) -> None:
+        if self.runlog is not None:
+            self.runlog.finish(self.done, errors, busy_time_s)
+        if self.progress is not None:
+            self.progress.close()

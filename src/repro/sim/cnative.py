@@ -25,8 +25,10 @@ The core is compiled on demand from the single-file source next to
 this module with whatever C compiler the host provides (``cc``/``gcc``/
 ``clang``), cached by a hash of the source and the build flags under
 ``_build/`` (or the directory named by ``REPRO_CC_CACHE``), and loaded
-with ctypes — no CPython headers, no third-party packages.  If it
-cannot be built or loaded, the first attempt emits one
+with ctypes — no CPython headers, no third-party packages.  A build
+into ``_build/`` removes that directory's older builds; a
+``REPRO_CC_CACHE`` directory is never swept.  If the core cannot be
+built or loaded, the first attempt emits one
 ``RuntimeWarning`` per process naming the reason (no compiler on PATH,
 the compiler's exit status and first stderr line, or the ctypes load
 error) and every run replays on the reference engine: the same
@@ -55,6 +57,7 @@ invariant instead, and raises ``RuntimeError``.
 from __future__ import annotations
 
 import ctypes
+import glob
 import hashlib
 import os
 import subprocess
@@ -67,9 +70,7 @@ from itertools import compress
 from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.core.ops import (
-    CACHE_LINE, ColumnTrace, OpKind, Program, ThreadTrace, kind_bytes,
-)
+from repro.core.ops import CACHE_LINE, ColumnTrace, OpKind, Program, kind_bytes
 from repro.sim.config import MachineConfig
 from repro.sim.durability import (
     SOURCE_CLWB, SOURCE_WRITEBACK, CrashState, CrashTrigger, StoreRecord,
@@ -175,6 +176,17 @@ def _build_dir() -> str:
     return os.path.join(os.path.dirname(_SRC), "_build")
 
 
+def _drop_stale_builds(keep: str) -> None:
+    """Remove every other ``_fastcore-*.so`` of ``keep``'s directory: the
+    builds of earlier sources or flags, which nothing loads again."""
+    for path in glob.glob(os.path.join(os.path.dirname(keep), "_fastcore-*.so")):
+        if path != keep:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+
+
 def _find_cc() -> Optional[str]:
     from shutil import which
 
@@ -225,15 +237,23 @@ def _load():
         build_dir = _build_dir()
         so_path = os.path.join(build_dir, f"_fastcore-{tag}.so")
         if not os.path.exists(so_path):
+            # Only the checkout's own _build/ is swept after a build:
+            # other checkouts may share a REPRO_CC_CACHE or the temp-dir
+            # fallback, and a build that vanishes before its CDLL leaves
+            # that process on the reference engine.
+            sweep = not os.environ.get(BUILD_DIR_ENV)
             try:
                 os.makedirs(build_dir, exist_ok=True)
             except OSError:
+                sweep = False
                 build_dir = tempfile.gettempdir()
                 so_path = os.path.join(build_dir, f"repro-fastcore-{tag}.so")
             if not os.path.exists(so_path):
                 reason = _compile(_SRC, so_path)
                 if reason is not None:
                     return _unavailable(reason)
+                if sweep:
+                    _drop_stale_builds(so_path)
         lib = ctypes.CDLL(so_path)
         lib.rs_run.restype = ctypes.c_int
         lib.rs_run.argtypes = [
@@ -313,41 +333,14 @@ def _op_mix(kinds: array, cycles: array) -> dict:
     }
 
 
-def compile_trace(trace: ThreadTrace):
-    """Replay columns ``(kinds, lines, cycles, lock_ids, static)`` of a
-    hand-built op-list trace (litmus cases, repairs, tests), with its
-    op-mix totals ``static``."""
-    ops = trace.ops
-    kinds = array("i", [int(op.kind) for op in ops])
-    cycles = array("i", [op.cycles for op in ops])
+def trace_columns(trace: ColumnTrace):
+    """C-ready ``(kinds, lines, cycles, lock_ids, static)`` of one thread:
+    the columns the trace was born as, replayed without building an op,
+    and their op-mix totals ``static``."""
     return (
-        kinds,
-        array("q", [op.addr // CACHE_LINE for op in ops]),
-        cycles,
-        array("i", [op.lock_id for op in ops]),
-        _op_mix(kinds, cycles),
+        trace.kinds, trace.lines, trace.cycles, trace.lock_ids,
+        _op_mix(trace.kinds, trace.cycles),
     )
-
-
-def trace_columns(trace: ThreadTrace):
-    """C-ready ``(kinds, lines, cycles, lock_ids, static)`` of one thread,
-    cached on the trace (traces are immutable once replayed).
-
-    A generated :class:`ColumnTrace` is replayed from the columns it was
-    born as, without building an op; a hand-built op list is compiled
-    once by :func:`compile_trace`.
-    """
-    cached = getattr(trace, "_replay_columns", None)
-    if cached is None:
-        if isinstance(trace, ColumnTrace):
-            cached = (
-                trace.kinds, trace.lines, trace.cycles, trace.lock_ids,
-                _op_mix(trace.kinds, trace.cycles),
-            )
-        else:
-            cached = compile_trace(trace)
-        trace._replay_columns = cached
-    return cached
 
 
 def _program_streams(program: Program, lib):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.core.ops import Op, OpKind, ThreadTrace, line_of
+from repro.core.ops import ColumnTrace, Op, OpKind, line_of
 from repro.obs.tracer import NULL_TRACER, Tracer, core_track
 from repro.persistency.base import PersistDomain
 from repro.sim.cache import CacheHierarchy
@@ -80,7 +80,7 @@ class CoreEngine:
 
     def __init__(
         self,
-        trace: ThreadTrace,
+        trace: ColumnTrace,
         cfg: MachineConfig,
         hierarchy: CacheHierarchy,
         domain: PersistDomain,

@@ -1,9 +1,8 @@
 """Unit tests for the micro-op IR."""
 
-import pytest
+from dataclasses import replace
 
 from repro.core.ops import (
-    CACHE_LINE,
     Op,
     OpKind,
     Program,
@@ -58,22 +57,6 @@ def test_gseq_is_global_across_threads():
     assert [op.gseq for op in prog.all_ops()] == [0, 1, 2]
 
 
-def test_touches_overlap():
-    s1 = Op(OpKind.STORE, addr=0, size=8)
-    s2 = Op(OpKind.STORE, addr=4, size=8)
-    s3 = Op(OpKind.STORE, addr=8, size=8)
-    assert s1.touches(s2)
-    assert not s1.touches(s3)
-    assert s2.touches(s3)
-
-
-def test_touches_requires_addressed_kinds():
-    fence = Op(OpKind.SFENCE)
-    store = Op(OpKind.STORE, addr=0, size=8)
-    assert not fence.touches(store)
-    assert not store.touches(fence)
-
-
 def test_lock_order_recorded():
     prog = Program(2)
     a = TraceCursor(prog, 0)
@@ -122,3 +105,57 @@ def test_region_tag_propagates():
     cur.region = 5
     op = cur.store(0, b"\x00")
     assert op.region == 5
+
+
+def test_emit_leaves_the_callers_op_untouched():
+    prog = Program(2)
+    prog.emit(0, Op(OpKind.SFENCE))
+    op = Op(OpKind.STORE, addr=0x40, size=2, data=b"\x01\x02", region=3, label="x")
+    before = replace(op)
+    prog.emit(1, op)
+    assert op == before
+    assert (op.tid, op.seq, op.gseq) == (-1, -1, -1)
+
+
+def test_emit_returns_the_traces_own_op_numbered():
+    prog = Program(2)
+    prog.emit(0, Op(OpKind.SFENCE))
+    op = Op(OpKind.STORE, addr=0x40, size=2, data=b"\x01\x02", region=3, label="x")
+    out = prog.emit(1, op)
+    trace = prog.threads[1]
+    assert out is trace.ops[-1] and out is not op
+    assert (out.tid, out.seq, out.gseq) == (1, 0, 1)
+    assert out == Op(OpKind.STORE, 0x40, 2, b"\x01\x02", -1, 0, 1, 0, 1, 3, "x")
+    assert list(trace.kinds) == [OpKind.STORE] and list(trace.lines) == [1]
+
+
+def test_emit_records_a_lock_acquire():
+    prog = Program(2)
+    prog.emit(1, Op(OpKind.LOCK_ACQ, lock_id=7))
+    prog.emit(0, Op(OpKind.LOCK_ACQ, lock_id=7))
+    prog.emit(1, Op(OpKind.LOCK_REL, lock_id=7))
+    assert prog.lock_order == {7: [1, 0]}
+    assert list(prog.threads[1].lock_ids) == [7, 7]
+    assert list(prog.threads[0].lock_ids) == [7]
+
+
+def test_cursor_returns_the_op_the_trace_holds():
+    prog = Program(1)
+    cur = TraceCursor(prog, 0)
+    trace = prog.threads[0]
+    calls = [
+        lambda: cur.store(0x100, b"\x01" * 8),
+        lambda: cur.load(0x100, 8),
+        lambda: cur.clwb(0x100, size=32),
+        lambda: cur.vstore(0x200, 8),
+        lambda: cur.vload(0x200, 8),
+        cur.sfence, cur.persist_barrier, cur.new_strand, cur.join_strand,
+        cur.ofence, cur.dfence,
+        lambda: cur.lock(2), lambda: cur.unlock(2), lambda: cur.compute(5),
+    ]
+    for seq, call in enumerate(calls):
+        op = call()
+        assert op is trace.ops[seq] and op.seq == seq
+        assert trace.kinds[seq] == op.kind
+    assert len(trace.ops) == len(calls)
+    assert trace.ops[2].size == 32 and trace.ops[-1].cycles == 5

@@ -13,7 +13,7 @@ separator fence), built here from :class:`TraceCursor`-style ops.
 
 import pytest
 
-from repro.core.ops import CACHE_LINE, ColumnCursor, ColumnTrace, Op, OpKind, Program
+from repro.core.ops import CACHE_LINE, ColumnCursor, Op, OpKind, Program
 from repro.lang import logbuf
 from repro.lang.dialect import DIALECTS, ORDERING_POINTS
 from repro.lang.logbuf import LogError, LogLayout
@@ -231,7 +231,7 @@ def test_oversized_value_and_out_of_bounds_change_nothing(dialect_name):
 
 
 def test_store_run_matches_one_store_and_flush_per_address():
-    block, oracle = Program(1, trace=ColumnTrace), Program(1, trace=ColumnTrace)
+    block, oracle = Program(1), Program(1)
     run, single = ColumnCursor(block, 0), ColumnCursor(oracle, 0)
     run.region = single.region = 3
     addrs = [0x1001, 0x1041, 0x2001, 0x1081]
@@ -245,7 +245,7 @@ def test_store_run_matches_one_store_and_flush_per_address():
 
 
 def test_store_run_refuses_a_line_crossing_store():
-    program = Program(1, trace=ColumnTrace)
+    program = Program(1)
     cur = ColumnCursor(program, 0)
     with pytest.raises(ValueError):
         cur.store_run([0x1000, 0x103F], b"\x00\x00", "invalidate")

@@ -1,9 +1,10 @@
 """Generated traces are born as replay columns and build ops only on read.
 
 The runtime writes every trace through :class:`ColumnCursor` into a
-:class:`ColumnTrace`; ``.ops`` builds :class:`Op` objects from those
-columns when (and only when) something reads it.  The sweep path must
-never read it: these tests fail if a sim-only cell starts building ops.
+:class:`ColumnTrace`, and hand-built programs are column traces too;
+``.ops`` builds :class:`Op` objects from those columns when (and only
+when) something reads it.  The sweep path must never read it: these
+tests fail if a sim-only cell starts building ops.
 """
 
 import pickle
@@ -14,7 +15,6 @@ from repro.core.ops import (
     CACHE_LINE,
     ColumnCursor,
     ColumnTrace,
-    Op,
     OpKind,
     Program,
     TraceCursor,
@@ -68,20 +68,22 @@ def _emit_mix(cur):
 
 
 def _store_and_flush(cur, addr, data, label, region=None):
-    """What the runtime emits for one store, through a TraceCursor."""
-    first = cur.store(addr, data, label=label)
+    """What the runtime emits for one store, through a TraceCursor: the
+    STORE pieces carry ``region`` (default: the cursor's), the CLWBs the
+    cursor's.  The columns are what the trace holds, so the region is
+    set on the cursor before the call, not on the ops it returns."""
+    own = cur.region
     if region is not None:
-        # TraceCursor.store returns the first piece; the pieces of a
-        # region-tagged store all carry the region.
-        for op in cur.program.threads[cur.tid].ops[first.seq :]:
-            op.region = region
+        cur.region = region
+    cur.store(addr, data, label=label)
+    cur.region = own
     for line in range(addr // CACHE_LINE, (addr + len(data) - 1) // CACHE_LINE + 1):
         cur.clwb(line * CACHE_LINE, label=label)
 
 
 def test_column_cursor_matches_trace_cursor_field_for_field():
     ref = Program(2)
-    col = Program(2, trace=ColumnTrace)
+    col = Program(2)
     stores = [
         (0x1000, b"\x01" * 8, "log:STORE", None),
         (0x1000 + CACHE_LINE - 4, b"\x22" * 12, "update", None),  # splits
@@ -103,13 +105,12 @@ def test_column_cursor_matches_trace_cursor_field_for_field():
         assert len(ct) == len(rt)
         assert ct.ops == rt.ops
         assert all(type(op.kind) is OpKind for op in ct.ops)
-        # replay columns and op-mix totals: compiled from the op list,
-        # and as born plus counted from the kinds column
+        # replay columns and op-mix totals: written op by op, and in blocks
         assert cnative.trace_columns(rt) == cnative.trace_columns(ct)
 
 
 def test_ops_are_correct_whenever_read_while_emitting():
-    program = Program(1, trace=ColumnTrace)
+    program = Program(1)
     cur = ColumnCursor(program, 0)
     trace = program.threads[0]
     cur.load(0x80, 8)
@@ -128,10 +129,20 @@ def test_ops_are_correct_whenever_read_while_emitting():
     assert ops[1].cycles == 7 and ops[2].data == b"\x05" * 4
 
 
-def test_column_traces_refuse_op_appends():
-    program = Program(1, trace=ColumnTrace)
-    with pytest.raises(TypeError):
-        program.emit(0, Op(OpKind.SFENCE))
+def test_hand_built_traces_replay_their_own_columns():
+    """A hand-built trace is replay columns from its first op, so the
+    native core's streams are the trace's own arrays: nothing compiles."""
+    program = Program(1)
+    cur = TraceCursor(program, 0)
+    cur.store(0x1000 + CACHE_LINE - 4, b"\x07" * 12)  # two pieces
+    cur.clwb(0x1000)
+    cur.compute(9)
+    trace = program.threads[0]
+    kinds, lines, cycles, lock_ids, static = cnative.trace_columns(trace)
+    assert kinds is trace.kinds and lines is trace.lines
+    assert cycles is trace.cycles and lock_ids is trace.lock_ids
+    assert list(kinds) == [OpKind.STORE, OpKind.STORE, OpKind.CLWB, OpKind.COMPUTE]
+    assert static["stores"] == 2 and static["compute_cycles"] == 9
 
 
 def test_touched_lines_match_an_op_scan():

@@ -11,7 +11,7 @@ bit-identical:
   crash harness's (``CHAOS_CFG``, commit-durable txn), whose every
   crash program is specialized;
 * the specialized program's replay columns (what the native core
-  replays) equal a fresh compile of its built ops;
+  replays) equal columns built afresh from its ops;
 * the default tier reproduces the reference engine's ``MachineStats``
   exactly, per core and per field, across all five designs;
 * under a fault plan the default tier crashes where the reference
@@ -112,7 +112,7 @@ def test_specialized_equals_direct_generation(canonical_runs, inputs, workload, 
 @pytest.mark.parametrize("design", sorted(DESIGNS))
 def test_derived_arrays_equal_fresh_compile(canonical, workload, design):
     """The replay columns of a specialized trace (patched/sliced from the
-    canonical columns) must equal compiling its built ops from scratch."""
+    canonical columns) must equal columns built from its ops from scratch."""
     spec = specialize_run(canonical[workload], design)
     for trace in spec.program.threads:
         assert_columns_match_ops(trace)

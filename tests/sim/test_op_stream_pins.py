@@ -29,16 +29,16 @@ import hashlib
 import json
 import os
 import sys
+from array import array
 from dataclasses import replace
 
 import pytest
 
-from repro.core.ops import OpKind
+from repro.core.ops import CACHE_LINE, OpKind
 from repro.harness.experiment import default_config
 from repro.lang.dialect import DIALECTS
 from repro.lang.specialize import MARK_PREFIX
 from repro.sim import cnative
-from repro.sim.cnative import compile_trace
 from repro.workloads import WORKLOADS
 from repro.workloads.base import generate, generate_canonical, make_model, specialize_run
 
@@ -114,9 +114,26 @@ def program_digest(program) -> dict:
 
 
 def assert_columns_match_ops(trace):
-    """``trace``'s replay columns and op-mix totals equal
-    :func:`compile_trace` of its built ops."""
-    assert cnative.trace_columns(trace) == compile_trace(trace)
+    """``trace``'s replay columns and op-mix totals equal those built here,
+    op by op, from its built ops."""
+    ops = trace.ops
+    kinds = [op.kind for op in ops]
+    fences = range(OpKind.SFENCE, OpKind.DFENCE + 1)
+    assert cnative.trace_columns(trace) == (
+        array("i", kinds),
+        array("q", [op.addr // CACHE_LINE for op in ops]),
+        array("i", [op.cycles for op in ops]),
+        array("i", [op.lock_id for op in ops]),
+        {
+            "stores": kinds.count(OpKind.STORE) + kinds.count(OpKind.VSTORE),
+            "loads": kinds.count(OpKind.LOAD) + kinds.count(OpKind.VLOAD),
+            "clwbs": kinds.count(OpKind.CLWB),
+            "fences": sum(kind in fences for kind in kinds),
+            "compute_cycles": sum(
+                op.cycles for op in ops if op.kind is OpKind.COMPUTE
+            ),
+        },
+    )
 
 
 def _cfg(ops_per_region):

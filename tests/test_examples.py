@@ -10,7 +10,14 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 @pytest.mark.parametrize(
-    "script", ["litmus_semantics.py", "crash_recovery.py", "redo_logging.py"]
+    "script",
+    [
+        "quickstart.py",
+        "litmus_semantics.py",
+        "crash_recovery.py",
+        "redo_logging.py",
+        "design_space.py",
+    ],
 )
 def test_example_runs(script):
     proc = subprocess.run(
