@@ -32,8 +32,8 @@ def source_copy(monkeypatch, tmp_path):
 
 
 def _plant(directory):
-    """An older build, another builder's unfinished one and a file that
-    is no build at all."""
+    """An older build, another process's unfinished build and a file
+    that is no build at all."""
     directory.mkdir(parents=True, exist_ok=True)
     planted = {
         "stale": directory / "_fastcore-0123456789abcdef.so",
