@@ -86,6 +86,7 @@ class DeclarativePmo:
     """Eqs. 1-4 as explicit relations over one design-projected trace."""
 
     def __init__(self, program: Program, sem) -> None:
+        program.seal()
         if isinstance(sem, str):
             sem = semantics_for(sem)
         self.semantics: DesignSemantics = sem

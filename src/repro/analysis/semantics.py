@@ -100,12 +100,13 @@ class EffectiveProgram:
     """A trace projected onto the primitives one design implements.
 
     Quacks enough like :class:`~repro.core.ops.Program` for
-    :class:`~repro.core.model.PersistDag` (``n_threads`` + ``all_ops()``),
-    while returning the *original* ``Op`` objects so every diagnostic
-    keeps the source trace's ``(tid, seq)`` coordinates.
+    :class:`~repro.core.model.PersistDag` (``n_threads``, ``all_ops()``,
+    ``seal()``), while returning the *original* ``Op`` objects, of the
+    sealed source program, so every diagnostic keeps their ``(tid, seq)``.
     """
 
     def __init__(self, program: Program, sem: DesignSemantics) -> None:
+        program.seal()
         self.source = program
         self.semantics = sem
         self.n_threads = program.n_threads
@@ -121,6 +122,9 @@ class EffectiveProgram:
 
     def all_ops(self) -> List[Op]:
         return self._ops
+
+    def seal(self) -> None:
+        self.source.seal()
 
     def thread_ops(self, tid: int) -> List[Op]:
         """One thread's projected ops in visibility order (callers only

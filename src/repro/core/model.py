@@ -119,12 +119,13 @@ class PersistDag:
     :func:`repro.chaos.image._satisfaction`,
     ``repro.analysis.modelcheck._store_ancestors``),
     :meth:`downward_close` stops at an index floor, and
-    :meth:`ordered_before` never walks below its source node.  The DAG
-    is immutable once built, so its op indexes (:attr:`node_of`,
-    :attr:`node_of_gseq`) are built on first read and kept.
+    :meth:`ordered_before` never walks below its source node.  The DAG,
+    like the sealed program it reads, is immutable, so its op indexes
+    (:attr:`node_of`, :attr:`node_of_gseq`) are built on first read.
     """
 
     def __init__(self, program: Program) -> None:
+        program.seal()
         self.program = program
         self.kinds = bytearray()
         self.ops: List[Op] = []

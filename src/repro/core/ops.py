@@ -42,7 +42,7 @@ from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import compress, repeat
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 CACHE_LINE = 64
 
@@ -57,6 +57,13 @@ class LineCrossError(ValueError):
     boundaries or opt in explicitly (``on_line_cross="allow"``) to model
     a torn-write hazard on purpose.
     """
+
+
+class SealedProgramError(RuntimeError):
+    """An op was emitted into a sealed :class:`Program` (:meth:`Program.seal`)."""
+
+
+_SEALED = "the program is sealed; emit into a new program instead"
 
 
 class OpKind(IntEnum):
@@ -81,11 +88,6 @@ class OpKind(IntEnum):
 #: Kinds that reference a persistent-memory address.
 ADDRESSED_KINDS = frozenset(
     {OpKind.STORE, OpKind.LOAD, OpKind.CLWB, OpKind.VSTORE, OpKind.VLOAD}
-)
-
-#: Ordering primitives of the strand persistency model.
-STRAND_PRIMITIVES = frozenset(
-    {OpKind.PERSIST_BARRIER, OpKind.NEW_STRAND, OpKind.JOIN_STRAND}
 )
 
 #: Every fence-like op across all ISA designs.
@@ -268,10 +270,6 @@ class ColumnTrace:
         """Global visibility slot of op ``index`` of an emitted trace."""
         return self.record[_REC * index + _GSEQ]
 
-    def addressed_lines(self) -> Iterable[int]:
-        """Cache line of every op that addresses memory."""
-        return compress(self.lines, kind_bytes(self.kinds).translate(_ADDRESSED_BYTES))
-
     def __getstate__(self):
         self.ops  # a derived trace's builder is a closure, which does not pickle
         return self.__dict__
@@ -285,7 +283,7 @@ class Program:
     single global order.  That order *is* the volatile memory order (VMO)
     used by the formal model: it is a legal TSO execution because each
     thread's ops appear in program order and conflicting accesses are
-    serialised.
+    serialised.  A program grows until it is sealed (:meth:`seal`).
     """
 
     def __init__(self, n_threads: int) -> None:
@@ -294,7 +292,11 @@ class Program:
         #: FIFO acquisition order per lock, fixed at generation time and
         #: replayed by the timing simulator.
         self.lock_order: Dict[int, List[int]] = {}
-        self._touched_lines: Optional[array] = None
+        self._sealed = False
+        #: the caches derived from the sealed program (see :meth:`seal`).
+        self._touched_lines = array("q")
+        self._c_streams: Optional[tuple] = None
+        self._one_line_stores: Optional[bool] = None
 
     @property
     def n_threads(self) -> int:
@@ -304,11 +306,36 @@ class Program:
         """Append a copy of ``op``'s fields to thread ``tid`` at the next
         visibility slot and return the trace's own op, numbered there;
         ``op`` itself is left as it was."""
-        if op.kind is OpKind.LOCK_ACQ:
-            self.lock_order.setdefault(op.lock_id, []).append(tid)
-        return TraceCursor(self, tid)._emit(
+        new = TraceCursor(self, tid)._emit(
             op.kind, op.addr, op.size, op.data, op.lock_id, op.cycles, op.label, op.region
         )
+        if op.kind is OpKind.LOCK_ACQ:
+            self.lock_order.setdefault(op.lock_id, []).append(tid)
+        return new
+
+    def seal(self) -> None:
+        """Compute the touched lines and refuse every later emit (see
+        :class:`SealedProgramError`); idempotent, and nothing unseals."""
+        if self._sealed:
+            return
+        self._sealed = True
+        touched = set()
+        for trace in self.threads:
+            addressed = kind_bytes(trace.kinds).translate(_ADDRESSED_BYTES)
+            touched.update(compress(trace.lines, addressed))
+        self._touched_lines = array("q", sorted(touched))
+
+    def fence_rewrite(self, threads: List[ColumnTrace], next_gseq: int) -> "Program":
+        """A sealed program of ``threads``, this one's with its fences
+        rewritten (:mod:`repro.lang.specialize`): it shares lines and locks."""
+        self.seal()
+        out = Program(0)
+        out.threads = threads
+        out._next_gseq = next_gseq
+        out.lock_order = self.lock_order
+        out._sealed = True
+        out._touched_lines = self._touched_lines
+        return out
 
     def all_ops(self) -> List[Op]:
         """Every op of every thread in global visibility (gseq) order."""
@@ -316,28 +343,32 @@ class Program:
         merged.sort(key=lambda op: op.gseq)
         return merged
 
-    def pm_stores(self) -> List[Op]:
-        """All persistent stores in visibility order."""
-        return [op for op in self.all_ops() if op.kind is OpKind.STORE]
-
     def touched_lines(self) -> array:
         """Sorted cache lines that any addressed op touches, as
-        ``array("q")``; computed once (programs are immutable once
-        generated) for the replay engines' cache warm-up."""
-        if self._touched_lines is None:
-            touched = set()
-            for trace in self.threads:
-                touched.update(trace.addressed_lines())
-            self._touched_lines = array("q", sorted(touched))
+        ``array("q")``, for the replay engines' cache warm-up."""
+        self.seal()
         return self._touched_lines
 
-    def counts(self) -> Dict[str, int]:
-        """Histogram of op kinds across all threads (for reporting)."""
-        out: Dict[str, int] = {}
-        for trace in self.threads:
-            for op in trace.ops:
-                out[op.kind.name] = out.get(op.kind.name, 0) + 1
-        return out
+    def one_line_stores(self) -> bool:
+        """True when every STORE lies inside one cache line, which the
+        native core's crash runs need: it records one line per op."""
+        self.seal()
+        if self._one_line_stores is None:
+            self._one_line_stores = all(
+                0 < op.size <= CACHE_LINE - op.addr % CACHE_LINE
+                for trace in self.threads
+                for op in trace.ops
+                if op.kind is OpKind.STORE
+            )
+        return self._one_line_stores
+
+    def native_streams(self, build: Callable[["Program"], tuple]) -> tuple:
+        """The native core's C-ready streams of the sealed program,
+        ``build(self)`` on first read (:mod:`repro.sim.cnative`)."""
+        self.seal()
+        if self._c_streams is None:
+            self._c_streams = build(self)
+        return self._c_streams
 
 
 # Plain-int kinds for the emission hot path (an enum member costs an
@@ -385,6 +416,8 @@ class ColumnCursor:
     A fence is ``(kind, label)``; only the marker dialect's placeholders
     carry a label, and a labelled fence's ``(index, label)`` goes into the
     trace's ``marker_sites`` as it is emitted.
+
+    On a sealed program every emitter raises :class:`SealedProgramError`, writing nothing.
     """
 
     __slots__ = ("program", "tid", "trace", "region")
@@ -401,6 +434,8 @@ class ColumnCursor:
     ) -> Optional[Op]:
         trace = self.trace
         program = self.program
+        if program._sealed:
+            raise SealedProgramError(_SEALED)
         gseq = program._next_gseq
         program._next_gseq = gseq + 1
         trace.kinds.append(kind)
@@ -415,6 +450,8 @@ class ColumnCursor:
         with no lock and no cycles, recording labelled fences' sites."""
         trace = self.trace
         program = self.program
+        if program._sealed:
+            raise SealedProgramError(_SEALED)
         gseq = program._next_gseq
         base = len(trace.kinds)
         n = len(rows)
@@ -447,6 +484,8 @@ class ColumnCursor:
             return
         trace = self.trace
         program = self.program
+        if program._sealed:
+            raise SealedProgramError(_SEALED)
         gseq = program._next_gseq
         program._next_gseq = gseq + 2
         line = addr // CACHE_LINE
@@ -491,6 +530,8 @@ class ColumnCursor:
             return
         trace = self.trace
         program = self.program
+        if program._sealed:
+            raise SealedProgramError(_SEALED)
         gseq = program._next_gseq
         program._next_gseq = gseq + 6
         kinds = trace.kinds
@@ -526,6 +567,8 @@ class ColumnCursor:
         n = 2 * len(addrs)
         trace = self.trace
         program = self.program
+        if program._sealed:
+            raise SealedProgramError(_SEALED)
         gseq = program._next_gseq
         program._next_gseq = gseq + n
         region = self.region
@@ -547,13 +590,15 @@ class ColumnCursor:
         if fence is None:
             return
         kind, label = fence
-        if label:
-            self.trace.marker_sites.append((len(self.trace.kinds), label))
         self._emit(kind, 0, 0, b"", -1, 0, label, self.region)
+        if label:
+            self.trace.marker_sites.append((len(self.trace.kinds) - 1, label))
 
     def load(self, addr: int, size: int, label: str = "") -> Optional[Op]:
         trace = self.trace
         program = self.program
+        if program._sealed:
+            raise SealedProgramError(_SEALED)
         gseq = program._next_gseq
         program._next_gseq = gseq + 1
         trace.kinds.append(_LOAD)
@@ -588,8 +633,9 @@ class ColumnCursor:
         return self._emit(_DFENCE, 0, 0, b"", -1, 0, "", self.region)
 
     def lock(self, lock_id: int) -> Optional[Op]:
+        op = self._emit(_LOCK_ACQ, 0, 0, b"", lock_id, 0, "", self.region)
         self.program.lock_order.setdefault(lock_id, []).append(self.tid)
-        return self._emit(_LOCK_ACQ, 0, 0, b"", lock_id, 0, "", self.region)
+        return op
 
     def unlock(self, lock_id: int) -> Optional[Op]:
         return self._emit(_LOCK_REL, 0, 0, b"", lock_id, 0, "", self.region)

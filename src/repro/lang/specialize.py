@@ -85,9 +85,9 @@ SPECIALIZE_MAP: Dict[str, Dict[str, Optional[OpKind]]] = {
 def specialize(program: Program, dialect_name: str) -> Program:
     """Rewrite a canonical marker program for one concrete dialect.
 
-    Returns a new :class:`Program`; the canonical program is untouched
-    and can be specialized again for other dialects.  The touched-line
-    set is shared outright: fences carry no address.
+    Returns a new, sealed :class:`Program`; the canonical program is
+    untouched and can be specialized again for other dialects.  The
+    touched-line set and the lock order are shared outright.
     """
     try:
         table = SPECIALIZE_MAP[dialect_name]
@@ -97,20 +97,14 @@ def specialize(program: Program, dialect_name: str) -> Program:
             f"choose from {sorted(SPECIALIZE_MAP)}"
         ) from None
     if dialect_name == "non-atomic":
-        out = _specialize_dropping(program)
-    else:
-        out = _specialize_in_place(program, table)
-    out._touched_lines = program.touched_lines()
-    return out
+        return _specialize_dropping(program)
+    return _specialize_in_place(program, table)
 
 
 def _specialize_in_place(program: Program, table) -> Program:
     """One-op-per-marker dialects: numbering is unchanged, so the kinds
     column is a memcpy plus one patch per marker and the lines/cycles/
     lock columns are the canonical arrays themselves."""
-    out = Program(program.n_threads)
-    out._next_gseq = program._next_gseq
-    out.lock_order = {k: list(v) for k, v in program.lock_order.items()}
     fence_of = {label: int(kind) for label, kind in table.items()}
     threads = []
     for src in program.threads:
@@ -119,8 +113,7 @@ def _specialize_in_place(program: Program, table) -> Program:
             kinds[i] = fence_of[label]
         columns = (kinds, src.lines, src.cycles, src.lock_ids)
         threads.append(ColumnTrace(src.tid, columns, _in_place_builder(src, table)))
-    out.threads = threads
-    return out
+    return program.fence_rewrite(threads, program._next_gseq)
 
 
 def _in_place_builder(src: ColumnTrace, table):
@@ -150,8 +143,6 @@ def _specialize_dropping(program: Program) -> Program:
     preceded it.  Lock order is unchanged (lock ops are never markers
     and their relative order is preserved).
     """
-    out = Program(program.n_threads)
-    out.lock_order = {k: list(v) for k, v in program.lock_order.items()}
     dropped = sorted(
         src.gseq(i) for src in program.threads for i, _label in src.marker_sites
     )
@@ -169,9 +160,7 @@ def _specialize_dropping(program: Program) -> Program:
         threads.append(
             ColumnTrace(src.tid, tuple(columns), _dropping_builder(src, set(sites), dropped))
         )
-    out.threads = threads
-    out._next_gseq = program._next_gseq - len(dropped)
-    return out
+    return program.fence_rewrite(threads, program._next_gseq - len(dropped))
 
 
 def _dropping_builder(src: ColumnTrace, site_set, dropped):

@@ -34,7 +34,6 @@ _PAGE_MASK = PAGE_SIZE - 1
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
 _U64 = struct.Struct("<Q")
-_U32 = struct.Struct("<I")
 
 #: page number -> page contents; absent pages are all zeros.
 Snapshot = Dict[int, bytes]
@@ -127,12 +126,6 @@ class PersistentMemory:
 
     def write_u64(self, addr: int, value: int) -> None:
         self.write(addr, _U64.pack(value & 0xFFFFFFFFFFFFFFFF))
-
-    def read_u32(self, addr: int) -> int:
-        return _U32.unpack(self.read(addr, 4))[0]
-
-    def write_u32(self, addr: int, value: int) -> None:
-        self.write(addr, _U32.pack(value & 0xFFFFFFFF))
 
     # -- durability baseline -------------------------------------------
 

@@ -10,7 +10,7 @@
  * arbitration, per-design persist structures.  Those Python modules are
  * its specification.  The output is the per-core stats block -- the
  * Python layer adds the op-mix totals of the ops each core dispatched
- * (see cnative.trace_columns).
+ * (see cnative._op_mix).
  *
  * Runs: every Machine.run without a tracer, media faults included.  A
  * crash run (a fault plan; Crash below) stops where the reference's loop

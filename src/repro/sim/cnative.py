@@ -34,9 +34,9 @@ the compiler's exit status and first stderr line, or the ctypes load
 error) and every run replays on the reference engine: the same
 results, one to two orders of magnitude slower.
 
-Streams: a program's per-thread columns are concatenated into C-ready
-arrays once and cached on it (:func:`_program_streams`).  Lines travel
-as 4-byte dense ids, each op's line's index in
+Streams: a sealed program's per-thread columns are concatenated into
+C-ready arrays once, and it keeps them (:func:`_program_streams`).
+Lines travel as 4-byte dense ids, each op's line's index in
 ``program.touched_lines()``; the core keys all line state by arrays
 sized to that set.
 
@@ -70,7 +70,7 @@ from itertools import compress
 from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.core.ops import CACHE_LINE, ColumnTrace, OpKind, Program, kind_bytes
+from repro.core.ops import OpKind, Program, kind_bytes
 from repro.sim.config import MachineConfig
 from repro.sim.durability import (
     SOURCE_CLWB, SOURCE_WRITEBACK, CrashState, CrashTrigger, StoreRecord,
@@ -333,51 +333,37 @@ def _op_mix(kinds: array, cycles: array) -> dict:
     }
 
 
-def trace_columns(trace: ColumnTrace):
-    """C-ready ``(kinds, lines, cycles, lock_ids, static)`` of one thread:
-    the columns the trace was born as, replayed without building an op,
-    and their op-mix totals ``static``."""
-    return (
-        trace.kinds, trace.lines, trace.cycles, trace.lock_ids,
-        _op_mix(trace.kinds, trace.cycles),
-    )
-
-
 def _program_streams(program: Program, lib):
-    """The program's op streams concatenated across threads as C-ready
-    buffers, cached on the program (programs are immutable once
-    generated): kinds, line ids (-1 for an op that addresses no memory),
-    cycles and lock ids, the thread offsets, each thread's op-mix totals,
-    and the lock order.  An addressed line missing from
+    """The sealed program's op streams concatenated across threads as
+    C-ready buffers, which it keeps (:meth:`Program.native_streams`):
+    kinds, line ids (-1 for an op that addresses no memory), cycles and
+    lock ids, the thread offsets, each thread's op-mix totals, and the
+    lock order.  An addressed line missing from
     ``program.touched_lines()`` raises ``RuntimeError``."""
-    cached = getattr(program, "_c_streams", None)
-    if cached is not None:
-        return cached
-    columns = [trace_columns(trace) for trace in program.threads]
     ks = array("i")
     cs = array("i")
     lk = array("i")
     offs = array("q", [0])
-    for kinds, _, cycles, lock_ids, _ in columns:
-        ks.extend(kinds)
-        cs.extend(cycles)
-        lk.extend(lock_ids)
+    for trace in program.threads:
+        ks.extend(trace.kinds)
+        cs.extend(trace.cycles)
+        lk.extend(trace.lock_ids)
         offs.append(len(ks))
     universe = program.touched_lines()
     ids = array("i", bytes(4 * len(ks)))
     ids_at = ids.buffer_info()[0]
-    for tid, (kinds, lines, *_) in enumerate(columns):
+    for tid, trace in enumerate(program.threads):
         missing = lib.rs_index(
-            _ptr(kinds, ctypes.c_int32), _ptr(lines, ctypes.c_int64), len(kinds),
+            _ptr(trace.kinds, ctypes.c_int32), _ptr(trace.lines, ctypes.c_int64), len(trace),
             _ptr(universe, ctypes.c_int64), len(universe),
             ctypes.cast(ids_at + 4 * offs[tid], ctypes.POINTER(ctypes.c_int32)),
         )
         if missing >= 0:
             raise RuntimeError(
-                f"line {lines[missing]} (thread {tid}, op {missing}) is not "
+                f"line {trace.lines[missing]} (thread {tid}, op {missing}) is not "
                 "among the program's touched lines"
             )
-    statics = [column[4] for column in columns]
+    statics = [_op_mix(trace.kinds, trace.cycles) for trace in program.threads]
     lkeys = array("i")
     loffs = array("i", [0])
     ltids = array("i")
@@ -385,9 +371,7 @@ def _program_streams(program: Program, lib):
         lkeys.append(lock_id)
         ltids.extend(tids)
         loffs.append(len(ltids))
-    streams = (ks, ids, cs, lk, offs, statics, lkeys, loffs, ltids)
-    program._c_streams = streams
-    return streams
+    return (ks, ids, cs, lk, offs, statics, lkeys, loffs, ltids)
 
 
 def run_native(
@@ -411,7 +395,7 @@ def run_native(
     lines) and ``stats.faults`` is its summary; on a decline it is
     untouched, so the reference engine draws the same faults.  The
     caller guarantees the run has no tracer and, under a trigger, that
-    every STORE touches one cache line (:func:`one_line_stores`).
+    every STORE touches one cache line (:meth:`Program.one_line_stores`).
     """
     lib = _load()
     if lib is None:
@@ -423,8 +407,8 @@ def run_native(
     if n == 0 or n > cfg.n_cores:
         return None
 
-    ks, ids, cs, lk, offs, statics, lkeys, loffs, ltids = (
-        _program_streams(program, lib)
+    ks, ids, cs, lk, offs, statics, lkeys, loffs, ltids = program.native_streams(
+        lambda sealed: _program_streams(sealed, lib)
     )
     universe = program.touched_lines()
 
@@ -640,20 +624,3 @@ def _crash_state(
 
 _BY_GSEQ = attrgetter("op.gseq")
 
-
-def one_line_stores(program: Program) -> bool:
-    """True when every STORE of ``program`` lies inside one cache line;
-    cached on the program.  The tracker waits for every line a store
-    touches (two or more for a line-crossing STORE, none for an empty
-    one), while the C core records one line per op, so a crash run of a
-    program with any other STORE replays on the reference engine."""
-    fits = getattr(program, "_one_line_stores", None)
-    if fits is None:
-        fits = all(
-            0 < op.size <= CACHE_LINE - op.addr % CACHE_LINE
-            for trace in program.threads
-            for op in trace.ops
-            if op.kind is OpKind.STORE
-        )
-        program._one_line_stores = fits
-    return fits

@@ -104,13 +104,14 @@ class Machine:
         reference engine below replays a run with a tracer, with
         ``REPRO_SIM_REFERENCE`` set, a crash run of a program with a
         STORE that does not lie inside one cache line, and every run the
-        core declines or cannot be built for.
+        core declines or cannot be built for.  Either tier seals ``program``.
         """
         if program.n_threads > self.cfg.n_cores:
             raise ValueError(
                 f"program has {program.n_threads} threads but machine has "
                 f"{self.cfg.n_cores} cores"
             )
+        program.seal()
         tracer = self.tracer
         if media_faults is None and fault_plan is not None:
             media_cfg = getattr(fault_plan, "media", None)
@@ -132,7 +133,7 @@ class Machine:
         if not tracer.enabled and not os.environ.get(REFERENCE_ENGINE_ENV):
             from repro.sim import cnative
 
-            if trigger is None or cnative.one_line_stores(program):
+            if trigger is None or program.one_line_stores():
                 stats = cnative.run_native(
                     self.design, program, self.cfg, warm, PRUNE_PERIOD,
                     trigger, media_faults,

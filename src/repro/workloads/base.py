@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 import zlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Type
 
 from repro.core.ops import Program
@@ -42,9 +42,6 @@ class WorkloadConfig:
     pm_size: int = 1 << 22
     log_entries: int = 8192  #: per-thread undo-log capacity
     ops_per_region: int = 1  #: data-structure ops per failure-atomic region (Fig. 10)
-
-    def scaled(self, ops_per_thread: int) -> "WorkloadConfig":
-        return replace(self, ops_per_thread=ops_per_thread)
 
 
 class CheckFailure(AssertionError):
@@ -124,7 +121,7 @@ def generate(
     dialect: IsaDialect,
     model: PersistencyModel,
 ) -> GeneratedRun:
-    """Run the workload functionally, emitting traces for one dialect."""
+    """Run the workload functionally, emitting a sealed program for one dialect."""
     space = PersistentMemory(cfg.pm_size)
     layout = LogLayout(base=64, capacity=cfg.log_entries, n_threads=cfg.n_threads)
     heap_base = (layout.end + 63) & ~63
@@ -158,6 +155,7 @@ def generate(
                 rt.unlock(tid, lock_id)
     for tid in range(cfg.n_threads):
         rt.finish(tid)
+    rt.program.seal()
 
     workload.check(DirectAccessor(space))
     return GeneratedRun(

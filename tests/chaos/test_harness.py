@@ -21,6 +21,7 @@ from repro.chaos import (
 )
 from repro.chaos import harness as chaos_harness
 from repro.chaos.harness import canonical_run
+from repro.core.ops import OpKind
 from repro.sim.machine import DESIGNS, Machine
 from repro.workloads import WORKLOADS, WorkloadConfig, generate_for_design
 
@@ -103,7 +104,7 @@ def test_ops_trigger_crashes_mid_program():
         harness.run.program, fault_plan=plan
     )
     assert stats.crash is not None
-    n_stores = len(harness.run.program.pm_stores())
+    n_stores = sum(op.kind is OpKind.STORE for op in harness.run.program.all_ops())
     assert len(stats.crash.durable) < n_stores
 
 

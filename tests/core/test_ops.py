@@ -67,27 +67,6 @@ def test_lock_order_recorded():
     assert prog.lock_order == {7: [0, 1], 9: [0]}
 
 
-def test_counts_histogram():
-    prog = Program(1)
-    cur = TraceCursor(prog, 0)
-    cur.store(0, b"\x00")
-    cur.clwb(0)
-    cur.clwb(64)
-    cur.sfence()
-    counts = prog.counts()
-    assert counts == {"STORE": 1, "CLWB": 2, "SFENCE": 1}
-
-
-def test_pm_stores_sorted_by_gseq():
-    prog = Program(2)
-    a = TraceCursor(prog, 0)
-    b = TraceCursor(prog, 1)
-    b.store(64, b"\x01")
-    a.store(0, b"\x02")
-    stores = prog.pm_stores()
-    assert [s.tid for s in stores] == [1, 0]
-
-
 def test_cursor_emits_all_strand_primitives():
     prog = Program(1)
     cur = TraceCursor(prog, 0)

@@ -21,7 +21,7 @@ from repro.core.ops import Op, OpKind, Program, TraceCursor
 
 def reference_order(program: Program):
     """O(n^3) literal implementation of Eqs. 1-4 (no locks supported)."""
-    stores = program.pm_stores()
+    stores = [op for op in program.all_ops() if op.kind is OpKind.STORE]
     n = len(stores)
     # Label stores via the reference annotator.
     labels = {}

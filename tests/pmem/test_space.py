@@ -19,12 +19,6 @@ def test_u64_roundtrip():
     assert pm.read_u64(8) == 0xDEADBEEF
 
 
-def test_u32_roundtrip():
-    pm = PersistentMemory(1024)
-    pm.write_u32(4, 0x12345678)
-    assert pm.read_u32(4) == 0x12345678
-
-
 def test_out_of_range_rejected():
     pm = PersistentMemory(64)
     with pytest.raises(PmError):
@@ -43,20 +37,10 @@ def test_typed_u64_read_out_of_range_rejected(addr):
         pm.read_u64(addr)
 
 
-@pytest.mark.parametrize("addr", [-4, -1, 61, 64])
-def test_typed_u32_read_out_of_range_rejected(addr):
-    pm = PersistentMemory(64)
-    pm.write(60, b"\xff" * 4)
-    with pytest.raises(PmError):
-        pm.read_u32(addr)
-
-
 def test_typed_reads_at_the_last_word_succeed():
     pm = PersistentMemory(64)
     pm.write_u64(56, 7)
-    pm.write_u32(52, 9)
     assert pm.read_u64(56) == 7
-    assert pm.read_u32(52) == 9
 
 
 def test_zero_size_rejected():

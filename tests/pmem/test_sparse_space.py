@@ -54,12 +54,6 @@ class DensePm:
     def write_u64(self, addr, value):
         self.write(addr, (value & (2**64 - 1)).to_bytes(8, "little"))
 
-    def read_u32(self, addr):
-        return int.from_bytes(self.read(addr, 4), "little")
-
-    def write_u32(self, addr, value):
-        self.write(addr, (value & (2**32 - 1)).to_bytes(4, "little"))
-
     def mark_clean(self):
         self.baseline = bytes(self.bytes)
 
@@ -109,9 +103,7 @@ accesses = st.one_of(
     st.tuples(st.just("write"), addrs, payloads),
     st.tuples(st.just("read"), addrs, st.integers(-2, PAGE_SIZE + 64)),
     st.tuples(st.just("write_u64"), addrs, st.integers(0, 2**64 - 1)),
-    st.tuples(st.just("write_u32"), addrs, st.integers(0, 2**32 - 1)),
     st.tuples(st.just("read_u64"), addrs, st.none()),
-    st.tuples(st.just("read_u32"), addrs, st.none()),
     st.tuples(st.just("mark_clean"), st.none(), st.none()),
     st.tuples(st.just("snapshot"), st.none(), st.none()),
     st.tuples(st.just("restore"), st.integers(0, 7), st.none()),
@@ -254,11 +246,8 @@ def _out_of_range_cases():
     yield 64, "write", (-1, b"x")
     for addr in (-8, -1, 57, 64, 1 << 20):
         yield 64, "read_u64", (addr,)
-    for addr in (-4, -1, 61, 64):
-        yield 64, "read_u32", (addr,)
     yield 64, "read", (0, -1)
     yield SIZE, "write_u64", (SIZE - 7, 1)
-    yield SIZE, "write_u32", (SIZE - 3, 1)
     yield SIZE, "read", (SIZE - PAGE_SIZE, PAGE_SIZE + 1)
 
 

@@ -106,7 +106,10 @@ def test_column_cursor_matches_trace_cursor_field_for_field():
         assert ct.ops == rt.ops
         assert all(type(op.kind) is OpKind for op in ct.ops)
         # replay columns and op-mix totals: written op by op, and in blocks
-        assert cnative.trace_columns(rt) == cnative.trace_columns(ct)
+        assert (ct.kinds, ct.lines, ct.cycles, ct.lock_ids) == (
+            rt.kinds, rt.lines, rt.cycles, rt.lock_ids
+        )
+        assert cnative._op_mix(ct.kinds, ct.cycles) == cnative._op_mix(rt.kinds, rt.cycles)
 
 
 def test_ops_are_correct_whenever_read_while_emitting():
@@ -138,10 +141,9 @@ def test_hand_built_traces_replay_their_own_columns():
     cur.clwb(0x1000)
     cur.compute(9)
     trace = program.threads[0]
-    kinds, lines, cycles, lock_ids, static = cnative.trace_columns(trace)
-    assert kinds is trace.kinds and lines is trace.lines
-    assert cycles is trace.cycles and lock_ids is trace.lock_ids
-    assert list(kinds) == [OpKind.STORE, OpKind.STORE, OpKind.CLWB, OpKind.COMPUTE]
+    assert list(trace.kinds) == [OpKind.STORE, OpKind.STORE, OpKind.CLWB, OpKind.COMPUTE]
+    assert list(trace.lines) == [0x1000 // CACHE_LINE + i for i in (0, 1, 0)] + [0]
+    static = cnative._op_mix(trace.kinds, trace.cycles)
     assert static["stores"] == 2 and static["compute_cycles"] == 9
 
 

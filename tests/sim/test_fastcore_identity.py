@@ -29,6 +29,7 @@ pass with or without a toolchain.
 
 import random
 import warnings
+from array import array
 from collections import Counter
 from dataclasses import replace
 
@@ -1038,14 +1039,14 @@ def test_native_media_run_with_remapped_lines_outside_the_program(
 
 def test_native_raises_on_a_line_outside_the_touched_lines():
     """The ids rest on ``touched_lines()`` holding every addressed line.
-    A program whose cached touched lines miss one (here it grew after
-    they were cached) breaks that, and the native core raises rather
-    than declining into a different run."""
+    A sealed program cannot grow past its lines, so a stale line set that
+    misses one is planted here; the native core raises rather than
+    declining into a different run."""
     if not cnative.available():
         pytest.skip("no C compiler in this environment")
     program = sparse_program(0)
-    program.touched_lines()
     TraceCursor(program, 1).store(99 * CACHE_LINE, b"\x01" * 8)
+    program._touched_lines = array("q", (x for x in program.touched_lines() if x != 99))
     with pytest.raises(RuntimeError, match=r"line 99 \(thread 1, op 0\)"):
         cnative.run_native("strandweaver", program, TABLE_I, True, PRUNE_PERIOD)
 

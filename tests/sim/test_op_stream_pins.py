@@ -119,7 +119,8 @@ def assert_columns_match_ops(trace):
     ops = trace.ops
     kinds = [op.kind for op in ops]
     fences = range(OpKind.SFENCE, OpKind.DFENCE + 1)
-    assert cnative.trace_columns(trace) == (
+    columns = (trace.kinds, trace.lines, trace.cycles, trace.lock_ids)
+    assert (*columns, cnative._op_mix(trace.kinds, trace.cycles)) == (
         array("i", kinds),
         array("q", [op.addr // CACHE_LINE for op in ops]),
         array("i", [op.cycles for op in ops]),

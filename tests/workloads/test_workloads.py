@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.ops import OpKind
 from repro.lang.runtime import DirectAccessor
 from repro.sim.machine import run_design
 from repro.workloads import (
@@ -61,8 +62,8 @@ def test_ops_per_region_groups_work(small_cfg):
     grouped = replace(small_cfg, ops_per_region=4)
     run1 = generate_for_design(WORKLOADS["queue"], small_cfg, "strandweaver", "txn")
     run4 = generate_for_design(WORKLOADS["queue"], grouped, "strandweaver", "txn")
-    js1 = run1.program.counts().get("JOIN_STRAND", 0)
-    js4 = run4.program.counts().get("JOIN_STRAND", 0)
+    js1 = sum(op.kind is OpKind.JOIN_STRAND for op in run1.program.all_ops())
+    js4 = sum(op.kind is OpKind.JOIN_STRAND for op in run4.program.all_ops())
     assert js4 < js1  # fewer regions => fewer drains
 
 
