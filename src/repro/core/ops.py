@@ -26,8 +26,6 @@ Micro-op vocabulary (paper section the op comes from in parentheses):
 ``LOCK_ACQ``       acquire a named lock (synchronises threads)
 ``LOCK_REL``       release a named lock
 ``COMPUTE``        opaque CPU work measured in cycles
-``VSTORE``         store to *volatile* (DRAM) memory — never persists
-``VLOAD``          load from volatile memory
 =================  =============================================================
 
 Stores carry the written bytes so that crash images can be materialised by
@@ -81,14 +79,10 @@ class OpKind(IntEnum):
     LOCK_ACQ = 9
     LOCK_REL = 10
     COMPUTE = 11
-    VSTORE = 12
-    VLOAD = 13
 
 
 #: Kinds that reference a persistent-memory address.
-ADDRESSED_KINDS = frozenset(
-    {OpKind.STORE, OpKind.LOAD, OpKind.CLWB, OpKind.VSTORE, OpKind.VLOAD}
-)
+ADDRESSED_KINDS = frozenset({OpKind.STORE, OpKind.LOAD, OpKind.CLWB})
 
 #: Every fence-like op across all ISA designs.
 FENCE_KINDS = frozenset(
@@ -139,7 +133,7 @@ class Op:
 
     Attributes:
         kind: operation discriminator.
-        addr: byte address for addressed ops (PM or volatile), else 0.
+        addr: byte address for addressed ops, else 0.
         size: access size in bytes for addressed ops.
         data: bytes written by a ``STORE``; empty otherwise.
         lock_id: lock identity for ``LOCK_ACQ``/``LOCK_REL``.
@@ -239,9 +233,6 @@ class ColumnTrace:
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __getitem__(self, idx: int) -> Op:
-        return self.ops[idx]
 
     @property
     def ops(self) -> List[Op]:
@@ -374,7 +365,7 @@ class Program:
 # Plain-int kinds for the emission hot path (an enum member costs an
 # attribute lookup and an __index__ call per op).
 (_STORE, _LOAD, _CLWB, _SFENCE, _PB, _NS, _JS, _OFENCE, _DFENCE,
- _LOCK_ACQ, _LOCK_REL, _COMPUTE, _VSTORE, _VLOAD) = map(int, OpKind)
+ _LOCK_ACQ, _LOCK_REL, _COMPUTE) = map(int, OpKind)
 
 _FENCE_INTS = frozenset(map(int, FENCE_KINDS))
 #: constant column pieces of the emission blocks.
@@ -607,12 +598,6 @@ class ColumnCursor:
         trace.lock_ids.append(-1)
         trace.record.extend((addr, size, b"", gseq, self.region, label))
         return None
-
-    def vstore(self, addr: int, size: int, label: str = "") -> Optional[Op]:
-        return self._emit(_VSTORE, addr, size, b"", -1, 0, label, self.region)
-
-    def vload(self, addr: int, size: int, label: str = "") -> Optional[Op]:
-        return self._emit(_VLOAD, addr, size, b"", -1, 0, label, self.region)
 
     def sfence(self) -> Optional[Op]:
         return self._emit(_SFENCE, 0, 0, b"", -1, 0, "", self.region)

@@ -58,16 +58,6 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-#: test-only fault hooks, read inside the worker: a cell whose label
-#: equals the value of KILL dies by SIGKILL (simulating an OOM-killed or
-#: segfaulting worker); a cell matching HANG sleeps far past any test
-#: timeout (simulating a livelocked cell).  Unset in production.
-TEST_KILL_ENV = "REPRO_SWEEP_TEST_KILL"
-TEST_HANG_ENV = "REPRO_SWEEP_TEST_HANG"
-_HANG_SECONDS = 60.0
-#: seconds between a pool worker's checks that its parent is alive.
-_PARENT_POLL_S = 0.5
-
 from repro.harness.cachedir import CellCache, cell_fingerprint, fingerprint_key
 from repro.harness.experiment import (
     RunKey,
@@ -82,6 +72,16 @@ from repro.prof.runlog import CampaignMonitor, Progress, RunLog
 from repro.sim.config import TABLE_I, MachineConfig
 from repro.sim.stats import MachineStats
 from repro.workloads import WorkloadConfig
+
+#: test-only fault hooks, read inside the worker: a cell whose label
+#: equals the value of KILL dies by SIGKILL (simulating an OOM-killed or
+#: segfaulting worker); a cell matching HANG sleeps far past any test
+#: timeout (simulating a livelocked cell).  Unset in production.
+TEST_KILL_ENV = "REPRO_SWEEP_TEST_KILL"
+TEST_HANG_ENV = "REPRO_SWEEP_TEST_HANG"
+_HANG_SECONDS = 60.0
+#: seconds between a pool worker's checks that its parent is alive.
+_PARENT_POLL_S = 0.5
 
 
 @dataclass(frozen=True)

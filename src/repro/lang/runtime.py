@@ -207,12 +207,6 @@ class PmRuntime:
     def compute(self, tid: int, cycles: int) -> None:
         self._threads[tid].cursor.compute(cycles)
 
-    def vload(self, tid: int, addr: int, size: int = 8) -> None:
-        self._threads[tid].cursor.vload(addr, size)
-
-    def vstore(self, tid: int, addr: int, size: int = 8) -> None:
-        self._threads[tid].cursor.vstore(addr, size)
-
     def finish(self, tid: int) -> None:
         """Flush the thread's pending commits at workload end."""
         self.model.on_finish(self, tid)

@@ -6,7 +6,7 @@
  * repro/sim/memory.py, repro/sim/engine.py, and for crash runs
  * repro/sim/machine.py's trigger and repro/sim/durability.py's tracker --
  * that owns *all* simulator state natively: tag caches, dirty ownership,
- * bandwidth windows, PM/DRAM timing, media-fault policy, lock
+ * bandwidth windows, PM timing, media-fault policy, lock
  * arbitration, per-design persist structures.  Those Python modules are
  * its specification.  The output is the per-core stats block -- the
  * Python layer adds the op-mix totals of the ops each core dispatched
@@ -18,7 +18,7 @@
  * before it steps (so also when it would park); an op-count trigger
  * fires after the at-th dispatch, at that core's clock; a program that
  * outruns the trigger ends at the last clock.  Along the way it records
- * each persistent STORE's retire time and matches each PM acceptance of
+ * each STORE's retire time and matches each PM acceptance of
  * a line -- by CLWB, or by a dirty L2 victim's write-back -- against the
  * line's uncovered stores, in the reference's call order.  The tracker
  * waits for every line a store touches; this core sees one line per op,
@@ -141,7 +141,6 @@ enum {
     K_STORE = 0, K_LOAD = 1, K_CLWB = 2,
     K_SFENCE = 3, K_PB = 4, K_NS = 5, K_JS = 6, K_OFENCE = 7, K_DFENCE = 8,
     K_LOCK_ACQ = 9, K_LOCK_REL = 10, K_COMPUTE = 11,
-    K_VSTORE = 12, K_VLOAD = 13,
 };
 
 enum { RC_OK = 0, RC_DEADLOCK = 1, RC_ERR = 2 };
@@ -377,10 +376,10 @@ static void bw_free(BW *b) {
     b->cnt = NULL; b->full = NULL;
 }
 
-/* The four resources' rings outlive a run, like the L2's tags: a run
+/* The three resources' rings outlive a run, like the L2's tags: a run
  * takes over the rings earlier runs grew, cleared, and hands them back
  * in ctx_free. */
-static BW kept_bw[4];
+static BW kept_bw[3];
 
 static int bw_init(BW *b, int which, double iv, i64 capn) {
     if (capn < 1 || capn > INT32_MAX) return -1;
@@ -488,7 +487,7 @@ enum {
 /* A crash run: Machine.run under a fault plan.  The caller allocates
  * the store records, one per STORE of the program at most.  rs_run
  * stops at the trigger, as the reference's loop does, and fills in what
- * DurabilityTracker records: each persistent store's retire time and,
+ * DurabilityTracker records: each store's retire time and,
  * once the PM controller accepted its line with the store's bytes in
  * it, that acceptance time and its source. */
 enum { TRIG_CYCLE = 0, TRIG_OPS = 1 };
@@ -539,7 +538,7 @@ typedef struct {
     i64 prune_period;
     double dispatch, hit, lock_cost;
     double l1_lat, l2_lat, ovl;
-    double w2c, max_backlog, read_lat, dram_lat, coh;
+    double w2c, max_backlog, read_lat, coh;
     int coalesce;
 
     const i64 *univ;        /* id -> its line, ascending */
@@ -550,7 +549,7 @@ typedef struct {
     TC l2;
     i32 *set1, *set2;       /* id -> its L1 set, its L2 set */
     i32 *owner;             /* id -> core that last dirtied it, or -1 */
-    BW accept, media, readbw, drambw;
+    BW accept, media, readbw;
     double *queued;         /* id -> media start of its queued write */
 
     /* per-core engine state */
@@ -690,7 +689,7 @@ static double pm_write(Ctx *c, double t, i32 id) {
     return accepted;
 }
 
-/* DurabilityTracker.note_store: a persistent STORE retired to the cache */
+/* DurabilityTracker.note_store: a STORE retired to the cache */
 static int note_store(Ctx *c, i64 op, i32 id, double retire) {
     Crash *cr = c->cr;
     i64 i = cr->n_rec;
@@ -744,10 +743,6 @@ static double pm_read(Ctx *c, double t, i32 id) {
     return done;
 }
 
-static double dram_access(Ctx *c, double t) {
-    return bw_reserve(&c->drambw, t, &c->err) + c->dram_lat;
-}
-
 /* CacheHierarchy._steal_if_remote_dirty */
 static double steal(Ctx *c, int tid, i32 id, double t) {
     int owner = c->owner[id];
@@ -773,9 +768,9 @@ static double steal(Ctx *c, int tid, i32 id, double t) {
     return t;
 }
 
-/* CacheHierarchy.access; served: 0 l1, 1 l2/dram, 2 pm */
+/* CacheHierarchy.access; served: 0 l1, 1 l2, 2 pm */
 static double access_mem(Ctx *c, int tid, i32 id, int is_write, double t,
-                         int persistent, int *served) {
+                         int *served) {
     t = steal(c, tid, id, t);
     TC *l1 = &c->l1[tid];
     i64 s1 = tc_set(l1, id);
@@ -798,21 +793,17 @@ static double access_mem(Ctx *c, int tid, i32 id, int is_write, double t,
         done = t1 + c->l2_lat;
         *served = 1;
     } else {
-        if (persistent) { done = pm_read(c, t1 + c->l2_lat, id); *served = 2; }
-        else { done = dram_access(c, t1 + c->l2_lat); *served = 1; }
+        done = pm_read(c, t1 + c->l2_lat, id);
+        *served = 2;
         i32 vl; u8 vd;
-        if (tc_fill(&c->l2, id, 0, &vl, &vd) && vd) {
-            if (persistent) pm_writeback(c, done, vl);
-            else dram_access(c, done);
-        }
+        if (tc_fill(&c->l2, id, 0, &vl, &vd) && vd)
+            pm_writeback(c, done, vl);
     }
     i32 vl1; u8 vd1;
     if (tc_fill(l1, id, (u8)is_write, &vl1, &vd1)) {
         i32 vl2; u8 vd2;
-        if (tc_fill(&c->l2, vl1, vd1, &vl2, &vd2) && vd2) {
-            if (persistent) pm_writeback(c, done, vl2);
-            else dram_access(c, done);
-        }
+        if (tc_fill(&c->l2, vl1, vd1, &vl2, &vd2) && vd2)
+            pm_writeback(c, done, vl2);
     }
     if (is_write) c->owner[id] = tid;
     return done;
@@ -841,8 +832,7 @@ static double flush_line(Ctx *c, int tid, i32 id, double t) {
 static void ctx_free(Ctx *c) {
     if (c->l1) { for (int i = 0; i < c->n; i++) tc_free(&c->l1[i]); free(c->l1); }
     free(c->set1); free(c->set2); free(c->owner); free(c->queued);
-    bw_keep(&c->accept, 0); bw_keep(&c->media, 1);
-    bw_keep(&c->readbw, 2); bw_keep(&c->drambw, 3);
+    bw_keep(&c->accept, 0); bw_keep(&c->media, 1); bw_keep(&c->readbw, 2);
     free(c->clock); free(c->key); free(c->pc); free(c->st); free(c->parked_on);
     if (c->rob) { for (int i = 0; i < c->n; i++) ring_free(&c->rob[i]); free(c->rob); }
     if (c->sq) { for (int i = 0; i < c->n; i++) ring_free(&c->sq[i]); free(c->sq); }
@@ -884,8 +874,7 @@ i64 rs_index(const i32 *kinds, const i64 *lines, i64 n_ops,
 {
     for (i64 i = 0; i < n_ops; i++) {
         i32 k = kinds[i];
-        if (k == K_STORE || k == K_LOAD || k == K_CLWB ||
-            k == K_VSTORE || k == K_VLOAD) {
+        if (k == K_STORE || k == K_LOAD || k == K_CLWB) {
             i64 id = line_id(univ, n_univ, lines[i]);
             if (id < 0) return i;
             ids[i] = (i32)id;
@@ -919,13 +908,12 @@ int rs_run(
     c->sb_cap = icfg[11]; c->pq_cap = icfg[12];
     c->prune_period = icfg[13];
     i64 accept_cap = icfg[14], media_cap = icfg[15];
-    i64 read_cap = icfg[16], dram_cap = icfg[17];
+    i64 read_cap = icfg[16];
     c->dispatch = fcfg[0]; c->hit = fcfg[1]; c->lock_cost = fcfg[2];
     c->l1_lat = fcfg[3]; c->l2_lat = fcfg[4]; c->ovl = fcfg[5];
-    c->w2c = fcfg[10]; c->max_backlog = fcfg[11];
-    c->read_lat = fcfg[12]; c->dram_lat = fcfg[13];
-    c->coh = fcfg[14];
-    c->coalesce = fcfg[15] != 0.0;
+    c->w2c = fcfg[9]; c->max_backlog = fcfg[10];
+    c->read_lat = fcfg[11]; c->coh = fcfg[12];
+    c->coalesce = fcfg[13] != 0.0;
     c->univ = univ;
     int n = c->n, des = c->des;
     if (n <= 0 || n > 1024 || des < 0 || des > 4) return RC_ERR;
@@ -962,7 +950,6 @@ int rs_run(
     if (bw_init(&c->accept, 0, fcfg[6], accept_cap)) goto fail;
     if (bw_init(&c->media, 1, fcfg[7], media_cap)) goto fail;
     if (bw_init(&c->readbw, 2, fcfg[8], read_cap)) goto fail;
-    if (bw_init(&c->drambw, 3, fcfg[9], dram_cap)) goto fail;
     c->clock = (double *)calloc((size_t)n, sizeof(double));
     c->key = (double *)calloc((size_t)n, sizeof(double));
     c->pc = (i64 *)calloc((size_t)n, sizeof(i64));
@@ -1096,8 +1083,8 @@ int rs_run(
             double rob_done = t;
             i32 kind = K[pc];
 
-            if (kind == K_STORE || kind == K_VSTORE) {
-                if (kind == K_STORE && (des == 2 || des == 3)) {
+            if (kind == K_STORE) {
+                if (des == 2 || des == 3) {
                     double gate = c->store_gate[tid];
                     if (gate > t) { dyn[O_STF] += llrint(gate - t); t = gate; }
                 }
@@ -1110,16 +1097,14 @@ int rs_run(
                 }
                 i32 id = L[pc];
                 int served;
-                double done = access_mem(c, tid, id, 1, slot,
-                                         kind == K_STORE, &served);
+                double done = access_mem(c, tid, id, 1, slot, &served);
                 if (served == 0) dyn[O_L1H]++;
                 else { dyn[O_L1M]++; if (served == 2) dyn[O_PMR]++; }
                 ring_drop_le(sq, slot);
                 double retire = done > c->sq_last[tid] ? done : c->sq_last[tid];
                 if (ring_push(sq, retire)) goto fail;
                 c->sq_last[tid] = retire;
-                if (kind == K_STORE && c->cr &&
-                    note_store(c, offs[tid] + pc, id, retire))
+                if (c->cr && note_store(c, offs[tid] + pc, id, retire))
                     goto fail;
                 double *prev = &lsr[id];
                 if (retire > *prev) *prev = retire;
@@ -1227,11 +1212,10 @@ int rs_run(
                 t += (double)CY[pc];
                 rob_done = t;
 
-            } else if (kind == K_LOAD || kind == K_VLOAD) {
+            } else if (kind == K_LOAD) {
                 i32 id = L[pc];
                 int served;
-                double done = access_mem(c, tid, id, 0, t,
-                                         kind == K_LOAD, &served);
+                double done = access_mem(c, tid, id, 0, t, &served);
                 if (served == 0) {
                     dyn[O_L1H]++;
                     t = t + c->hit;
@@ -1419,7 +1403,6 @@ int rs_run(
                 bw_prune(&c->accept, low);
                 bw_prune(&c->media, low);
                 bw_prune(&c->readbw, low);
-                bw_prune(&c->drambw, low);
             }
         }
     }

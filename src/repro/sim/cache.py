@@ -3,7 +3,7 @@
 Tag-only set-associative caches with LRU replacement.  The hierarchy
 answers two questions for the core model:
 
-* how long does this load/store take (L1 / L2 / PM / DRAM service), and
+* how long does this load/store take (L1 / L2 / PM service), and
 * which accesses cross cores (dirty-ownership transfers), because those
   are where StrandWeaver's snoop-buffer drain rule applies
   (Section IV, "Enabling inter-thread persist order").
@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.durability import NULL_DURABILITY, SOURCE_WRITEBACK
-from repro.sim.memory import DRAMController, PMController
+from repro.sim.memory import PMController
 
 
 class TagCache:
@@ -93,17 +93,11 @@ DrainHook = Callable[[int, int, float], float]
 
 
 class CacheHierarchy:
-    """Per-core L1s over a shared L2 over PM + DRAM."""
+    """Per-core L1s over a shared L2 over PM."""
 
-    def __init__(
-        self,
-        cfg: MachineConfig,
-        pm: PMController,
-        dram: DRAMController,
-    ) -> None:
+    def __init__(self, cfg: MachineConfig, pm: PMController) -> None:
         self.cfg = cfg
         self.pm = pm
-        self.dram = dram
         self.l1 = [TagCache(cfg.l1d) for _ in range(cfg.n_cores)]
         self.l2 = TagCache(cfg.l2)
         #: last core to write each line while it may still be dirty in L1.
@@ -119,20 +113,17 @@ class CacheHierarchy:
 
     # -- internal helpers -------------------------------------------------
 
-    def _writeback_victim(self, victim: Optional[Tuple[int, bool]], t: float, to_pm: bool) -> None:
-        """Handle an L2 eviction: dirty lines consume memory bandwidth."""
+    def _writeback_victim(self, victim: Optional[Tuple[int, bool]], t: float) -> None:
+        """Handle an L2 eviction: a dirty line is written back to PM."""
         if victim is None:
             return
         line, dirty = victim
         if not dirty:
             return
-        if to_pm:
-            ticket = self.pm.write(t, line)
-            self.durability.line_persisted(
-                line, t, ticket.accepted, source=SOURCE_WRITEBACK
-            )
-        else:
-            self.dram.access(t)
+        ticket = self.pm.write(t, line)
+        self.durability.line_persisted(
+            line, t, ticket.accepted, source=SOURCE_WRITEBACK
+        )
 
     def _steal_if_remote_dirty(self, tid: int, line: int, t: float) -> float:
         """Resolve cross-core dirty ownership; returns post-transfer time."""
@@ -149,7 +140,7 @@ class CacheHierarchy:
                 t = hook(owner, line, t)
             dirty = owner_l1.invalidate(line)
             victim = self.l2.fill(line, dirty)
-            self._writeback_victim(victim, t, to_pm=True)
+            self._writeback_victim(victim, t)
             self.coherence_transfers += 1
             t += self.cfg.coherence_transfer
         self._dirty_owner.pop(line, None)
@@ -167,13 +158,11 @@ class CacheHierarchy:
         for line in lines:
             self.l2.fill(line, dirty=False)
 
-    def access(
-        self, tid: int, line: int, is_write: bool, t: float, persistent: bool
-    ) -> Tuple[float, str]:
+    def access(self, tid: int, line: int, is_write: bool, t: float) -> Tuple[float, str]:
         """Service a load/store for core ``tid``.
 
         Returns ``(completion_time, served_by)`` where ``served_by`` is one
-        of ``"l1"``, ``"l2"``, ``"pm"``, ``"dram"``.
+        of ``"l1"``, ``"l2"``, ``"pm"``.
         """
         l1 = self.l1[tid]
         t = self._steal_if_remote_dirty(tid, line, t)
@@ -194,20 +183,16 @@ class CacheHierarchy:
             served = "l2"
         else:
             self.l2.misses += 1
-            if persistent:
-                done = self.pm.read(t_l1 + self.cfg.l2.hit_latency, line)
-                served = "pm"
-            else:
-                done = self.dram.access(t_l1 + self.cfg.l2.hit_latency)
-                served = "dram"
+            done = self.pm.read(t_l1 + self.cfg.l2.hit_latency, line)
+            served = "pm"
             victim = self.l2.fill(line, dirty=False)
-            self._writeback_victim(victim, done, to_pm=persistent)
+            self._writeback_victim(victim, done)
 
         victim = l1.fill(line, dirty=is_write)
         if victim is not None:
             v_line, v_dirty = victim
             l2_victim = self.l2.fill(v_line, v_dirty)
-            self._writeback_victim(l2_victim, done, to_pm=persistent)
+            self._writeback_victim(l2_victim, done)
         if is_write:
             self._dirty_owner[line] = tid
         return done, served

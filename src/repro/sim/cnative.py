@@ -325,8 +325,8 @@ def _op_mix(kinds: array, cycles: array) -> dict:
     kinds_b = kind_bytes(kinds)
     count = kinds_b.count
     return {
-        "stores": count(OpKind.STORE) + count(OpKind.VSTORE),
-        "loads": count(OpKind.LOAD) + count(OpKind.VLOAD),
+        "stores": count(OpKind.STORE),
+        "loads": count(OpKind.LOAD),
         "clwbs": count(OpKind.CLWB),
         "fences": sum(count(k) for k in range(OpKind.SFENCE, OpKind.DFENCE + 1)),
         "compute_cycles": sum(compress(cycles, kinds_b.translate(_COMPUTE_BYTES))),
@@ -418,10 +418,9 @@ def run_native(
     from repro.persistency.intel_x86 import IntelX86Domain
     from repro.persistency.nonatomic import NonAtomicDomain
     from repro.sim.cpu import CoreEngine
-    from repro.sim.memory import DRAMController, PMController
+    from repro.sim.memory import PMController
 
     pm = PMController(cfg.pm)
-    dram = DRAMController()
     out_cap = (NonAtomicDomain.CLWB_WINDOW if design == "non-atomic"
                else IntelX86Domain.CLWB_WINDOW)
 
@@ -443,7 +442,6 @@ def run_native(
         pm._accept.capacity,
         pm._media.capacity,
         pm._read_bw.capacity,
-        dram._bw.capacity,
     ])
     fcfg = array("d", [
         CoreEngine.DISPATCH_COST,
@@ -455,11 +453,9 @@ def run_native(
         pm._accept.interval,
         pm._media.interval,
         pm._read_bw.interval,
-        dram._bw.interval,
         cfg.pm.write_to_controller,
         cfg.pm.write_queue_entries * pm._media_interval,
         cfg.pm.read_latency,
-        dram.latency,
         cfg.coherence_transfer,
         1.0 if cfg.pm.coalesce_writes else 0.0,
     ])
@@ -468,7 +464,6 @@ def run_native(
     crash: Optional[_Crash] = None
     records: tuple = ()
     if trigger is not None:
-        # One record per STORE at most; VSTOREs make a loose bound.
         cap = sum(static["stores"] for static in statics)
         records = (array("q", [0]) * cap, array("d", [0.0]) * cap,
                    array("d", [0.0]) * cap, array("b", [0]) * cap)

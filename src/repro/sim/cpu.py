@@ -1,9 +1,10 @@
 """Per-core issue engine: replays a thread trace through a persist domain.
 
-The engine is cycle-approximate: it models the front end as a dispatch
-pipe of ``dispatch_width`` ops per cycle, a bounded in-order store queue,
-and full out-of-order latency hiding for all but the persist-ordering
-stalls — which is where the designs differ and what Figures 7/8 measure.
+The engine is cycle-approximate: it models the front end as a fixed
+``CoreEngine.DISPATCH_COST`` per op (at most four ops per cycle, where
+Table I's core dispatches six), a bounded in-order store queue, and full
+out-of-order latency hiding for all but the persist-ordering stalls —
+which is where the designs differ and what Figures 7/8 measure.
 
 Lock acquisitions follow the FIFO order fixed at trace-generation time;
 when the predecessor critical section has not yet released in simulated
@@ -88,7 +89,8 @@ class CoreEngine:
         locks: LockTable,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
-        self.trace = trace
+        #: the sealed program's op list, complete: Machine.run seals first.
+        self.ops = trace.ops
         self.tid = trace.tid
         self.cfg = cfg
         self.hierarchy = hierarchy
@@ -114,13 +116,9 @@ class CoreEngine:
 
     # -- helpers -----------------------------------------------------------
 
-    def _memory_access(
-        self, op: Op, is_write: bool, persistent: bool, t: float
-    ) -> Tuple[float, float]:
+    def _memory_access(self, op: Op, is_write: bool, t: float) -> Tuple[float, float]:
         """Returns ``(dispatch_continue_time, completion_time)``."""
-        done, served = self.hierarchy.access(
-            self.tid, line_of(op.addr), is_write, t, persistent
-        )
+        done, served = self.hierarchy.access(self.tid, line_of(op.addr), is_write, t)
         if served == "l1":
             self.stats.l1_hits += 1
             return t + self.HIT_COST, done
@@ -132,9 +130,8 @@ class CoreEngine:
         visible = latency * (1.0 - self.cfg.core.load_overlap) if not is_write else 0.0
         return t + self.HIT_COST + visible, done
 
-    def _do_store(self, op: Op, persistent: bool, t: float) -> Tuple[float, float]:
-        if persistent:
-            t = self.domain.store_gate(t)
+    def _do_store(self, op: Op, t: float) -> Tuple[float, float]:
+        t = self.domain.store_gate(t)
         slot = self.store_queue.earliest_slot(t)
         if slot > t:
             self.stats.stall_queue_full += int(round(slot - t))
@@ -142,12 +139,12 @@ class CoreEngine:
                 self.tracer.stall(
                     "queue_full", self.track, t, slot - t, queue="store-queue"
                 )
-        cont, done = self._memory_access(op, True, persistent, slot)
+        cont, done = self._memory_access(op, True, slot)
         # A store completes (leaves the ROB) when its store-queue entry
         # retires to the cache — behind any elder CLWBs parked in the
         # store queue (the NO-PERSIST-QUEUE head-of-line effect).
         retire = self.store_queue.push(slot, done)
-        if persistent and self.domain.durability.enabled:
+        if self.domain.durability.enabled:
             self.domain.durability.note_store(op, retire)
         line = line_of(op.addr)
         prev = self._line_store_retire.get(line, 0.0)
@@ -165,11 +162,11 @@ class CoreEngine:
     def blocked_state(self, lock_id: int) -> str:
         """One-line description of where this core is stuck, for
         :class:`~repro.sim.machine.SimulationDeadlock` reports."""
-        op = self.trace[self.pc] if self.pc < len(self.trace) else None
+        op = self.ops[self.pc] if self.pc < len(self.ops) else None
         holder = self.locks.next_holder(lock_id)
         expect = f"core {holder}" if holder is not None else "nobody (order exhausted)"
         return (
-            f"core {self.tid}: op {self.pc}/{len(self.trace)} {op!r}, "
+            f"core {self.tid}: op {self.pc}/{len(self.ops)} {op!r}, "
             f"local clock {self.clock:.1f}, waiting on lock {lock_id} "
             f"(next holder by recorded order: {expect})"
         )
@@ -178,7 +175,7 @@ class CoreEngine:
 
     def step(self) -> Optional[Blocked]:
         """Execute the next micro-op; returns Blocked if a lock isn't ours yet."""
-        op = self.trace[self.pc]
+        op = self.ops[self.pc]
         tracer = self.tracer
         dispatched = self.clock
         t = dispatched + self.DISPATCH_COST
@@ -199,14 +196,9 @@ class CoreEngine:
             rob_done = t
             self.stats.compute_cycles += op.cycles
         elif kind is OpKind.STORE:
-            t, rob_done = self._do_store(op, True, t)
-        elif kind is OpKind.VSTORE:
-            t, rob_done = self._do_store(op, False, t)
+            t, rob_done = self._do_store(op, t)
         elif kind is OpKind.LOAD:
-            t, rob_done = self._memory_access(op, False, True, t)
-            self.stats.loads += 1
-        elif kind is OpKind.VLOAD:
-            t, rob_done = self._memory_access(op, False, False, t)
+            t, rob_done = self._memory_access(op, False, t)
             self.stats.loads += 1
         elif kind is OpKind.CLWB:
             line = line_of(op.addr)
@@ -250,7 +242,7 @@ class CoreEngine:
         self.clock = t
         self.stats.ops += 1
         self.pc += 1
-        if self.pc >= len(self.trace):
+        if self.pc >= len(self.ops):
             # End of trace: everything must become durable before the
             # benchmark is considered finished (same rule for all designs).
             self.clock = self.domain.drain_all(self.clock)

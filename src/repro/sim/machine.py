@@ -25,7 +25,7 @@ from repro.sim.config import MachineConfig, TABLE_I
 from repro.sim.cpu import CoreEngine, LockTable
 from repro.sim.durability import CrashState, DurabilityTracker
 from repro.sim.engine import InOrderQueue
-from repro.sim.memory import DRAMController, PMController
+from repro.sim.memory import PMController
 from repro.sim.stats import CoreStats, MachineStats
 
 #: dispatched-op period of the resource-pruning sweep.  Every core's
@@ -142,8 +142,7 @@ class Machine:
                     return stats
 
         pm = PMController(self.cfg.pm, tracer, faults=media_faults)
-        dram = DRAMController()
-        hierarchy = CacheHierarchy(self.cfg, pm, dram)
+        hierarchy = CacheHierarchy(self.cfg, pm)
         if warm:
             hierarchy.warm(program.touched_lines())
         locks = LockTable(program.lock_order)
@@ -210,8 +209,8 @@ class Machine:
                 crash_cycle = core.clock
                 break
             # A release may wake parked cores (their turn may have come).
-            if core.pc > 0 and core.trace[core.pc - 1].kind is OpKind.LOCK_REL:
-                lock_id = core.trace[core.pc - 1].lock_id
+            if core.pc > 0 and core.ops[core.pc - 1].kind is OpKind.LOCK_REL:
+                lock_id = core.ops[core.pc - 1].lock_id
                 for waiter in parked.pop(lock_id, []):
                     heapq.heappush(ready, (max(waiter.clock, core.clock), waiter.tid))
             if not core.finished:
@@ -225,7 +224,6 @@ class Machine:
                     default=core.clock,
                 )
                 pm.prune(low)
-                dram.prune(low)
 
         if tracker is not None:
             if crash_cycle is None:

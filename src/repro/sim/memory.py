@@ -1,4 +1,4 @@
-"""Persistent-memory controller and DRAM timing models.
+"""Persistent-memory controller timing model.
 
 The PM controller is ADR-protected (Section IV, "PM controller"): a write
 is *persistent* once the controller accepts it, so a CLWB acknowledges
@@ -204,20 +204,3 @@ class PMController:
             if self.tracer.enabled:
                 self.tracer.instant("pm.ecc-correct", MEDIA_TRACK, grant, line=line)
         return done
-
-
-class DRAMController:
-    """Simple DRAM back end for volatile data (fixed latency + bandwidth)."""
-
-    def __init__(self, latency: float = 120.0, interval: float = 4.0) -> None:
-        self.latency = latency
-        self._bw = BandwidthResource(interval)
-        self.accesses = 0
-
-    def access(self, t: float) -> float:
-        self.accesses += 1
-        return self._bw.reserve(t) + self.latency
-
-    def prune(self, low_water: float) -> None:
-        """See :meth:`PMController.prune`."""
-        self._bw.prune(low_water)

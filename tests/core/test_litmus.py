@@ -5,8 +5,6 @@ consistent cuts of its persist DAG and check that the paper's forbidden
 PM state is unreachable while representative allowed states are reachable.
 """
 
-import pytest
-
 from repro.core.crash import reachable_values
 from repro.core.model import PersistDag
 from repro.core.ops import Program, TraceCursor

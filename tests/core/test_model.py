@@ -8,7 +8,7 @@ from repro.chaos import CrashTrigger, FaultPlan
 from repro.chaos.harness import CHAOS_CFG
 from repro.chaos.image import _DROP_SALT, _apply_drops
 from repro.core.model import STORE, PersistDag, annotate_thread
-from repro.core.ops import Op, Program, TraceCursor
+from repro.core.ops import Program, TraceCursor
 from repro.workloads import WORKLOADS, generate_for_design
 
 
@@ -26,7 +26,7 @@ def test_annotate_thread_strands_and_epochs():
     cur.store(64, b"\x00")  # strand 0, epoch 1
     cur.new_strand()
     cur.store(128, b"\x00")  # strand 1, epoch 0
-    labels = [l for l in annotate_thread(prog.threads[0].ops) if l is not None]
+    labels = [lab for lab in annotate_thread(prog.threads[0].ops) if lab is not None]
     assert (labels[0].strand, labels[0].sub_epoch) == (0, 0)
     assert (labels[1].strand, labels[1].sub_epoch) == (0, 1)
     assert (labels[2].strand, labels[2].sub_epoch) == (1, 0)
@@ -38,7 +38,7 @@ def test_annotate_join_strand_bumps_js_epoch():
     cur.store(0, b"\x00")
     cur.join_strand()
     cur.store(64, b"\x00")
-    labels = [l for l in annotate_thread(prog.threads[0].ops) if l is not None]
+    labels = [lab for lab in annotate_thread(prog.threads[0].ops) if lab is not None]
     assert labels[0].js_epoch == 0
     assert labels[1].js_epoch == 1
 
@@ -49,7 +49,7 @@ def test_sfence_acts_as_barrier_and_drain():
     cur.store(0, b"\x00")
     cur.sfence()
     cur.store(64, b"\x00")
-    labels = [l for l in annotate_thread(prog.threads[0].ops) if l is not None]
+    labels = [lab for lab in annotate_thread(prog.threads[0].ops) if lab is not None]
     assert labels[1].sub_epoch == labels[0].sub_epoch + 1
     assert labels[1].js_epoch == labels[0].js_epoch + 1
 

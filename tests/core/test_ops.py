@@ -126,8 +126,6 @@ def test_cursor_returns_the_op_the_trace_holds():
         lambda: cur.store(0x100, b"\x01" * 8),
         lambda: cur.load(0x100, 8),
         lambda: cur.clwb(0x100, size=32),
-        lambda: cur.vstore(0x200, 8),
-        lambda: cur.vload(0x200, 8),
         cur.sfence, cur.persist_barrier, cur.new_strand, cur.join_strand,
         cur.ofence, cur.dfence,
         lambda: cur.lock(2), lambda: cur.unlock(2), lambda: cur.compute(5),

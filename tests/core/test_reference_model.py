@@ -9,14 +9,10 @@ checks both models agree on ``ordered_before`` for every pair, on
 randomly generated lock-free programs.
 """
 
-import random
-from typing import List
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.model import STORE, PersistDag, annotate_thread
-from repro.core.ops import Op, OpKind, Program, TraceCursor
+from repro.core.ops import OpKind, Program, TraceCursor
 
 
 def reference_order(program: Program):

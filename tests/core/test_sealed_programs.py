@@ -158,8 +158,6 @@ def test_seal_is_idempotent():
 #: one call of every emitter, each of its paths: name -> call on a cursor.
 EMITTERS = {
     "load": lambda c: c.load(0, 8),
-    "vstore": lambda c: c.vstore(0, 8),
-    "vload": lambda c: c.vload(0, 8),
     "sfence": lambda c: c.sfence(),
     "persist_barrier": lambda c: c.persist_barrier(),
     "new_strand": lambda c: c.new_strand(),

@@ -2,8 +2,6 @@
 
 import dataclasses
 
-import pytest
-
 from repro.harness import experiment
 from repro.harness.experiment import (
     ALL_DESIGNS,

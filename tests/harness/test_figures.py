@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness import figure7, figure8, figure9, figure10, run_cell, speedup, table1, table2
+from repro.harness import figure7, figure8, run_cell, speedup, table1, table2
 from repro.harness.experiment import clear_cache
 
 OPS = 8  # tiny but representative scale for CI-speed shape checks

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.ops import OpKind
-from repro.lang import logbuf
 from repro.lang.atlas import AtlasModel
 from repro.lang.dialect import StrandDialect
 from repro.lang.logbuf import LogLayout

@@ -1,7 +1,5 @@
 """Recovery tests: the Figure 6 walkthrough and edge cases."""
 
-import pytest
-
 from repro.lang import logbuf
 from repro.lang.dialect import StrandDialect
 from repro.lang.logbuf import LogLayout, encode_entry

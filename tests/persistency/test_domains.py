@@ -11,14 +11,14 @@ from repro.persistency.nonatomic import NonAtomicDomain
 from repro.sim.cache import CacheHierarchy
 from repro.sim.config import MachineConfig
 from repro.sim.engine import InOrderQueue
-from repro.sim.memory import DRAMController, PMController
+from repro.sim.memory import PMController
 from repro.sim.stats import CoreStats
 
 
 def make_domain(cls):
     cfg = MachineConfig(n_cores=1)
     pm = PMController(cfg.pm)
-    hierarchy = CacheHierarchy(cfg, pm, DRAMController())
+    hierarchy = CacheHierarchy(cfg, pm)
     stats = CoreStats()
     sq = InOrderQueue(cfg.core.store_queue_entries)
     return cls(0, cfg, hierarchy, pm, stats, sq), stats

@@ -1,17 +1,15 @@
 """Cache hierarchy tests: tags, LRU, write-backs, coherence hooks."""
 
-import pytest
-
 from repro.sim.cache import CacheHierarchy, TagCache
 from repro.sim.config import CacheConfig, MachineConfig
-from repro.sim.memory import DRAMController, PMController
+from repro.sim.memory import PMController
 
 
 def small_cache(assoc=2, sets=4):
     return TagCache(
         CacheConfig(
             size_bytes=assoc * sets * 64, assoc=assoc, line_bytes=64,
-            hit_latency=4, mshrs=4,
+            hit_latency=4,
         )
     )
 
@@ -19,8 +17,7 @@ def small_cache(assoc=2, sets=4):
 def make_hierarchy(n_cores=2):
     cfg = MachineConfig(n_cores=n_cores)
     pm = PMController(cfg.pm)
-    dram = DRAMController()
-    return cfg, CacheHierarchy(cfg, pm, dram)
+    return cfg, CacheHierarchy(cfg, pm)
 
 
 class TestTagCache:
@@ -62,26 +59,21 @@ class TestTagCache:
 class TestHierarchy:
     def test_l1_hit_after_fill(self):
         _, h = make_hierarchy()
-        done1, served1 = h.access(0, 10, False, 0.0, persistent=True)
+        done1, served1 = h.access(0, 10, False, 0.0)
         assert served1 == "pm"
-        done2, served2 = h.access(0, 10, False, done1, persistent=True)
+        done2, served2 = h.access(0, 10, False, done1)
         assert served2 == "l1"
 
     def test_warm_serves_from_l2(self):
         _, h = make_hierarchy()
         h.warm([10])
-        _, served = h.access(0, 10, False, 0.0, persistent=True)
+        _, served = h.access(0, 10, False, 0.0)
         assert served == "l2"
-
-    def test_volatile_miss_goes_to_dram(self):
-        _, h = make_hierarchy()
-        _, served = h.access(0, 999, False, 0.0, persistent=False)
-        assert served == "dram"
 
     def test_cross_core_dirty_transfer(self):
         cfg, h = make_hierarchy()
-        h.access(0, 10, True, 0.0, persistent=True)  # core 0 dirties line
-        t, _ = h.access(1, 10, True, 1000.0, persistent=True)
+        h.access(0, 10, True, 0.0)  # core 0 dirties line
+        t, _ = h.access(1, 10, True, 1000.0)
         assert h.coherence_transfers == 1
         assert t >= 1000.0 + cfg.coherence_transfer
 
@@ -94,14 +86,14 @@ class TestHierarchy:
 
         cfg, h = make_hierarchy()
         h.drain_hooks[0] = hook
-        h.access(0, 10, True, 0.0, persistent=True)
-        t, _ = h.access(1, 10, True, 100.0, persistent=True)
+        h.access(0, 10, True, 0.0)
+        t, _ = h.access(1, 10, True, 100.0)
         assert calls == [(0, 10)]
         assert t >= 600.0
 
     def test_flush_cleans_line(self):
         _, h = make_hierarchy()
-        h.access(0, 10, True, 0.0, persistent=True)
+        h.access(0, 10, True, 0.0)
         assert h.l1[0].lookup(10, touch=False) is True
         h.flush(0, 10, 50.0)
         assert h.l1[0].lookup(10, touch=False) is False

@@ -55,8 +55,6 @@ def _emit_mix(cur):
     cur.load(0x1000, 8)
     cur.compute(120)
     cur.region = 5
-    cur.vstore(0x40, 8)
-    cur.vload(0x40, 8)
     cur.sfence()
     cur.persist_barrier()
     cur.new_strand()
@@ -157,8 +155,7 @@ def test_touched_lines_match_an_op_scan():
             op.addr // CACHE_LINE
             for trace in program.threads
             for op in trace.ops
-            if op.kind in (OpKind.STORE, OpKind.LOAD, OpKind.CLWB,
-                           OpKind.VSTORE, OpKind.VLOAD)
+            if op.kind in (OpKind.STORE, OpKind.LOAD, OpKind.CLWB)
         }
     )
     assert list(program.touched_lines()) == expect

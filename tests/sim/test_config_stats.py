@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.sim.config import TABLE_I, MachineConfig
+from repro.sim.config import CLOCK_GHZ, TABLE_I
 from repro.sim.stats import CoreStats, MachineStats, geomean
 
 
 def test_table_i_defaults_match_paper():
     cfg = TABLE_I
     assert cfg.n_cores == 8
-    assert cfg.core.clock_ghz == 2.0
+    assert CLOCK_GHZ == 2.0
     assert cfg.core.rob_entries == 224
     assert cfg.core.store_queue_entries == 64
     assert cfg.l1d.size_bytes == 32 * 1024 and cfg.l1d.assoc == 2
@@ -34,10 +34,17 @@ def test_with_strand_override():
 
 
 def test_table1_rendering_mentions_key_values():
-    text = " ".join(TABLE_I.table1().values())
-    assert "346ns read" in text
-    assert "224-entry ROB" in text
-    assert "4 strand buffers" in text
+    assert TABLE_I.table1() == {
+        "Core": (
+            "8-cores, 2GHz OoO, 6-wide dispatch, 8-wide commit, "
+            "224-entry ROB, 72/64-entry LQ/SQ"
+        ),
+        "D-Cache": "32kB, 2-way, 64B, 2ns hit, 6 MSHRs",
+        "L2-Cache": "28MB, 16-way, 64B, 16ns hit, 16 MSHRs",
+        "PM controller": "64/32-entry write/read queue",
+        "PM": "346ns read, 96ns write to controller, 500ns write to PM",
+        "StrandWeaver": "16-entry persist queue, 4 strand buffers x 4 entries",
+    }
 
 
 def test_core_stats_persist_stalls():

@@ -1,7 +1,5 @@
 """CoreEngine-level tests: ROB pressure, store gating, CLWB-after-store."""
 
-import pytest
-
 from repro.core.ops import Program, TraceCursor
 from repro.sim.machine import Machine, run_design
 from repro.sim.config import MachineConfig
@@ -61,14 +59,3 @@ def test_compute_advances_clock_exactly():
     cur.compute(5000)
     stats = run_design("non-atomic", prog)
     assert 5000 <= stats.cycles < 5100
-
-
-def test_volatile_ops_do_not_touch_pm():
-    prog = Program(1)
-    cur = TraceCursor(prog, 0)
-    cur.vstore(0, 8)
-    cur.vload(64, 8)
-    stats = run_design("non-atomic", prog)
-    assert stats.total.pm_writes == 0
-    assert stats.total.stores == 1
-    assert stats.total.loads == 1

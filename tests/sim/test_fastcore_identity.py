@@ -942,12 +942,13 @@ def test_native_decline_mid_run_leaves_the_media_model_untouched(
 # -- dense line ids -------------------------------------------------------
 
 #: persistent lines up to 2**45 line numbers apart, six of which share
-#: set 0 of :data:`SMALL_CACHES`' 4-way L2, and two volatile lines.
+#: set 0 of :data:`SMALL_CACHES`' 4-way L2, and two far lines that are
+#: stored to and loaded but never flushed.
 SPARSE_LINES = (
     0, 3, 2**31 - 1, 2**31 + 5, 2**33 + 1, 2**40, 2**40 + 256, 2**40 + 512,
     2**41, 2**42 + 64, 2**45 + 3,
 )
-VOLATILE_LINES = (2**20, 2**36 + 9)
+FAR_LINES = (2**20, 2**36 + 9)
 
 
 def sparse_program(seed, n_ops=120):
@@ -955,7 +956,8 @@ def sparse_program(seed, n_ops=120):
     native core knows by their index in the sorted touched lines.  Core 0
     walks the lines from the top and core 2 from the bottom, so neither
     meets them in id order; core 1 is empty.  A fifth of the accesses are
-    VSTOREs and VLOADs of :data:`VOLATILE_LINES`."""
+    STOREs and LOADs of :data:`FAR_LINES`, which reach PM only as dirty
+    write-backs."""
     rng = random.Random(seed)
     program = Program(3)
     cursors = {0: TraceCursor(program, 0), 2: TraceCursor(program, 2)}
@@ -971,11 +973,11 @@ def sparse_program(seed, n_ops=120):
             elif roll < 0.6:
                 cursor.load(addr, 8)
             elif roll < 0.8:
-                volatile = rng.choice(VOLATILE_LINES) * CACHE_LINE
+                far = rng.choice(FAR_LINES) * CACHE_LINE
                 if roll < 0.7:
-                    cursor.vstore(volatile, 8)
+                    cursor.store(far, bytes(8))
                 else:
-                    cursor.vload(volatile, 8)
+                    cursor.load(far, 8)
             else:
                 cursor.compute(rng.randrange(1, 100))
     return program
@@ -985,15 +987,15 @@ def sparse_program(seed, n_ops=120):
 @pytest.mark.parametrize("design", sorted(DESIGNS))
 def test_native_matches_reference_on_sparse_lines(monkeypatch, native_accepts, design, warm):
     """Lines far apart, visited out of id order, an empty core, and
-    volatile lines: the native core replays them as the reference engine
-    does, with warm and with cold caches, and on 1 KiB L1s and an 8 KiB
-    L2 that evict all the time."""
+    lines never flushed: the native core replays them as the reference
+    engine does, with warm and with cold caches, and on 1 KiB L1s and an
+    8 KiB L2 that evict all the time."""
     runs = 0
     for cfg in (TABLE_I, SMALL_CACHES):
         for seed in range(2):
             program = sparse_program(seed)
             assert len(program.threads[1]) == 0
-            assert list(program.touched_lines()) == sorted(SPARSE_LINES + VOLATILE_LINES)
+            assert list(program.touched_lines()) == sorted(SPARSE_LINES + FAR_LINES)
             monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
             ref = Machine(design, cfg).run(program, warm=warm)
             monkeypatch.delenv("REPRO_SIM_REFERENCE")
@@ -1025,7 +1027,7 @@ def test_native_media_run_with_remapped_lines_outside_the_program(
     """A model that already remapped two lines the program never touches
     and one it does: the outside lines only use up spare lines, the inside
     one draws no fault, and both tiers leave the same stats and model."""
-    program = sparse_program(2)
+    program = sparse_program(3)
     cfg = _stress_cfg(SMALL_CACHES, 4, 5)
     models = [MediaFaultModel(STRESS_MEDIA) for _ in range(2)]
     for model in models:

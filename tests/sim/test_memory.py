@@ -1,7 +1,7 @@
-"""PM controller and DRAM timing tests."""
+"""PM controller timing tests."""
 
 from repro.sim.config import PMConfig
-from repro.sim.memory import DRAMController, PMController
+from repro.sim.memory import PMController
 
 
 def test_write_ack_latency():
@@ -57,9 +57,3 @@ def test_write_queue_backpressure_delays_ack():
 def test_read_latency():
     pm = PMController(PMConfig())
     assert pm.read(0.0) >= 692
-
-
-def test_dram_access():
-    dram = DRAMController(latency=120.0)
-    assert dram.access(0.0) == 120.0
-    assert dram.accesses == 1

@@ -126,8 +126,8 @@ def assert_columns_match_ops(trace):
         array("i", [op.cycles for op in ops]),
         array("i", [op.lock_id for op in ops]),
         {
-            "stores": kinds.count(OpKind.STORE) + kinds.count(OpKind.VSTORE),
-            "loads": kinds.count(OpKind.LOAD) + kinds.count(OpKind.VLOAD),
+            "stores": kinds.count(OpKind.STORE),
+            "loads": kinds.count(OpKind.LOAD),
             "clwbs": kinds.count(OpKind.CLWB),
             "fences": sum(kind in fences for kind in kinds),
             "compute_cycles": sum(

@@ -8,7 +8,6 @@ from repro.sim.machine import run_design
 from repro.workloads import (
     MICROBENCHMARKS,
     WORKLOADS,
-    WorkloadConfig,
     generate_for_design,
     make_model,
 )
@@ -76,7 +75,6 @@ def test_queue_plan_has_pushes_and_pops(small_cfg):
 def test_rbtree_shadow_tracks_tree(small_cfg):
     run = generate_for_design(WORKLOADS["rbtree"], small_cfg, "strandweaver", "txn")
     wl = run.workload
-    acc = DirectAccessor(run.space)
     count = run.space.read_u64(wl.meta + 8)
     assert count == len(wl._shadow)
 
@@ -93,9 +91,10 @@ def test_tpcc_orders_recorded(small_cfg):
 def test_nstore_mixes_differ(small_cfg):
     rd = WORKLOADS["nstore-rd"](small_cfg)
     wr = WORKLOADS["nstore-wr"](small_cfg)
-    frac = lambda wl: sum(
-        1 for plan in wl.plan for kind, _ in plan if kind == "write"
-    ) / (small_cfg.n_threads * small_cfg.ops_per_thread)
+    def frac(wl):
+        writes = sum(1 for plan in wl.plan for kind, _ in plan if kind == "write")
+        return writes / (small_cfg.n_threads * small_cfg.ops_per_thread)
+
     assert frac(rd) < 0.25
     assert frac(wr) > 0.75
 
