@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 from repro.core.ops import (
+    ADDRESSED_KINDS,
     Op,
     OpKind,
     Program,
@@ -10,6 +11,39 @@ from repro.core.ops import (
     line_of,
     lines_of,
 )
+
+
+def test_kind_numbering_is_fixed():
+    """A kinds column holds each op's kind as its int value, and the native
+    core reads those values raw, so the numbering is part of the IR."""
+    assert [(kind.name, kind.value) for kind in OpKind] == [
+        ("STORE", 0), ("LOAD", 1), ("CLWB", 2), ("SFENCE", 3),
+        ("PERSIST_BARRIER", 4), ("NEW_STRAND", 5), ("JOIN_STRAND", 6),
+        ("OFENCE", 7), ("DFENCE", 8), ("LOCK_ACQ", 9), ("LOCK_REL", 10),
+        ("COMPUTE", 11),
+    ]
+
+
+def test_only_stores_loads_and_clwbs_address_memory():
+    """STORE, LOAD and CLWB name a PM line; a program's touched lines are
+    theirs alone, whatever else it holds."""
+    assert ADDRESSED_KINDS == {OpKind.STORE, OpKind.LOAD, OpKind.CLWB}
+    prog = Program(1)
+    cur = TraceCursor(prog, 0)
+    cur.store(0x40, b"\x01")
+    cur.lock(3)
+    cur.load(0x80, 8)
+    cur.sfence()
+    cur.persist_barrier()
+    cur.new_strand()
+    cur.clwb(0xC0)
+    cur.join_strand()
+    cur.ofence()
+    cur.dfence()
+    cur.compute(5)
+    cur.unlock(3)
+    assert {op.kind for op in prog.all_ops()} == set(OpKind)
+    assert list(prog.touched_lines()) == [1, 2, 3]
 
 
 def test_line_of():

@@ -1,7 +1,11 @@
 """Cache hierarchy tests: tags, LRU, write-backs, coherence hooks."""
 
+from dataclasses import replace
+
+from repro.core.ops import Op, OpKind
 from repro.sim.cache import CacheHierarchy, TagCache
 from repro.sim.config import CacheConfig, MachineConfig
+from repro.sim.durability import SOURCE_WRITEBACK, DurabilityTracker
 from repro.sim.memory import PMController
 
 
@@ -18,6 +22,30 @@ def make_hierarchy(n_cores=2):
     cfg = MachineConfig(n_cores=n_cores)
     pm = PMController(cfg.pm)
     return cfg, CacheHierarchy(cfg, pm)
+
+
+class RecordingPM(PMController):
+    """A PM controller that remembers the line of every write."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.written = []
+
+    def write(self, t, line=-1):
+        self.written.append(line)
+        return super().write(t, line)
+
+
+def tiny_hierarchy():
+    """One core over a one-line L1 and a two-line L2, so every third line
+    touched pushes one out of the L2."""
+    cfg = replace(
+        MachineConfig(n_cores=1),
+        l1d=CacheConfig(size_bytes=64, assoc=1, line_bytes=64, hit_latency=4),
+        l2=CacheConfig(size_bytes=128, assoc=2, line_bytes=64, hit_latency=32),
+    )
+    pm = RecordingPM(cfg.pm)
+    return cfg, pm, CacheHierarchy(cfg, pm)
 
 
 class TestTagCache:
@@ -69,6 +97,42 @@ class TestHierarchy:
         h.warm([10])
         _, served = h.access(0, 10, False, 0.0)
         assert served == "l2"
+
+    def test_l2_miss_reads_pm(self):
+        """A line in neither cache is read from PM after both tag checks,
+        and lands clean in the L2 and in the core's L1."""
+        cfg, h = make_hierarchy()
+        done, served = h.access(0, 10, False, 100.0)
+        assert served == "pm"
+        assert done == 100.0 + cfg.l1d.hit_latency + cfg.l2.hit_latency + cfg.pm.read_latency
+        assert h.l2.misses == 1
+        assert h.l2.lookup(10, touch=False) is False
+        assert h.l1[0].lookup(10, touch=False) is False
+
+    def test_dirty_l2_victim_is_written_back_to_pm(self):
+        """Stored lines pushed out of the L2 are written to PM, and the
+        durability tracker marks the store persisted by a write-back."""
+        _, pm, h = tiny_hierarchy()
+        h.durability = tracker = DurabilityTracker()
+        tracker.note_store(Op(OpKind.STORE, addr=64, size=8), retire=0.0)
+        t = 0.0
+        for line in (1, 2):
+            t, _ = h.access(0, line, True, t)
+        for line in (100, 101, 102):
+            t, _ = h.access(0, line, False, t)
+        assert sorted(pm.written) == [1, 2]
+        (record,) = tracker.records
+        assert record.source == SOURCE_WRITEBACK
+        assert record.durable <= t
+
+    def test_clean_l2_victim_is_dropped(self):
+        """Lines only ever loaded leave the L2 without a PM write."""
+        _, pm, h = tiny_hierarchy()
+        t = 0.0
+        for line in range(8):
+            t, served = h.access(0, line, False, t)
+            assert served == "pm"
+        assert pm.written == []
 
     def test_cross_core_dirty_transfer(self):
         cfg, h = make_hierarchy()

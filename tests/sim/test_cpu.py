@@ -1,6 +1,7 @@
 """CoreEngine-level tests: ROB pressure, store gating, CLWB-after-store."""
 
 from repro.core.ops import Program, TraceCursor
+from repro.sim.cpu import CoreEngine
 from repro.sim.machine import Machine, run_design
 from repro.sim.config import MachineConfig
 from dataclasses import replace
@@ -59,3 +60,34 @@ def test_compute_advances_clock_exactly():
     cur.compute(5000)
     stats = run_design("non-atomic", prog)
     assert 5000 <= stats.cycles < 5100
+
+
+def test_each_op_costs_a_fixed_dispatch_slot():
+    """The front end charges every op ``DISPATCH_COST`` on top of its own
+    latency: at most four ops per cycle."""
+    assert CoreEngine.DISPATCH_COST == 0.25
+    prog = Program(1)
+    cur = TraceCursor(prog, 0)
+    for _ in range(400):
+        cur.compute(1)
+    stats = run_design("non-atomic", prog)
+    assert stats.cycles == 400 * (1 + CoreEngine.DISPATCH_COST)
+
+
+def test_cold_accesses_read_pm():
+    """Without a warm L2, a store and a load of lines never touched before
+    each read their line from PM; with it, neither does."""
+    def program():
+        prog = Program(1)
+        cur = TraceCursor(prog, 0)
+        cur.store(0, b"\x01" * 8)
+        cur.load(64, 8)
+        return prog
+
+    cold = Machine("non-atomic", MachineConfig(n_cores=1)).run(program(), warm=False)
+    warm = Machine("non-atomic", MachineConfig(n_cores=1)).run(program())
+    for stats in (cold, warm):
+        assert (stats.total.stores, stats.total.loads) == (1, 1)
+    assert cold.total.pm_reads == 2
+    assert warm.total.pm_reads == 0
+    assert cold.cycles > warm.cycles

@@ -57,3 +57,26 @@ def test_write_queue_backpressure_delays_ack():
 def test_read_latency():
     pm = PMController(PMConfig())
     assert pm.read(0.0) >= 692
+
+
+def test_reads_share_the_read_bandwidth():
+    """The controller returns one read per half acceptance interval, so
+    two reads issued together come back that far apart."""
+    cfg = PMConfig()
+    pm = PMController(cfg)
+    first = pm.read(0.0)
+    second = pm.read(0.0)
+    assert first == cfg.read_latency
+    assert second == first + cfg.accept_interval // 2
+
+
+def test_reads_do_not_delay_writes():
+    """Reads and writes are accepted on separate bandwidth: a burst of
+    reads leaves a write's acknowledgement where it was."""
+    cfg = PMConfig()
+    pm = PMController(cfg)
+    for line in range(16):
+        pm.read(0.0, line)
+    ticket = pm.write(0.0, line=1)
+    assert ticket.accepted == 0.0
+    assert ticket.acked == cfg.write_to_controller
